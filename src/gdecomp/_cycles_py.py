@@ -1,9 +1,8 @@
 """Pure-Python simple-cycle enumeration kernel.
 
-Same contract as the compiled kernel in _cycles.pyx: given sorted
-adjacency lists and a maximum edge length, return every simple cycle as
-a vertex tuple starting at the cycle's minimum vertex, one direction
-per cycle (the second vertex is smaller than the last).
+Given sorted adjacency lists and a maximum edge length, return every
+simple cycle as a vertex tuple starting at the cycle's minimum vertex,
+one direction per cycle (the second vertex is smaller than the last).
 """
 
 from __future__ import annotations

@@ -4,11 +4,17 @@ A ball is the induced subgraph on all elements within a given word
 distance of the identity, for a fixed symmetric generating set. Edges
 run x -- x*s for each generator s; parallel edges (distinct generators
 giving the same neighbor) collapse to one, keeping every label.
+
+The ball is stored as its right-multiplication table, a partial coset
+table of the trivial subgroup: right[v][k] is the vertex of
+elements[v] * gen_k, or -1 outside the ball. Each of those products is
+computed once, while the ball is built; adjacency, edges and labels are
+read off the table, and products of ball vertices walk it (`product`,
+`inverse`).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 from .errors import CapExceeded, UnknownGenerator, VerificationFailure
@@ -21,19 +27,24 @@ class CayleyBall:
     """Immutable once built; vertex 0 is the identity."""
 
     __slots__ = ("group", "radius", "generators", "elements", "index",
-                 "word_length", "words", "adj", "_edge_labels")
+                 "word_length", "words", "right", "adj", "_inv_gen")
 
     def __init__(self, group, radius, generators, elements, index,
-                 word_length, words, adj, edge_labels):
+                 word_length, words, right):
         self.group = group
         self.radius = radius
         self.generators = generators  # list of (symbol, element), symmetric
         self.elements = elements
         self.index = index  # element data -> vertex index
         self.word_length = word_length
-        self.words = words  # a shortest witness word per vertex
-        self.adj = adj  # vertex -> sorted list of neighbor indices
-        self._edge_labels = edge_labels  # (u, v) with u < v -> sorted labels
+        self.words = words  # a shortest word per vertex, as generator indices
+        self.right = right  # vertex -> [vertex of elements[v] * gen_k or -1]
+        self.adj = [sorted(set(row) - {-1, v})  # vertex -> sorted neighbors
+                    for v, row in enumerate(right)]
+        # generator index of each generator's inverse (unused at radius 0,
+        # where every stored word is empty)
+        self._inv_gen = [right[j].index(0) if j >= 0 else -1
+                         for j in right[0]]
 
     @property
     def vertex_count(self):
@@ -41,7 +52,7 @@ class CayleyBall:
 
     @property
     def edge_count(self):
-        return len(self._edge_labels)
+        return sum(1 for u, nbrs in enumerate(self.adj) for v in nbrs if v > u)
 
     def locate(self, g):
         """Vertex index of an element, or None if outside the ball."""
@@ -50,10 +61,39 @@ class CayleyBall:
     def __contains__(self, g):
         return g.data in self.index
 
+    def inverse(self, v):
+        """Vertex of elements[v]^-1: the reversed, inverted stored word of v
+        walked from vertex 0, which never leaves the ball."""
+        right, inv = self.right, self._inv_gen
+        x = 0
+        for k in reversed(self.words[v]):
+            x = right[x][inv[k]]
+        return x
+
+    def product(self, u, *vs):
+        """Vertex of elements[u] * elements[v] * ... for ball vertices u, v,
+        ..., or None outside the ball. Walks the stored words of the vs
+        from u; only a walk that leaves the ball falls back to group
+        arithmetic, since the product may still land inside."""
+        right, words = self.right, self.words
+        x = u
+        for v in vs:
+            for k in words[v]:
+                x = right[x][k]
+                if x < 0:
+                    acc = self.elements[u]
+                    for w in vs:
+                        acc = multiply(acc, self.elements[w])
+                    return self.locate(acc)
+        return x
+
     def edges(self):
-        """Sorted (u, v, labels) triples with u < v."""
-        return [(u, v, self._edge_labels[(u, v)])
-                for u, v in sorted(self._edge_labels)]
+        """Sorted (u, v, labels) triples with u < v; labels are the sorted
+        generator symbols s with elements[u] * s == elements[v]."""
+        syms = [sym for sym, _ in self.generators]
+        return [(u, v, sorted({s for s, w in zip(syms, row) if w == v}))
+                for u, row in enumerate(self.right)
+                for v in self.adj[u] if v > u]
 
     def interior(self, radius):
         """Vertex indices at word distance <= radius."""
@@ -66,33 +106,24 @@ class CayleyBall:
         return counts
 
     def edge_label(self, u, v):
-        """Least generator label along the edge u -> v (directed)."""
-        labels = self._edge_labels.get((min(u, v), max(u, v)))
-        if labels is None:
+        """Least generator symbol s with elements[u] * s == elements[v]."""
+        labels = [sym for (sym, _), w in zip(self.generators, self.right[u])
+                  if w == v]
+        if not labels:
             raise VerificationFailure(f"no edge between vertices {u} and {v}")
-        if u < v:
-            return labels[0]
-        # stored labels are for the u<v direction; search for the reverse one
-        target = self.elements[v].data
-        src = self.elements[u]
-        best = None
-        for sym, g in self.generators:
-            if multiply(src, g).data == target:
-                best = sym if best is None or sym < best else best
-        if best is None:
-            raise VerificationFailure(f"no generator maps vertex {u} to {v}")
-        return best
+        return min(labels)
 
     def to_json(self):
+        syms = [sym for sym, _ in self.generators]
         return {
             "group": getattr(self.group, "name", "group"),
             "radius": self.radius,
-            "generators": sorted(sym for sym, _ in self.generators),
+            "generators": sorted(syms),
             "vertex_count": self.vertex_count,
             "vertices": [
                 {"index": i, "element": self.elements[i].key(),
                  "distance": self.word_length[i],
-                 "word": list(self.words[i])}
+                 "word": [syms[k] for k in self.words[i]]}
                 for i in range(self.vertex_count)
             ],
             "edges": [{"u": u, "v": v, "labels": labels}
@@ -131,7 +162,8 @@ def _resolve_generators(group, generators):
 
 
 def build_ball(group, radius, generators=None, cap=DEFAULT_CAP):
-    """BFS out to word distance `radius` with all induced edges."""
+    """BFS out to word distance `radius`, filling the right-multiplication
+    table: each product elements[v] * gen_k is computed exactly once."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     pairs = _resolve_generators(group, generators)
@@ -140,48 +172,31 @@ def build_ball(group, radius, generators=None, cap=DEFAULT_CAP):
     index = {ident.data: 0}
     word_length = [0]
     words = [()]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        if word_length[i] == radius:
-            continue
-        x = elements[i]
-        for sym, g in pairs:
-            y = multiply(x, g)
-            if y.data in index:
-                continue
-            if len(elements) >= cap:
-                raise CapExceeded(
-                    f"ball exceeded vertex cap {cap}", reached=len(elements))
-            index[y.data] = len(elements)
-            elements.append(y)
-            word_length.append(word_length[i] + 1)
-            words.append(words[i] + (sym,))
-            queue.append(len(elements) - 1)
-
-    adj = [set() for _ in elements]
-    edge_labels = {}
+    right = []
+    # vertices are appended in BFS order, so when vertex i is expanded every
+    # vertex at distance <= word_length[i] + 1 is either known or new here
     for i, x in enumerate(elements):
-        for sym, g in pairs:
-            j = index.get(multiply(x, g).data)
-            if j is None or j == i:
-                continue
-            adj[i].add(j)
-            u, v = (i, j) if i < j else (j, i)
-            labels = edge_labels.setdefault((u, v), set())
-            if i < j:
-                labels.add(sym)
-    # every undirected edge gets labels from its u -> v direction; an edge
-    # discovered only v -> u still needs them
-    for (u, v), labels in edge_labels.items():
-        if not labels:
-            x = elements[u]
-            for sym, g in pairs:
-                if index.get(multiply(x, g).data) == v:
-                    labels.add(sym)
+        inside = word_length[i] < radius
+        row = []
+        for k, (_, g) in enumerate(pairs):
+            y = multiply(x, g)
+            j = index.get(y.data)
+            if j is None:
+                if not inside:
+                    j = -1
+                else:
+                    if len(elements) >= cap:
+                        raise CapExceeded(f"ball exceeded vertex cap {cap}",
+                                          reached=len(elements))
+                    j = len(elements)
+                    index[y.data] = j
+                    elements.append(y)
+                    word_length.append(word_length[i] + 1)
+                    words.append(words[i] + (k,))
+            row.append(j)
+        right.append(row)
     return CayleyBall(group, radius, pairs, elements, index, word_length,
-                      words, [sorted(s) for s in adj],
-                      {k: sorted(v) for k, v in edge_labels.items()})
+                      words, right)
 
 
 def coset_subgraph(ball, subgroup_elements, coset_rep):
@@ -224,19 +239,20 @@ def verify_short_cycle_cosets(ball, r, candidate_subgroups):
 
     candidate_subgroups: list of element lists, each closed under the
     operation. A cycle passes if its vertex set lies in g*H for some
-    candidate H and some g (equivalently: for H fixed, all pairwise
-    quotients x^-1 y land in H). Returns a report dict with the
-    offending cycles.
+    candidate H and some g (equivalently: for H fixed, all quotients
+    x0^-1 y from its first vertex x0 land in H). Quotients are compared
+    inside the ball, where they all lie once its radius is >= r/2.
+    Returns a report dict with the offending cycles.
     """
     from .cycles import enumerate_short_cycles  # local: avoids import cycle
 
-    subs = [frozenset(h.data for h in hs) for hs in candidate_subgroups]
+    subs = [frozenset(i for i in map(ball.locate, hs) if i is not None)
+            for hs in candidate_subgroups]
     cycles = enumerate_short_cycles(ball, r)
     violations = []
     for cyc in cycles:
-        verts = [ball.elements[i] for i in cyc.vertices]
-        base_inv = inverse(verts[0])
-        quotients = {multiply(base_inv, x).data for x in verts}
+        base_inv = ball.inverse(cyc.vertices[0])
+        quotients = {ball.product(base_inv, y) for y in cyc.vertices}
         if not any(quotients <= h for h in subs):
             violations.append(cyc)
     return {

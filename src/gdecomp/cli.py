@@ -2,9 +2,10 @@
 tree classification, subgroup certificates, and summary tables.
 
 Exit codes: 0 success, 2 a stage hit a configured cap (partial output),
-3 a verification failed. JSON artifacts are canonical (sorted keys,
-two-space indent, trailing newline) so reruns are byte-identical;
-timings go to stderr only.
+3 a verification failed or a parameter was invalid (a ValueError from
+the library, such as a cover depth beyond the ball radius). JSON
+artifacts are canonical (sorted keys, two-space indent, trailing
+newline) so reruns are byte-identical; timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -512,7 +513,7 @@ def main(argv=None):
     except CapExceeded as e:
         print(f"gdecomp: cap exceeded: {e}", file=sys.stderr)
         return 2
-    except GdecompError as e:
+    except (GdecompError, ValueError) as e:
         print(f"gdecomp: {e}", file=sys.stderr)
         return 3
 

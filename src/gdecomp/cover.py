@@ -17,10 +17,9 @@ from collections import deque
 from fractions import Fraction
 import random
 
-from .cayley import build_ball
 from .cycles import enumerate_short_cycles
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
-from .groups import inverse, multiply
+from .groups import multiply
 
 DEFAULT_NODE_CAP = 500_000
 
@@ -270,16 +269,18 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
 
 
 def _is_closed(ball):
-    """True when the ball is the entire (finite) Cayley graph."""
-    return all(multiply(x, g).data in ball.index
-               for x in ball.elements for _, g in ball.generators)
+    """True when the ball is the entire (finite) Cayley graph: no product
+    of a ball element and a generator falls outside it."""
+    return not any(-1 in row for row in ball.right)
 
 
 def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
     """Projection restricted to small balls should be a graph isomorphism.
 
     radius defaults to floor(r/2), the guaranteed regime; passing a larger
-    radius is allowed and is expected to fail on wrapped covers.
+    radius is allowed and is expected to fail on wrapped covers. The check
+    fails when no certified vertex has its radius-ball inside the cover,
+    since it then checks nothing.
     """
     if radius is None:
         radius = cover.r // 2
@@ -303,7 +304,7 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
                 "base_vertices": len(base_verts),
                 "base_edges": base_edges,
             })
-    return {"pass": not witnesses, "radius": radius,
+    return {"pass": bool(pool) and not witnesses, "radius": radius,
             "checked": len(pool), "witnesses": witnesses}
 
 
@@ -350,18 +351,15 @@ def lift_element_action(cover, gamma, base_point_lift=None):
     checking commutation with the projection at every step.
     """
     ball = cover.base
+    gi = ball.locate(gamma)
     if base_point_lift is None:
-        gi = ball.locate(gamma)
         if gi is None:
             raise VerificationFailure("gamma lies outside the base ball")
         # base path from center to gamma, as successive base vertices
-        word = ball.words[gi]
-        path = []
-        acc = ball.group.identity
-        by_name = dict(ball.generators)
-        for sym in word:
-            acc = multiply(acc, by_name[sym])
-            path.append(ball.index[acc.data])
+        path, x = [], 0
+        for k in ball.words[gi]:
+            x = ball.right[x][k]
+            path.append(x)
         base_point_lift = cover.walk(cover.root, path)
         if base_point_lift is None:
             raise UncertifiedRegion("no lift of gamma within the truncation")
@@ -375,8 +373,8 @@ def lift_element_action(cover, gamma, base_point_lift=None):
         for bv, xc in cover.adj[x].items():
             tb = image_base.get(bv)
             if tb is None:
-                moved = multiply(gamma, ball.elements[bv])
-                tb = ball.locate(moved)
+                tb = (ball.product(gi, bv) if gi is not None
+                      else ball.locate(multiply(gamma, ball.elements[bv])))
                 image_base[bv] = tb if tb is not None else -1
             elif tb == -1:
                 tb = None

@@ -1,25 +1,17 @@
 """Short-cycle enumeration on Cayley balls.
 
-The vertex-level kernel lives in a compiled extension (_cycles) with a
-pure-Python twin (_cycles_py); the extension is used when importable
-unless GDECOMP_NO_EXT is set. Both return identical output.
+Cycles are found on the ball's adjacency lists by a single pure-Python
+kernel (_cycles_py.simple_cycles); edge labels are read from the ball's
+right-multiplication table.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 
-if os.environ.get("GDECOMP_NO_EXT"):
-    from ._cycles_py import simple_cycles as _kernel
-    BACKEND = "python"
-else:
-    try:
-        from ._cycles import simple_cycles as _kernel
-        BACKEND = "cython"
-    except ImportError:
-        from ._cycles_py import simple_cycles as _kernel
-        BACKEND = "python"
+from ._cycles_py import simple_cycles as _kernel
+
+BACKEND = "python"  # the kernel in use, recorded with benchmark results
 
 
 def invert_symbol(sym):

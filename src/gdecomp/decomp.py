@@ -21,12 +21,10 @@ group element carries one onto the other exactly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 
 from .cayley import build_ball
 from .cycles import enumerate_short_cycles
-from .errors import VerificationFailure
 from .groups import (FiniteGroupTable, GogEdge, GraphOfGroups, element_order,
                      inverse, multiply)
 
@@ -98,7 +96,7 @@ def _closure_in_ball(ball, indices, size_cap=256):
         for i in frontier:
             for j in list(have):
                 for a, b in ((i, j), (j, i)):
-                    k = ball.locate(multiply(ball.elements[a], ball.elements[b]))
+                    k = ball.product(a, b)
                     if k is None:
                         return None
                     if k not in have:
@@ -125,20 +123,17 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
     for i in range(1, ball.vertex_count):
         if ball.word_length[i] > r:
             continue
-        g = ball.elements[i]
-        k = element_order(g, order_cap)
-        if k is None:
-            continue
-        power, idxs, ok = g, [0], True
-        for _ in range(k - 1):
-            j = ball.locate(power)
-            if j is None:
-                ok = False
+        # powers of g through the ball; g is dropped once a power leaves
+        # the ball or its order would exceed order_cap
+        idxs, p = [0], i
+        while p != 0:
+            if p is None or len(idxs) >= order_cap:
                 break
-            idxs.append(j)
-            power = multiply(power, g)
-        if ok and _eccentricity(ball, idxs) <= r:
-            cyclic[frozenset(idxs)] = True
+            idxs.append(p)
+            p = ball.product(p, i)
+        else:
+            if _eccentricity(ball, idxs) <= r:
+                cyclic[frozenset(idxs)] = True
     subs = sorted(cyclic, key=lambda s: _subgroup_key(ball, s))
 
     # merge pairs whose joint closure is still a small subgroup in the ball
@@ -175,11 +170,9 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
 def _conjugate_in_ball(ball, idx_a, idx_b):
     if len(idx_a) != len(idx_b):
         return False
-    data_b = {ball.elements[i].data for i in idx_b}
-    elems_a = [ball.elements[i] for i in idx_a]
-    for c in ball.elements:
-        ci = inverse(c)
-        if all(multiply(multiply(c, a), ci).data in data_b for a in elems_a):
+    for c in range(ball.vertex_count):
+        ci = ball.inverse(c)
+        if all(ball.product(c, a, ci) in idx_b for a in idx_a):
             return True
     return False
 
@@ -273,10 +266,14 @@ class GlobalDecomposition:
 
 
 def translate_bag(ball, gamma, bag):
-    """Left-translate a bag of vertex indices; None if it leaves the ball."""
+    """Left-translate a bag of vertex indices by a group element; None if
+    it leaves the ball. A gamma inside the ball is applied by walking the
+    ball's table."""
+    g = ball.locate(gamma)
     out = set()
     for v in bag:
-        i = ball.locate(multiply(gamma, ball.elements[v]))
+        i = (ball.product(g, v) if g is not None
+             else ball.locate(multiply(gamma, ball.elements[v])))
         if i is None:
             return None
         out.add(i)
@@ -285,9 +282,15 @@ def translate_bag(ball, gamma, bag):
 
 def _translators(ball, src, dst):
     """Candidate gammas with gamma * min(src) landing in dst."""
-    v0 = min(src)
-    inv0 = inverse(ball.elements[v0])
-    return [multiply(ball.elements[w], inv0) for w in sorted(dst)]
+    i0 = ball.inverse(min(src))
+    out = []
+    for w in sorted(dst):
+        g = ball.product(w, i0)
+        # a candidate outside the ball has no vertex: group arithmetic
+        # builds it, and translate_bag then applies it the same way
+        out.append(ball.elements[g] if g is not None
+                   else multiply(ball.elements[w], ball.elements[i0]))
+    return out
 
 
 def bags_equivalent(ball, b1, b2):
@@ -325,12 +328,11 @@ def compute_global_decomposition(ball, r, method="torsion", order_cap=64):
 
     bag_set = {}
     if method == "torsion":
-        fam_elems = [[ball.elements[v] for v in f] for f in families]
-        for x in ball.elements:
-            for fi, elems in enumerate(fam_elems):
+        for x in range(ball.vertex_count):
+            for fi, fam in enumerate(families):
                 coset = set()
-                for h in elems:
-                    i = ball.locate(multiply(x, h))
+                for h in fam:
+                    i = ball.product(x, h)
                     if i is None:
                         coset = None
                         break
@@ -449,18 +451,10 @@ def compute_stabilizers(decomp, ball=None):
     ball = ball or decomp.ball
     records = []
     for orbit, rep in enumerate(decomp.orbit_rep_bag):
-        bag = frozenset(decomp.bags[rep])
-        stab = []
-        for gamma in _translators(ball, bag, bag):
-            if translate_bag(ball, gamma, bag) == bag:
-                stab.append(gamma)
-        closed = True
+        bag = decomp.bags[rep]
+        stab = _bag_stabilizer(ball, bag)
         data = {g.data for g in stab}
-        for a in stab:
-            for b in stab:
-                c = multiply(a, b)
-                if c.data not in data:
-                    closed = False
+        closed = all(multiply(a, b).data in data for a in stab for b in stab)
         stab.sort(key=lambda g: g.key())
         records.append(StabilizerRecord(orbit, sorted(bag), stab, closed))
     return records
@@ -650,7 +644,7 @@ def _assemble_graph_of_groups(group, ball, decomp, stabs):
                              decomp.bags[decomp.orbit_rep_bag[ou]])
         dv = bags_equivalent(ball, decomp.bags[j],
                              decomp.bags[decomp.orbit_rep_bag[ov]])
-        stab_i = [g for g in _bag_stabilizer(ball, decomp.bags[i])]
+        stab_i = _bag_stabilizer(ball, decomp.bags[i])
         stab_j_data = {g.data for g in _bag_stabilizer(ball, decomp.bags[j])}
         shared = [g for g in stab_i if g.data in stab_j_data]
         shared.sort(key=lambda g: g.key())
@@ -692,9 +686,7 @@ def _conj_data(delta, g):
 
 
 def _bag_stabilizer(ball, bag):
+    """Translations carrying the bag onto itself, as group elements."""
     bag = frozenset(bag)
-    out = []
-    for gamma in _translators(ball, bag, bag):
-        if translate_bag(ball, gamma, bag) == bag:
-            out.append(gamma)
-    return out
+    return [gamma for gamma in _translators(ball, bag, bag)
+            if translate_bag(ball, gamma, bag) == bag]

@@ -1,7 +1,7 @@
 """Shared exception types.
 
-Exit-code mapping for the CLI lives in cli.py: CapExceeded -> 2,
-VerificationFailure -> 3, everything else -> nonzero generic.
+Exit-code mapping for the CLI lives in cli.py: CapExceeded -> 2; every
+other GdecompError and an invalid parameter (ValueError) -> 3.
 """
 
 

@@ -1,10 +1,14 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdecomp import build_ball, verify_short_cycle_cosets
 from gdecomp.cayley import (coset_subgraph, subgraph_diameter,
                             torsion_length_bound)
 from gdecomp.errors import CapExceeded
-from gdecomp.groups import multiply
+from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
+from gdecomp.groups import inverse, multiply
 
 
 def powers(group, g, n):
@@ -102,3 +106,65 @@ def test_ball_json_deterministic(z5):
     b = build_ball(z5, 3).to_json()
     assert a == b
     assert {"vertices", "edges", "radius"} <= set(a)
+
+
+# the right-multiplication table against group arithmetic, on small balls
+# of C_a *_{C_c} C_b and F_n
+
+@lru_cache(maxsize=None)
+def _table_ball(family, params, radius):
+    group = (make_cyclic_amalgam(*params) if family == "amalgam"
+             else make_free_group(*params))
+    return build_ball(group, radius)
+
+
+_amalgams = st.tuples(st.integers(1, 3), st.integers(1, 3),
+                      st.integers(1, 3)).filter(
+    lambda t: t[0] * t[1] >= 2 and t[0] * t[2] >= 2).map(
+    lambda t: ("amalgam", (t[0] * t[1], t[0], t[0] * t[2])))
+_free = st.integers(1, 3).map(lambda n: ("free", (n,)))
+_balls = st.tuples(st.one_of(_amalgams, _free), st.integers(0, 4)).map(
+    lambda t: _table_ball(t[0][0], t[0][1], t[1]))
+
+
+def _arith_label(ball, u, v):
+    """Least generator symbol s with elements[u] * s == elements[v]."""
+    x, y = ball.elements[u], ball.elements[v]
+    return min((sym for sym, g in ball.generators if multiply(x, g) == y),
+               default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balls, st.data())
+def test_table_products_match_arithmetic(ball, data):
+    vertex = st.integers(0, ball.vertex_count - 1)
+    u, v, w = data.draw(vertex), data.draw(vertex), data.draw(vertex)
+    x, y, z = (ball.elements[i] for i in (u, v, w))
+    assert ball.product(u, v) == ball.locate(multiply(x, y))
+    assert ball.product(u, v, w) == ball.locate(multiply(multiply(x, y), z))
+    assert ball.inverse(v) == ball.locate(inverse(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balls, st.data())
+def test_table_labels_match_arithmetic(ball, data):
+    u = data.draw(st.integers(0, ball.vertex_count - 1))
+    for v in ball.adj[u]:
+        assert ball.edge_label(u, v) == _arith_label(ball, u, v)
+        assert ball.edge_label(v, u) == _arith_label(ball, v, u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_balls)
+def test_table_edges_match_arithmetic(ball):
+    expected = {}
+    for u, x in enumerate(ball.elements):
+        for sym, g in ball.generators:
+            v = ball.locate(multiply(x, g))
+            if v is not None and v != u:
+                labels = expected.setdefault((min(u, v), max(u, v)), set())
+                if u < v:
+                    labels.add(sym)
+    assert ball.edges() == [(u, v, sorted(expected[(u, v)]))
+                            for u, v in sorted(expected)]
+    assert ball.edge_count == len(expected)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -166,3 +167,42 @@ def test_out_flag_writes_file(tmp_path, capsys):
                     "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["index_upper_bound"] == 6
+
+
+def test_cover_vacuous_preservation_fails(capsys):
+    # depth 2 < floor(r/2) = 4: no certified vertex has its radius-4 ball
+    # inside the cover, so the preservation check has nothing to check
+    code, out = run(capsys, "cover", "--group", "sl2z", "--radius", "10",
+                    "--r", "8", "--depth", "2")
+    assert code == 0
+    preservation = json.loads(out)["ball_preservation"]
+    assert preservation["checked"] == 0
+    assert preservation["pass"] is False
+
+
+def test_invalid_parameter_exits_3(capsys):
+    code = main(["cover", "--group", "sl2z", "--radius", "4", "--r", "3",
+                 "--depth", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "gdecomp: depth must be <= ball radius\n"
+
+
+# sha256 of the canonical `gdecomp report --group G` bundle; a refactor
+# that changes any byte of a report changes these
+REPORT_DIGESTS = {
+    "z5": "ce58646e596ddf020644a58def0abd8e442ac7459b9a57534c7e56c3a862d231",
+    "z": "a3fcbd187bce3c664a8ee70249d76ade0fd8416f5c75815456a4214b23916f73",
+    "c2*c3": "6ca19f20b0e2ce21ff21406af2e6d4bacaa6c6d5d38f68ca644086cd8919ecbe",
+    "sl2z": "9c7c06d47f87464c8d6e1f05a99f9d66d9ad177a2f982ba1ee6f7c20eefefc4b",
+    "f2": "543acfaa593348142334e1962d9b808d675bff392156763c564774f67a4ce0c8",
+    "c4*c2*c6":
+        "0a905a84926f91c64c03925b4babaa6fe4ebbbd23967756319ee2cc98cd410a5",
+}
+
+
+@pytest.mark.parametrize("group", sorted(REPORT_DIGESTS))
+def test_report_digest_pinned(capsys, group):
+    code, out = run(capsys, "report", "--group", group)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[group]

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,14 +52,6 @@ def test_canonical_rotation_invariant(sl2z_ball8):
     assert len(seen) == len(cycles)
 
 
-def test_backend_fallback_env(sl2z):
-    code = ("import gdecomp.cycles as c; print(c.BACKEND)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True,
-                         env={**os.environ, "GDECOMP_NO_EXT": "1"})
-    assert out.stdout.strip() == "python"
-
-
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(3, 8))
@@ -76,17 +64,6 @@ def small_graphs(draw):
         adj[u].append(v)
         adj[v].append(u)
     return [sorted(ns) for ns in adj]
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_graphs(), st.integers(3, 6))
-def test_backends_agree_on_random_graphs(adj, max_len):
-    ref = sorted(py_cycles(adj, max_len))
-    try:
-        from gdecomp._cycles import simple_cycles as ext_cycles
-    except ImportError:
-        pytest.skip("extension not built")
-    assert sorted(ext_cycles(adj, max_len)) == ref
 
 
 @settings(max_examples=40, deadline=None)
