@@ -30,7 +30,6 @@ from .decomp import (
     build_nerve_complex,
     check_periodicity,
     check_vtf_conditions,
-    compute_clusters,
     compute_global_decomposition,
     compute_stabilizers,
     discover_graph_of_groups,
@@ -85,7 +84,6 @@ __all__ = [
     "check_vtf_conditions",
     "classify_cycle_lift",
     "classify_tree_automorphism",
-    "compute_clusters",
     "compute_global_decomposition",
     "compute_stabilizers",
     "construct_finite_quotient",

@@ -111,7 +111,7 @@ def cmd_cover(args):
 def cmd_decompose(args):
     t0 = time.perf_counter()
     ball = build_ball(args.group, args.radius)
-    dec = decomp.compute_global_decomposition(ball, args.r, method=args.method)
+    dec = decomp.compute_global_decomposition(ball, args.r)
     _log(f"decompose: {dec.bag_count} bags", t0)
     if args.format == "dot":
         _emit(dec.to_dot(), args.out)
@@ -441,8 +441,6 @@ def build_parser():
     _add_group(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--method", choices=["torsion", "clusters"],
-                   default="torsion")
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 

@@ -3,12 +3,15 @@
 Construction: breadth-first walk classes from the ball's center, with
 immediate backtrack folding (adjacency is keyed by base vertex, and each
 new edge is installed in both directions). Identification beyond that is
-forced, never guessed: whenever the lift of a base cycle of length <= r
-fails to close, its endpoints are merged and the merge is propagated by
-folding. The result quotients the walk tree exactly by closures of short
-cycles, so identifications are sound; completeness holds wherever every
-relevant short cycle is visible, which is what the certified depth
-records.
+forced, never guessed. The cycles of length <= r are the translates of
+the simple closed words at the identity (`cycles.closed_words`), so at
+each node the cover walks every word from the node's base vertex through
+the ball's table and the cover together; when that lift fails to close,
+its endpoints are merged and the merge is propagated by folding
+(Stallings folding driven by the word list). The result quotients the
+walk tree exactly by closures of short cycles, so identifications are
+sound; completeness holds wherever every relevant short cycle is
+visible, which is what the certified depth records.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 import random
 
-from .cycles import enumerate_short_cycles
+from .cycles import closed_words
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from .groups import multiply
 
@@ -132,20 +135,6 @@ class _UnionFind:
         return ra, rb
 
 
-def _cycles_by_basepoint(ball, r):
-    at = [[] for _ in range(ball.vertex_count)]
-    for cyc in enumerate_short_cycles(ball, r):
-        verts = cyc.vertices
-        n = len(verts)
-        for i in range(n):
-            fwd = tuple(verts[(i + k) % n] for k in range(1, n + 1))
-            bwd = tuple(verts[(i - k) % n] for k in range(1, n + 1))
-            at[verts[i]].append(fwd)
-            if bwd != fwd:
-                at[verts[i]].append(bwd)
-    return at
-
-
 def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     """BFS walk classes to `depth`, folding closures of cycles of length <= r.
 
@@ -156,17 +145,23 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
         raise ValueError("r must be >= 3")
     if depth > ball.radius:
         raise ValueError("depth must be <= ball radius")
-    cycles_at = _cycles_by_basepoint(ball, r)
+    words = closed_words(ball, r)
+    right = ball.right
     expand_depth = depth + r
 
     uf = _UnionFind()
     base_of = []
     adj = []  # per node (rep-owned): {base vertex: node}
+    # saturated[x]: every word walk from x that stays in the ball closes.
+    # Folds only merge nodes, so such a walk stays closed and
+    # close_cycles(x) would change nothing; the fixpoint skips x.
+    saturated = bytearray()
 
     def new_node(bv):
         i = uf.add()
         base_of.append(bv)
         adj.append({})
+        saturated.append(0)
         if i >= node_cap:
             raise CapExceeded("cover node cap exceeded", reached=i + 1)
         return i
@@ -199,22 +194,29 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     root = new_node(0)
 
     def close_cycles(node):
-        """Force lifts of short cycles at a node to close; returns True on merge."""
+        """Force lifts of the closed words at a node to close; returns True
+        on merge. A word whose base walk leaves the ball is skipped."""
         changed = False
+        complete = True
         node = uf.find(node)
-        for path in cycles_at[base_of[node]]:
-            cur = node
-            ok = True
-            for bv in path:
+        start = base_of[node]
+        for word in words:
+            cur, bv = node, start
+            for k in word:
+                bv = right[bv][k]
+                if bv < 0:
+                    break
                 nxt = adj[cur].get(bv)
                 if nxt is None:
-                    ok = False
+                    complete = False
                     break
                 cur = uf.find(nxt)
-            if ok and cur != uf.find(node):
-                fold(node, cur)
-                changed = True
-                node = uf.find(node)
+            else:
+                if cur != uf.find(node):
+                    fold(node, cur)
+                    changed = True
+                    node = uf.find(node)
+        saturated[node] = complete
         return changed
 
     def depths():
@@ -246,7 +248,7 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
         while pending:
             pending = False
             for x in range(len(base_of)):
-                if uf.find(x) == x and close_cycles(x):
+                if not saturated[x] and uf.find(x) == x and close_cycles(x):
                     pending = True
 
     # compact: keep representatives within the requested depth

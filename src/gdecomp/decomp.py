@@ -1,17 +1,10 @@
 """Canonical decomposition of a Cayley ball into bags with small adhesions.
 
-Two bag conventions coexist:
-
-* `compute_clusters` partitions edges by the shares-a-short-cycle
-  relation. It is kept as stated (and as an oracle for small graphs),
-  but central elements chain clusters together, so on groups with a
-  nontrivial finite center it degenerates to one giant cluster.
-* `compute_global_decomposition` (the default, "torsion" method) takes
-  bags to be left cosets of the minimal-eccentricity representatives of
-  the conjugacy classes of maximal finite subgroups visible in the
-  ball, with singleton bags elsewhere. On the virtually free examples
-  this reproduces the bags-are-cosets picture exactly, and it is
-  manifestly equivariant under left translation.
+`compute_global_decomposition` takes bags to be left cosets of the
+minimal-eccentricity representatives of the conjugacy classes of maximal
+finite subgroups visible in the ball, with singleton bags elsewhere. On
+the virtually free examples this reproduces the bags-are-cosets picture
+exactly, and it is manifestly equivariant under left translation.
 
 The model graph is the quotient of the bag structure by left
 translation: two bags (or adjacent bag pairs) are equivalent when some
@@ -24,63 +17,8 @@ import math
 from fractions import Fraction
 
 from .cayley import build_ball
-from .cycles import enumerate_short_cycles
 from .groups import (FiniteGroupTable, GogEdge, GraphOfGroups, element_order,
                      inverse, multiply)
-
-
-# ---------------------------------------------------------------------------
-# clusters (edge partition by shared short cycles)
-
-class ClusterPartition:
-    __slots__ = ("ball", "r", "clusters", "separators")
-
-    def __init__(self, ball, r, clusters, separators):
-        self.ball = ball
-        self.r = r
-        self.clusters = clusters  # list of sorted edge-tuple lists
-        self.separators = separators  # (i, j) -> sorted shared vertex list
-
-    def cluster_vertex_sets(self):
-        return [sorted({v for e in cl for v in e}) for cl in self.clusters]
-
-
-def compute_clusters(ball, r):
-    """Connected components of the shares-a-short-cycle relation on edges;
-    bridge edges become singleton clusters."""
-    edges = [(u, v) for u, v, _ in ball.edges()]
-    eidx = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cyc in enumerate_short_cycles(ball, r):
-        verts = cyc.vertices
-        ids = []
-        for i in range(len(verts)):
-            u, v = verts[i], verts[(i + 1) % len(verts)]
-            ids.append(eidx[(min(u, v), max(u, v))])
-        for a in ids[1:]:
-            ra, rb = find(ids[0]), find(a)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups = {}
-    for i, e in enumerate(edges):
-        groups.setdefault(find(i), []).append(e)
-    clusters = sorted(sorted(g) for g in groups.values())
-    vsets = [{v for e in cl for v in e} for cl in clusters]
-    separators = {}
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            shared = vsets[i] & vsets[j]
-            if shared:
-                separators[(i, j)] = sorted(shared)
-    return ClusterPartition(ball, r, clusters, separators)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +119,7 @@ def _conjugate_in_ball(ball, idx_a, idx_b):
 # global decomposition
 
 class GlobalDecomposition:
-    __slots__ = ("ball", "r", "method", "families", "bags", "bag_family",
+    __slots__ = ("ball", "r", "families", "bags", "bag_family",
                  "boundary_flag", "vertex_bags", "interior_radius",
                  "bag_orbit", "model_vertex_count", "model_vertex_sizes",
                  "model_edges", "orbit_rep_bag", "adjacent_pairs",
@@ -235,7 +173,7 @@ class GlobalDecomposition:
     def to_json(self):
         return {
             "r": self.r,
-            "method": self.method,
+            "method": "torsion",
             "interior_radius": self.interior_radius,
             "families": [[self.ball.elements[v].key() for v in f]
                          for f in self.families],
@@ -316,33 +254,22 @@ def _pairs_equivalent(ball, p1, p2):
     return None
 
 
-def compute_global_decomposition(ball, r, method="torsion", order_cap=64):
+def compute_global_decomposition(ball, r, order_cap=64):
     """Bags, boundary flags, and the translation-quotient model graph."""
-    if method not in ("torsion", "clusters"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "torsion":
-        families = maximal_finite_subgroups(ball, r, order_cap=order_cap)
-    else:
-        families = []
+    families = maximal_finite_subgroups(ball, r, order_cap=order_cap)
 
     bag_set = {}
-    if method == "torsion":
-        for x in range(ball.vertex_count):
-            for fi, fam in enumerate(families):
-                coset = set()
-                for h in fam:
-                    i = ball.product(x, h)
-                    if i is None:
-                        coset = None
-                        break
-                    coset.add(i)
-                if coset is not None:
-                    bag_set.setdefault(frozenset(coset), fi)
-    else:
-        part = compute_clusters(ball, r)
-        for vs in part.cluster_vertex_sets():
-            bag_set.setdefault(frozenset(vs), -1)
+    for x in range(ball.vertex_count):
+        for fi, fam in enumerate(families):
+            coset = set()
+            for h in fam:
+                i = ball.product(x, h)
+                if i is None:
+                    coset = None
+                    break
+                coset.add(i)
+            if coset is not None:
+                bag_set.setdefault(frozenset(coset), fi)
 
     covered = set().union(*bag_set) if bag_set else set()
     for v in range(ball.vertex_count):
@@ -420,7 +347,7 @@ def compute_global_decomposition(ball, r, method="torsion", order_cap=64):
                                     e["rep_pair"]))
 
     decomp = GlobalDecomposition(
-        ball=ball, r=r, method=method, families=families, bags=bags,
+        ball=ball, r=r, families=families, bags=bags,
         bag_family=bag_family, boundary_flag=boundary_flag,
         vertex_bags=vertex_bags, interior_radius=interior_radius,
         bag_orbit=bag_orbit, model_vertex_count=len(orbit_rep_bag),

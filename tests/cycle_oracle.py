@@ -1,8 +1,9 @@
-"""Pure-Python simple-cycle enumeration kernel.
+"""Reference simple-cycle enumeration, for checking the word-based one.
 
 Given sorted adjacency lists and a maximum edge length, return every
 simple cycle as a vertex tuple starting at the cycle's minimum vertex,
-one direction per cycle (the second vertex is smaller than the last).
+one direction per cycle (the second vertex is smaller than the last),
+by DFS over the whole graph.
 """
 
 from __future__ import annotations

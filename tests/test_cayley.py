@@ -1,11 +1,14 @@
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gdecomp import build_ball, verify_short_cycle_cosets
+from cycle_oracle import simple_cycles
+from gdecomp import (build_ball, enumerate_short_cycles,
+                     verify_short_cycle_cosets)
 from gdecomp.cayley import (coset_subgraph, subgraph_diameter,
                             torsion_length_bound)
+from gdecomp.cycles import Cycle
 from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
 from gdecomp.groups import inverse, multiply
@@ -168,3 +171,19 @@ def test_table_edges_match_arithmetic(ball):
     assert ball.edges() == [(u, v, sorted(expected[(u, v)]))
                             for u, v in sorted(expected)]
     assert ball.edge_count == len(expected)
+
+
+@pytest.mark.filterwarnings("ignore:ball radius")
+@settings(max_examples=60, deadline=None)
+@given(_balls, st.data())
+def test_cycles_match_vertex_dfs(ball, data):
+    # translates of the closed words at vertex 0 against a DFS over every
+    # vertex of the ball, labelled edge by edge
+    assume(ball.radius >= 1)
+    r = data.draw(st.integers(3, 2 * ball.radius + 1))
+    expected = [Cycle(vs, [ball.edge_label(u, v)
+                           for u, v in zip(vs, vs[1:] + vs[:1])])
+                for vs in simple_cycles(ball.adj, r)]
+    expected.sort(key=lambda c: (len(c), c.canonical, c.vertices))
+    assert [c.to_json() for c in enumerate_short_cycles(ball, r)] \
+        == [c.to_json() for c in expected]

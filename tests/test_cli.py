@@ -186,6 +186,12 @@ def test_invalid_parameter_exits_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "gdecomp: depth must be <= ball radius\n"
+    # a closed word of length 8 reaches distance 4 from its base point
+    code = main(["cover", "--group", "sl2z", "--radius", "3", "--r", "8",
+                 "--depth", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "gdecomp: ball radius must be >= r // 2\n"
 
 
 # sha256 of the canonical `gdecomp report --group G` bundle; a refactor

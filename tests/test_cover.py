@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gdecomp import (build_ball, build_truncated_cover, classify_cycle_lift,
                      enumerate_short_cycles, estimate_displacement,
                      lift_element_action, order_threshold,
                      verify_ball_preservation)
+from gdecomp.errors import CapExceeded
+from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
 from gdecomp.groups import multiply, normal_form
 
 
@@ -104,3 +107,32 @@ def test_every_short_cycle_lifts_closed_all_fixtures(sl2z_ball10, c2c3, c4c2c6):
         for cyc in enumerate_short_cycles(ball, r):
             if all(ball.word_length[v] <= 2 for v in cyc.vertices):
                 assert classify_cycle_lift(cov, cyc) == "lifts-closed"
+
+
+@st.composite
+def _covers_past_relators(draw):
+    """C_a *_{C_c} C_b with a, b <= 9, with r its longest defining relator
+    (x^a, y^b or x^(a/c) y^-(b/c)), or F_1..F_3 (no relators) with r = 3."""
+    if draw(st.integers(0, 3)) == 0:
+        return make_free_group(draw(st.integers(1, 3))), 3
+    c = draw(st.integers(1, 9))
+    order = st.integers(1, 9 // c).map(lambda i: c * i).filter(
+        lambda n: n >= 2)
+    a, b = draw(order), draw(order)
+    return make_cyclic_amalgam(a, c, b), max(3, a, b, a // c + b // c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_covers_past_relators(), st.integers(1, 4))
+def test_cover_is_cayley_graph_past_longest_relator(group_r, depth):
+    # once r reaches the longest defining relator, the cover is the Cayley
+    # graph itself: its certified nodes project one-to-one onto the ball
+    group, r = group_r
+    try:
+        ball = build_ball(group, r + depth, cap=2000)
+    except CapExceeded:
+        assume(False)
+    cov = build_truncated_cover(ball, r, depth)
+    assert cov.certified_depth == depth
+    assert sorted(cov.projection[x] for x in cov.certified_vertices()) \
+        == ball.interior(depth)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycle_oracle import simple_cycles as py_cycles
 from gdecomp import build_ball, enumerate_short_cycles
-from gdecomp._cycles_py import simple_cycles as py_cycles
 from gdecomp.cycles import invert_symbol
 
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from gdecomp import (build_ball, build_nerve_complex, check_periodicity,
-                     check_vtf_conditions, compute_clusters,
-                     compute_global_decomposition, compute_stabilizers,
-                     discover_graph_of_groups)
+                     check_vtf_conditions, compute_global_decomposition,
+                     compute_stabilizers, discover_graph_of_groups)
 from gdecomp.decomp import (bag_size_bound, edge_incidence_bound,
                             maximal_finite_subgroups)
 from gdecomp.groups import multiply
@@ -36,20 +35,6 @@ def test_sl2z_stabilizers(sl2z_decomp):
 def test_sl2z_maximal_finite_subgroups(sl2z_ball10):
     families = maximal_finite_subgroups(sl2z_ball10, 6)
     assert sorted(len(f) for f in families) == [4, 6]
-
-
-def test_sl2z_cluster_contract(sl2z_ball10):
-    # the spec's cluster rule merges the whole core through the central
-    # commutator cycles; frozen as computed
-    clusters = compute_clusters(sl2z_ball10, 6)
-    vsets = clusters.cluster_vertex_sets()
-    big = max(vsets, key=len)
-    assert len(big) == 1132
-    interior = {v for v in range(sl2z_ball10.vertex_count)
-                if sl2z_ball10.word_length[v] <= 8}
-    assert interior <= set(big)
-    # everything else is a boundary bridge edge
-    assert all(len(s) == 2 for s in vsets if s != big)
 
 
 def test_sl2z_periodicity(sl2z_ball10, sl2z_decomp):
