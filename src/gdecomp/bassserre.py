@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
+from .graphs import bfs
 from .groups import GraphOfGroupsGroup, element_order, inverse, multiply
 
 
@@ -50,15 +51,7 @@ class BassSerreTreePortion:
 
     def distance(self, x, y):
         if x not in self._dist_cache:
-            d = {x: 0}
-            queue = deque([x])
-            while queue:
-                u = queue.popleft()
-                for w in self.adj[u]:
-                    if w not in d:
-                        d[w] = d[u] + 1
-                        queue.append(w)
-            self._dist_cache[x] = d
+            self._dist_cache[x] = bfs(self.adj.__getitem__, x)
         return self._dist_cache[x].get(y)
 
     def interior_vertices(self):
@@ -281,7 +274,8 @@ class DecompositionTree:
     """Bag-adjacency tree portion of a ball decomposition, rooted at the
     smallest bag containing the ball's center."""
 
-    __slots__ = ("decomp", "radius", "nodes", "adj", "dist", "root")
+    __slots__ = ("decomp", "radius", "nodes", "adj", "dist", "root",
+                 "_node_of")
 
     def __init__(self, decomp, radius):
         ball = decomp.ball
@@ -298,24 +292,14 @@ class DecompositionTree:
             if i in keep and j in keep and decomp.bags[i] & decomp.bags[j]:
                 neigh[i].add(j)
                 neigh[j].add(i)
-        dist = {root: 0}
-        order = [root]
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if dist[x] == radius:
-                continue
-            for y in sorted(neigh[x]):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    order.append(y)
-                    queue.append(y)
+        dist = bfs(lambda x: sorted(neigh[x]), root, radius)
         self.decomp = decomp
         self.radius = radius
-        self.nodes = order  # bag indices
-        self.adj = {x: sorted(y for y in neigh[x] if y in dist) for x in order}
+        self.nodes = list(dist)  # bag indices, in BFS order
+        self.adj = {x: sorted(y for y in neigh[x] if y in dist) for x in dist}
         self.dist = dist
         self.root = root
+        self._node_of = {decomp.bags[x]: x for x in dist}
 
     def label(self, x):
         return len(self.decomp.bags[x])
@@ -325,10 +309,7 @@ class DecompositionTree:
         image = translate_bag(self.decomp.ball, gamma, self.decomp.bags[x])
         if image is None:
             return None
-        for y in self.nodes:
-            if frozenset(self.decomp.bags[y]) == image:
-                return y
-        return None
+        return self._node_of.get(image)
 
 
 def _tree_isomorphisms(a_adj, a_label, a_root, b_adj, b_label, b_root):

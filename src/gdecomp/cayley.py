@@ -15,9 +15,8 @@ read off the table, and products of ball vertices walk it (`product`,
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import CapExceeded, UnknownGenerator, VerificationFailure
+from .graphs import bfs
 from .groups import GraphOfGroupsGroup, inverse, multiply
 
 DEFAULT_CAP = 2 * 10**6
@@ -220,14 +219,7 @@ def subgraph_diameter(ball, vertices):
     vs = set(vertices)
     best = 0
     for s in vs:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in ball.adj[u]:
-                if w in vs and w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        dist = bfs(lambda u: (w for w in ball.adj[u] if w in vs), s)
         if len(dist) < len(vs):
             return None
         best = max(best, max(dist.values()))

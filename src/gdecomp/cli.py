@@ -2,10 +2,11 @@
 tree classification, subgroup certificates, and summary tables.
 
 Exit codes: 0 success, 2 a stage hit a configured cap (partial output),
-3 a verification failed or a parameter was invalid (a ValueError from
-the library, such as a cover depth beyond the ball radius). JSON
-artifacts are canonical (sorted keys, two-space indent, trailing
-newline) so reruns are byte-identical; timings go to stderr only.
+3 a verification failed or a parameter was invalid (a usage error, or a
+ValueError from the library, such as a cover depth beyond the ball
+radius). JSON artifacts are canonical (sorted keys, two-space indent,
+trailing newline) so reruns are byte-identical; timings go to stderr
+only.
 """
 
 from __future__ import annotations
@@ -414,8 +415,17 @@ def _add_group(p, required=True):
                    help="fixture name or path to a group spec JSON")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an invalid parameter: exit 3, not argparse's 2,
+    which here means a cap was hit. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gdecomp",
         description="local-to-global decomposition pipeline for "
                     "finitely generated groups")

@@ -22,6 +22,7 @@ import random
 
 from .cycles import closed_words
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
+from .graphs import UnionFind, bfs
 from .groups import multiply
 
 DEFAULT_NODE_CAP = 500_000
@@ -110,31 +111,6 @@ class DeckLift:
         return None
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = []
-
-    def add(self):
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra, None
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra, rb
-
-
 def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     """BFS walk classes to `depth`, folding closures of cycles of length <= r.
 
@@ -149,7 +125,7 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     right = ball.right
     expand_depth = depth + r
 
-    uf = _UnionFind()
+    uf = UnionFind()
     base_of = []
     adj = []  # per node (rep-owned): {base vertex: node}
     # saturated[x]: every word walk from x that stays in the ball closes.
@@ -220,16 +196,7 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
         return changed
 
     def depths():
-        d = {root: 0}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x].values():
-                y = uf.find(y)
-                if y not in d:
-                    d[y] = d[x] + 1
-                    queue.append(y)
-        return d
+        return bfs(lambda x: (uf.find(y) for y in adj[x].values()), root)
 
     # expand layer by layer, closing cycles to a fixpoint after each layer
     for layer in range(expand_depth):
@@ -293,8 +260,9 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
         pool = sorted(rng.sample(pool, samples))
     witnesses = []
     for x in pool:
-        cov_verts, cov_edges = _ball_subgraph(cover.adj, x, radius, dict_adj=True)
-        base_verts, base_edges = _ball_subgraph(cover.base.adj,
+        cov_verts, cov_edges = _ball_subgraph(lambda y: cover.adj[y].values(),
+                                              x, radius)
+        base_verts, base_edges = _ball_subgraph(cover.base.adj.__getitem__,
                                                 cover.projection[x], radius)
         image = {cover.projection[y] for y in cov_verts}
         # injective on the cover ball, onto the base ball's vertex set
@@ -310,23 +278,9 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
             "checked": len(pool), "witnesses": witnesses}
 
 
-def _ball_subgraph(adj, start, radius, dict_adj=False):
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        if dist[x] == radius:
-            continue
-        nbrs = adj[x].values() if dict_adj else adj[x]
-        for y in nbrs:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    verts = set(dist)
-    edges = 0
-    for x in verts:
-        nbrs = adj[x].values() if dict_adj else adj[x]
-        edges += sum(1 for y in nbrs if y in verts and y > x)
+def _ball_subgraph(neighbors, start, radius):
+    verts = set(bfs(neighbors, start, radius))
+    edges = sum(1 for x in verts for y in neighbors(x) if y in verts and y > x)
     return verts, edges
 
 
@@ -412,14 +366,7 @@ def estimate_displacement(cover):
         if len(verts) < 2:
             continue
         for s in verts:
-            dist = {s: 0}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in cover.adj[u].values():
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
+            dist = bfs(lambda u: cover.adj[u].values(), s)
             for t in verts:
                 if t != s and t in dist and (best is None or dist[t] < best):
                     best = dist[t]

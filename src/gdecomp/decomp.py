@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 from .cayley import build_ball
+from .graphs import UnionFind
 from .groups import (FiniteGroupTable, GogEdge, GraphOfGroups, element_order,
                      inverse, multiply)
 
@@ -132,9 +133,6 @@ class GlobalDecomposition:
     @property
     def bag_count(self):
         return len(self.bags)
-
-    def bag_elements(self, i):
-        return [self.ball.elements[v] for v in self.bags[i]]
 
     def interior_vertices(self):
         return [v for v in range(self.ball.vertex_count)
@@ -478,20 +476,11 @@ def build_nerve_complex(decomp):
     simplices = set(families)
     maximal = sorted(s for s in simplices
                      if not any(set(s) < set(t) for t in simplices if t != s))
-    parent = {i: i for i in keep}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(decomp.bag_count)
     for s in simplices:
         for b in s[1:]:
-            ra, rb = find(s[0]), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    components = len({find(i) for i in keep})
+            uf.union(s[0], b)
+    components = len({uf.find(i) for i in keep})
     dimension = max((len(s) - 1 for s in maximal), default=0)
     return {"maximal_simplices": [list(s) for s in maximal],
             "dimension": dimension,

@@ -1,11 +1,7 @@
 from .element import GroupElement, element_order, inverse, multiply, normal_form
 from .gog import GogEdge, GraphOfGroups, GraphOfGroupsGroup
 from .io import load_group, table_from_spec
-from .matrix import (
-    MatrixGroup,
-    congruence_quotient_order,
-    congruence_quotient_table,
-)
+from .matrix import MatrixGroup, congruence_quotient_order
 from .table import FiniteGroupTable
 
 __all__ = [
@@ -17,7 +13,6 @@ __all__ = [
     "FiniteGroupTable",
     "MatrixGroup",
     "congruence_quotient_order",
-    "congruence_quotient_table",
     "GraphOfGroups",
     "GogEdge",
     "GraphOfGroupsGroup",

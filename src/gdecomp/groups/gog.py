@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import SpecFormatError, VerificationFailure
+from ..graphs import bfs
 from .element import GroupElement
 from .table import FiniteGroupTable
 
@@ -66,27 +67,11 @@ class GraphOfGroups:
                 tree_adj[e.u].add(e.v)
                 tree_adj[e.v].add(e.u)
                 tree_count += 1
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != n:
+        if len(bfs(adj.__getitem__, 0)) != n:
             raise SpecFormatError("underlying graph is not connected")
         if tree_count != n - 1:
             raise SpecFormatError("tree-marked edges do not form a spanning tree")
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in tree_adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != n:
+        if len(bfs(tree_adj.__getitem__, 0)) != n:
             raise SpecFormatError("tree-marked edges do not span the graph")
 
     @staticmethod
@@ -201,16 +186,6 @@ class GraphOfGroupsGroup:
         self._tree_path = path
 
     # -- word assembly --------------------------------------------------
-
-    def _interleave(self, traversals, start_vertex):
-        """Turn a traversal list into word items with identity fillers."""
-        items = []
-        for t in traversals:
-            items.append(("v", start_vertex, 0))
-            items.append(t)
-            start_vertex = self._dir[(t[1], t[2])]["head"]
-        items.append(("v", start_vertex, 0))
-        return items
 
     def loop_from_sketch(self, sketch):
         """Build a based loop from a sketch of vertex elements / edge letters.
@@ -357,11 +332,6 @@ class GraphOfGroupsGroup:
         """All based copies of the vertex group's elements."""
         tbl = self.gog.vertices[vertex]
         return [self.based_vertex_element(vertex, i) for i in range(tbl.order)]
-
-    def based_edge_subgroup(self, edge_index):
-        """Based copy of the edge group (through the tail-side vertex)."""
-        e = self.gog.edges[edge_index]
-        return [self.based_vertex_element(e.u, e.into_u[c]) for c in range(e.table.order)]
 
     def stable_letter(self, edge_index):
         """Based loop traversing the edge once (trivial for tree edges)."""

@@ -7,9 +7,9 @@ same machinery into a finite congruence quotient.
 
 from __future__ import annotations
 
-from ..errors import CapExceeded, SpecFormatError, VerificationFailure
+from ..errors import SpecFormatError, VerificationFailure
+from ..graphs import bfs
 from .element import GroupElement
-from .table import FiniteGroupTable
 
 
 def mat_mul(a, b, modulus=None):
@@ -132,54 +132,12 @@ class MatrixGroup:
                 seen.add(gi.data)
         return out
 
-    def reduced(self, modulus):
-        """The same generators over Z/modulus."""
-        return MatrixGroup(
-            f"{self.name} mod {modulus}",
-            self.dimension,
-            {n: m for n, m in self.gen_matrices.items()},
-            modulus=modulus,
-            presentation=self.presentation,
-        )
-
-    def reduce_element(self, g, quotient):
-        return GroupElement("matrix", mat_reduce(g.data, quotient.modulus), quotient)
-
-
-def _congruence_closure(group, modulus, cap):
-    gens = [mat_reduce(m, modulus) for m in group.gen_matrices.values()]
-    gens += [mat_inv(m, modulus) for m in gens]
-    ident = mat_identity(group.dimension)
-    elems = [ident]
-    index = {ident: 0}
-    i = 0
-    while i < len(elems):
-        for g in gens:
-            h = mat_mul(elems[i], g, modulus)
-            if h not in index:
-                if len(elems) >= cap:
-                    raise CapExceeded(f"congruence closure exceeded cap {cap}", len(elems))
-                index[h] = len(elems)
-                elems.append(h)
-        i += 1
-    return elems, index
-
 
 def congruence_quotient_order(group, modulus, cap=10**6):
     """|image of the generated group in GL(n, Z/m)| by closure enumeration."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    elems, _ = _congruence_closure(group, modulus, cap)
-    return len(elems)
-
-
-def congruence_quotient_table(group, modulus, cap=5000):
-    """Closure of the generator images mod m as a FiniteGroupTable.
-
-    Returns (table, index_map from matrix tuple to table index, element list).
-    The cap here is tighter than for order counting because the full
-    multiplication table is materialized.
-    """
-    elems, index = _congruence_closure(group, modulus, cap)
-    mul = [[index[mat_mul(a, b, modulus)] for b in elems] for a in elems]
-    return FiniteGroupTable(mul), index, elems
+    gens = [mat_reduce(m, modulus) for m in group.gen_matrices.values()]
+    gens += [mat_inv(m, modulus) for m in gens]
+    return len(bfs(lambda x: (mat_mul(x, g, modulus) for g in gens),
+                   mat_identity(group.dimension), cap=cap))

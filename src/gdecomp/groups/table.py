@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from ..errors import CapExceeded, VerificationFailure
+from ..graphs import bfs
 
 
 class FiniteGroupTable:
@@ -47,18 +48,10 @@ class FiniteGroupTable:
     @classmethod
     def from_permutations(cls, perms, degree):
         """Closure of permutation generators (tuples of images, 0-based)."""
-        ident = tuple(range(degree))
-        elems = [ident]
-        index = {ident: 0}
         gens = [tuple(p) for p in perms]
-        i = 0
-        while i < len(elems):
-            for p in gens:
-                q = tuple(p[x] for x in elems[i])
-                if q not in index:
-                    index[q] = len(elems)
-                    elems.append(q)
-            i += 1
+        elems = list(bfs(lambda a: (tuple(p[x] for x in a) for p in gens),
+                         tuple(range(degree))))
+        index = {q: i for i, q in enumerate(elems)}
         mul = [[index[tuple(a[x] for x in b)] for b in elems] for a in elems]
         return cls(mul)
 
@@ -110,27 +103,10 @@ class FiniteGroupTable:
             k += 1
         return k
 
-    def power(self, x, k):
-        acc = 0
-        if k < 0:
-            x, k = self.inv[x], -k
-        for _ in range(k):
-            acc = self.mul[acc][x]
-        return acc
-
     def closure(self, seed):
         """Subgroup generated by the given element indices, as a frozenset."""
-        members = {0}
-        frontier = [0]
         gens = set(seed) | {self.inv[x] for x in seed}
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = self.mul[a][g]
-                if b not in members:
-                    members.add(b)
-                    frontier.append(b)
-        return frozenset(members)
+        return frozenset(bfs(lambda a: (self.mul[a][g] for g in gens), 0))
 
     def subgroups(self, cap=256):
         """All subgroups, as frozensets of element indices.

@@ -17,6 +17,7 @@ from collections import deque
 from fractions import Fraction
 
 from .errors import CapExceeded, SpecFormatError, VerificationFailure
+from .graphs import bfs
 from .groups import GraphOfGroupsGroup, MatrixGroup
 from .groups.matrix import mat_identity, mat_mul, mat_reduce
 
@@ -173,24 +174,11 @@ class FiniteQuotientHom:
         self.op = op
         self.identity = identity
         self.detail = detail or {}
-        self.elements = self._closure()
-        self.order = len(self.elements)
-
-    def _closure(self, cap=200_000):
         gens = list(self.images.values())
-        gens += [_generic_inverse(g, self.op, self.identity) for g in gens]
-        seen = {self.identity}
-        queue = deque([self.identity])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = self.op(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded("quotient closure cap", reached=cap)
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+        gens += [_generic_inverse(g, op, identity) for g in gens]
+        self.elements = set(bfs(lambda x: (op(x, g) for g in gens), identity,
+                                cap=200_000))
+        self.order = len(self.elements)
 
     def image_of_word(self, word):
         acc = self.identity

@@ -192,6 +192,13 @@ def test_invalid_parameter_exits_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "gdecomp: ball radius must be >= r // 2\n"
+    # argparse usage errors: a malformed and a missing value
+    for argv in (["cover", "--group", "sl2z", "--radius", "abc", "--r", "6",
+                  "--depth", "2"],
+                 ["ball", "--group", "sl2z"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
 
 
 # sha256 of the canonical `gdecomp report --group G` bundle; a refactor

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gdecomp.errors import VerificationFailure
+from gdecomp.errors import CapExceeded, VerificationFailure
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
 from gdecomp.groups import (FiniteGroupTable, element_order, inverse,
@@ -64,6 +64,10 @@ def test_congruence_orders():
     sl2z = load_fixture("sl2z")
     assert congruence_quotient_order(sl2z, 2) == 6
     assert congruence_quotient_order(sl2z, 3) == 24
+    # |SL(2, Z/5)| = 120: the closure stops at its cap
+    with pytest.raises(CapExceeded) as exc:
+        congruence_quotient_order(sl2z, 5, cap=10)
+    assert exc.value.reached == 10
 
 
 def test_normal_form_words(sl2z):
