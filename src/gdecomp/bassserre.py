@@ -18,7 +18,7 @@ from .groups import GraphOfGroupsGroup, element_order, inverse, multiply
 
 class BassSerreTreePortion:
     __slots__ = ("group", "radius", "orbit", "reps", "adj", "dist",
-                 "key_index", "root", "_subgroups", "_dist_cache")
+                 "key_index", "root", "_dist_cache")
 
     def __init__(self, group, radius, orbit, reps, adj, dist, key_index):
         self.group = group
@@ -27,10 +27,8 @@ class BassSerreTreePortion:
         self.reps = reps  # per tree vertex: representative element
         self.adj = adj
         self.dist = dist  # from the base vertex
-        self.key_index = key_index
+        self.key_index = key_index  # vertex_coset_key -> tree vertex
         self.root = 0
-        self._subgroups = [group.based_vertex_subgroup(v)
-                           for v in range(len(group.gog.vertices))]
         self._dist_cache = {}
 
     @property
@@ -41,13 +39,10 @@ class BassSerreTreePortion:
         """Vertex-group order of the tree vertex's orbit."""
         return self.group.gog.vertices[self.orbit[x]].order
 
-    def coset_key(self, v, gamma):
-        return frozenset(multiply(gamma, h).data for h in self._subgroups[v])
-
     def action(self, gamma, x):
         """Left multiplication on cosets; None outside the portion."""
-        return self.key_index.get(self.coset_key(self.orbit[x],
-                                                 multiply(gamma, self.reps[x])))
+        return self.key_index.get(
+            self.group.vertex_coset_key(self.orbit[x], gamma, self.reps[x]))
 
     def distance(self, x, y):
         if x not in self._dist_cache:
@@ -100,12 +95,9 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
         for t in _coset_transversal(subgroups[e.v], img_v):
             moves[e.v].append((e.u, multiply(t, inverse(s))))
 
-    def key(v, gamma):
-        return frozenset(multiply(gamma, h).data for h in subgroups[v])
-
     orbit = [0]
     reps = [group.identity]
-    key_index = {key(0, group.identity): 0}
+    key_index = {group.vertex_coset_key(0, group.identity): 0}
     dist = [0]
     adj = [set()]
     queue = deque([0])
@@ -114,8 +106,7 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
         if dist[x] == radius:
             continue
         for v, step in moves[orbit[x]]:
-            gamma = multiply(reps[x], step)
-            k = key(v, gamma)
+            k = group.vertex_coset_key(v, reps[x], step)
             y = key_index.get(k)
             if y is None:
                 y = len(reps)
@@ -123,7 +114,7 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
                     raise CapExceeded("tree portion cap exceeded", reached=y)
                 key_index[k] = y
                 orbit.append(v)
-                reps.append(gamma)
+                reps.append(multiply(reps[x], step))
                 dist.append(dist[x] + 1)
                 adj.append(set())
                 queue.append(y)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..errors import SpecFormatError, VerificationFailure
+from ..errors import BackendMismatch, SpecFormatError, VerificationFailure
 from ..graphs import bfs
 from .element import GroupElement
 from .table import FiniteGroupTable
@@ -332,6 +332,28 @@ class GraphOfGroupsGroup:
         """All based copies of the vertex group's elements."""
         tbl = self.gog.vertices[vertex]
         return [self.based_vertex_element(vertex, i) for i in range(tbl.order)]
+
+    def vertex_coset_key(self, vertex, *factors):
+        """Key of the left coset (f1 * ... * fk) * H_v of the based vertex
+        subgroup H_v = p G_v p^-1, where p is the spanning-tree path from
+        the base to v.
+
+        The factors are joined as `op` joins words, the path p is appended,
+        and the path word is normalized once; the key is that normal form
+        without its last item. Right multiplication by G_v changes only the
+        last vertex-group item of the unique normal form, so keys are equal
+        exactly when the cosets are equal. The key ends with the edge into
+        v (or is empty for the base coset), so cosets of different vertex
+        subgroups never share a key.
+        """
+        if any(f.group is not self for f in factors):
+            raise BackendMismatch("coset key factors must belong to this group")
+        items = list(factors[0].data)
+        for f in factors[1:]:
+            items[-1] = self._vmul(items[-1], f.data[0])
+            items += f.data[1:]
+        items += self._route(0, vertex)
+        return self._normalize(tuple(items))[:-1]
 
     def stable_letter(self, edge_index):
         """Based loop traversing the edge once (trivial for tree edges)."""

@@ -12,6 +12,7 @@ sweep is still recorded as evidence.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from fractions import Fraction
@@ -164,8 +165,8 @@ class FiniteQuotientHom:
     """Generator images in a concrete finite group (permutations of a
     coset action, or matrices mod m)."""
 
-    __slots__ = ("kind", "symbols", "images", "op", "identity", "order",
-                 "elements", "detail")
+    __slots__ = ("kind", "symbols", "images", "inverses", "op", "identity",
+                 "order", "elements", "detail")
 
     def __init__(self, kind, symbols, images, op, identity, detail=None):
         self.kind = kind
@@ -174,18 +175,17 @@ class FiniteQuotientHom:
         self.op = op
         self.identity = identity
         self.detail = detail or {}
-        gens = list(self.images.values())
-        gens += [_generic_inverse(g, op, identity) for g in gens]
+        self.inverses = {s: _generic_inverse(g, op, identity)
+                         for s, g in self.images.items()}
+        gens = list(self.images.values()) + list(self.inverses.values())
         self.elements = set(bfs(lambda x: (op(x, g) for g in gens), identity,
                                 cap=200_000))
         self.order = len(self.elements)
 
     def image_of_word(self, word):
         acc = self.identity
-        inv = {s: _generic_inverse(g, self.op, self.identity)
-               for s, g in self.images.items()}
         for s, e in word:
-            acc = self.op(acc, self.images[s] if e > 0 else inv[s])
+            acc = self.op(acc, self.images[s] if e > 0 else self.inverses[s])
         return acc
 
     def word_order(self, word, cap=10_000):
@@ -392,8 +392,7 @@ def kernel_subgroup(hom, pres):
     elems = [hom.identity]
     index = {hom.identity: 0}
     words = [()]
-    inv = {s: _generic_inverse(g, hom.op, hom.identity)
-           for s, g in hom.images.items()}
+    inv = hom.inverses
     queue = deque([0])
     while queue:
         i = queue.popleft()
@@ -456,10 +455,9 @@ def reidemeister_schreier(cert, pres):
             if w:
                 relators.append(w)
 
-    alive = set(gen_word)
-    relators, eliminated = _tietze(relators, alive)
+    relators, eliminated = _tietze(relators)
     if not relators:
-        basis = sorted(alive - set(eliminated))
+        basis = sorted(set(gen_word).difference(eliminated))
         cert.free_basis = [gen_word[g] for g in basis]
         cert.rank = len(basis)
         cert.evidence["schreier_generators"] = len(gen_word)
@@ -471,46 +469,73 @@ def reidemeister_schreier(cert, pres):
     return cert
 
 
-def _tietze(relators, alive):
-    """Eliminate generators occurring exactly once in some relator."""
-    relators = [free_reduce(r) for r in relators if free_reduce(r)]
+def _tietze(relators):
+    """Eliminate generators occurring exactly once in some relator.
+
+    Each step takes the first relator, in list order, in which some
+    generator occurs exactly once, solves it for the least such generator
+    g (rel = u g^e v gives g^e = u^-1 v^-1) and substitutes the solution
+    into the other relators, dropping those that reduce to the empty word.
+    The eliminations come in the same order as if every relator were
+    rewritten and rescanned after each step: relators keep their list
+    positions, an index from each generator to the relators that hold it
+    limits a substitution to those relators, and a heap of the positions
+    of relators with a generator occurring once gives the next step.
+
+    Returns the surviving relators in list order, and {g: replacement} in
+    elimination order.
+    """
+    rels = dict(enumerate(r for r in map(free_reduce, relators) if r))
+    holders = {}
+    for i, r in rels.items():
+        for g, _ in r:
+            holders.setdefault(g, set()).add(i)
+    queue = [i for i, r in rels.items() if _least_single(r) is not None]
     eliminated = {}
-    changed = True
-    while changed and relators:
-        changed = False
-        for idx, rel in enumerate(relators):
-            counts = {}
-            for g, _ in rel:
-                counts[g] = counts.get(g, 0) + 1
-            single = [g for g, k in counts.items() if k == 1]
-            if not single:
+    while queue:
+        idx = heapq.heappop(queue)
+        rel = rels.get(idx)
+        g = None if rel is None else _least_single(rel)
+        if g is None:
+            # dropped, or rewritten since it was queued
+            continue
+        pos = next(i for i, (h, _) in enumerate(rel) if h == g)
+        e = rel[pos][1]
+        repl = free_reduce(invert_word(rel[:pos]) + invert_word(rel[pos + 1:]))
+        if e < 0:
+            repl = invert_word(repl)
+        eliminated[g] = repl
+        del rels[idx]
+        for h, _ in rel:
+            holders[h].discard(idx)
+        repl_inv = invert_word(repl)
+        for j in holders.pop(g):
+            old = rels[j]
+            out = []
+            for h, ee in old:
+                if h == g:
+                    out.extend(repl if ee > 0 else repl_inv)
+                else:
+                    out.append((h, ee))
+                    holders[h].discard(j)
+            new = free_reduce(tuple(out))
+            if not new:
+                del rels[j]
                 continue
-            g = min(single)
-            pos = next(i for i, (h, _) in enumerate(rel) if h == g)
-            _, e = rel[pos]
-            # rel = u g^e v  =>  g^e = u^-1 v^-1
-            u, v = rel[:pos], rel[pos + 1:]
-            repl = free_reduce(invert_word(u) + invert_word(v))
-            if e < 0:
-                repl = invert_word(repl)
-            eliminated[g] = repl
-            new = []
-            for j, r in enumerate(relators):
-                if j == idx:
-                    continue
-                out = []
-                for h, ee in r:
-                    if h == g:
-                        out.extend(repl if ee > 0 else invert_word(repl))
-                    else:
-                        out.append((h, ee))
-                r2 = free_reduce(tuple(out))
-                if r2:
-                    new.append(r2)
-            relators = new
-            changed = True
-            break
-    return relators, eliminated
+            rels[j] = new
+            for h, _ in new:
+                holders[h].add(j)
+            if _least_single(new) is not None:
+                heapq.heappush(queue, j)
+    return [rels[i] for i in sorted(rels)], eliminated
+
+
+def _least_single(rel):
+    """Least generator occurring exactly once in rel, or None."""
+    counts = {}
+    for g, _ in rel:
+        counts[g] = counts.get(g, 0) + 1
+    return min((g for g, k in counts.items() if k == 1), default=None)
 
 
 def verify_torsion_free(cert, pres):

@@ -20,7 +20,7 @@ from gdecomp import (build_ball, build_nerve_complex, build_tree_portion,
                      verify_short_cycle_cosets)
 from gdecomp.bassserre import DecompositionTree, perturb_tree_portion
 from gdecomp.errors import UncertifiedRegion
-from gdecomp.fixtures import load_fixture
+from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.groups import inverse, multiply
 from gdecomp.groups.matrix import congruence_quotient_order
 from gdecomp.subgroups import (congruence_hom, construct_finite_quotient,
@@ -235,3 +235,20 @@ def test_criterion_11_nerve(f2, sl2z_decomp):
     sl2z_ok = nz["dimension"] == 1 and nz["connected"]
     assert verdict(11, "nerves: f2 points, sl2z connected 1-dimensional",
                    f2_ok and sl2z_ok)
+
+
+def test_criterion_12_cyclic_amalgam_discovery():
+    # oracle (c): discovery recovers C_a *_{C_c} C_b from its Cayley graph
+    found = {}
+    for a, c, b in [(2, 1, 3), (2, 1, 5), (4, 2, 6), (3, 1, 3), (6, 3, 9)]:
+        gog, trace = discover_graph_of_groups(make_cyclic_amalgam(a, c, b))
+        found[(a, c, b)] = (
+            trace["stabilized"]
+            and sorted(t.order for t in gog.vertices) == sorted([a, b])
+            and [e.table.order for e in gog.edges] == [c]
+            and gog.euler_characteristic()
+            == Fraction(1, a) + Fraction(1, b) - Fraction(1, c))
+    assert verdict(12, "discovery recovers cyclic amalgams C_a *_C_c C_b",
+                   all(found.values()),
+                   ", ".join(f"{k}: {'ok' if v else 'wrong'}"
+                             for k, v in found.items()))

@@ -1,12 +1,15 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdecomp import (build_tree_portion, classify_tree_automorphism,
                      locate_torsion, verify_equivariant_isomorphism)
 from gdecomp.bassserre import (DecompositionTree, is_non_elementary,
                                perturb_tree_portion, small_index_threshold)
 from gdecomp.errors import UncertifiedRegion, VerificationFailure
+from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.groups import inverse, multiply, normal_form
 
 
@@ -113,3 +116,77 @@ def test_decomposition_tree_root(sl2z_decomp):
     dt = DecompositionTree(sl2z_decomp, 3)
     assert len(dt.nodes) == 11
     assert dt.label(dt.root) == 4  # smallest bag through the identity
+
+
+# Coset keys against the element-set reference: the coset gamma * H_v as
+# the set of its |H_v| elements.
+
+KEY_GROUPS = ["c2*c3", "c4*c2*c6", "z", "f2", "amalgam",
+              (2, 1, 3), (2, 1, 5), (3, 1, 3), (4, 2, 6), (2, 2, 4), (6, 3, 9)]
+
+
+@functools.cache
+def _key_group(name):
+    group = (load_fixture(name) if isinstance(name, str)
+             else make_cyclic_amalgam(*name))
+    subgroups = [group.based_vertex_subgroup(v)
+                 for v in range(len(group.gog.vertices))]
+    return group, subgroups
+
+
+def reference_coset_key(subgroups, v, gamma):
+    return frozenset(multiply(gamma, h).data for h in subgroups[v])
+
+
+def _random_element(group, rng, max_len):
+    gens = [g for _, g in group.gen_symbols()]
+    w = group.identity
+    for _ in range(rng.randrange(max_len + 1)):
+        w = multiply(w, rng.choice(gens))
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KEY_GROUPS), st.randoms(use_true_random=False))
+def test_vertex_coset_key_matches_element_sets(name, rng):
+    group, subgroups = _key_group(name)
+    gamma = _random_element(group, rng, 6)
+    for v, sub in enumerate(subgroups):
+        # half the time a second element of gamma's own coset
+        other = (multiply(gamma, rng.choice(sub)) if rng.random() < 0.5
+                 else _random_element(group, rng, 6))
+        same = (group.vertex_coset_key(v, gamma)
+                == group.vertex_coset_key(v, other))
+        assert same == (reference_coset_key(subgroups, v, gamma)
+                        == reference_coset_key(subgroups, v, other))
+        rep = _random_element(group, rng, 3)
+        assert group.vertex_coset_key(v, gamma, rep) \
+            == group.vertex_coset_key(v, multiply(gamma, rep))
+
+
+@pytest.mark.parametrize("name", KEY_GROUPS, ids=str)
+def test_tree_action_matches_element_set_keys(name):
+    group, subgroups = _key_group(name)
+    rng = random.Random(str(name))
+    for radius in (2, 4):
+        tree = build_tree_portion(group, radius)
+        n = tree.vertex_count
+        ref_index = {reference_coset_key(subgroups, tree.orbit[y], tree.reps[y]): y
+                     for y in range(n)}
+        assert len(ref_index) == n
+        for _ in range(6):
+            gamma = _random_element(group, rng, 5)
+            for x in range(n):
+                key = reference_coset_key(subgroups, tree.orbit[x],
+                                          multiply(gamma, tree.reps[x]))
+                assert tree.action(gamma, x) == ref_index.get(key)
+
+
+def test_degenerate_edge_is_one_tree_edge():
+    # C3 *_{C3} C3: both vertex subgroups are the whole group, so the tree
+    # is one edge whose two ends lie in different orbits
+    group = make_cyclic_amalgam(3, 3, 3)
+    tree = build_tree_portion(group, 4)
+    assert tree.orbit == [0, 1] and tree.adj == [[1], [0]]
+    x = group.generators["x"]
+    assert [tree.action(x, v) for v in (0, 1)] == [0, 1]

@@ -1,10 +1,15 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from tietze_oracle import tietze as reference_tietze
 
+from gdecomp.cli import canonical_json
 from gdecomp.errors import CapExceeded, VerificationFailure
-from gdecomp.subgroups import (congruence_hom, construct_finite_quotient,
+from gdecomp.fixtures import make_cyclic_amalgam
+from gdecomp.subgroups import (_tietze, congruence_hom,
+                               construct_finite_quotient,
                                euler_characteristic, expected_free_rank,
                                free_reduce, index_lower_bound,
                                index_upper_bound, invert_word, kernel_subgroup,
@@ -134,3 +139,40 @@ def test_free_reduce_idempotent(w):
 @given(word_strategy)
 def test_word_times_inverse_reduces_to_identity(w):
     assert free_reduce(w + invert_word(w)) == ()
+
+
+# sha256 of canonical_json(cert.to_json()), computed with the loop that
+# rewrote every relator after each Tietze elimination (tietze_oracle.py)
+CERT_DIGESTS = {
+    (6, 2, 8): "67f62dd8a7e8c6fccad01232ad5c01e43a7eb9cade1981df2475a05f23853dd3",
+    (6, 3, 9): "418ffd3db85c0bd076e8aece8d909a41badd0bbf666aa5e8313c9b21a4a43bd7",
+    (3, 1, 7): "ac84aeefc3bf05c1315ca2d08a26b14af8d5418311b0db54aad2db77e6f31310",
+}
+
+
+@pytest.mark.parametrize("abc", sorted(CERT_DIGESTS))
+def test_amalgam_certificates_pinned(abc):
+    group = make_cyclic_amalgam(*abc)
+    _, cert = build_cert(group)
+    text = canonical_json(cert.to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_DIGESTS[abc]
+    assert cert.evidence["free"] and cert.torsion_free
+    assert cert.rank == expected_free_rank(group.gog, cert.index)
+    if abc == (3, 1, 7):
+        assert (cert.index, cert.rank) == (2520, 1321)
+
+
+# relators over up to 6 generators, including empty and unreduced words
+relator_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, -1])),
+             max_size=8).map(tuple),
+    max_size=8)
+
+
+@settings(max_examples=400)
+@given(relator_lists)
+def test_tietze_matches_full_rescan(relators):
+    got, eliminated = _tietze(relators)
+    want, want_eliminated = reference_tietze(relators)
+    assert got == want
+    assert list(eliminated.items()) == list(want_eliminated.items())
