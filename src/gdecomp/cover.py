@@ -4,14 +4,18 @@ Construction: breadth-first walk classes from the ball's center, with
 immediate backtrack folding (adjacency is keyed by base vertex, and each
 new edge is installed in both directions). Identification beyond that is
 forced, never guessed. The cycles of length <= r are the translates of
-the simple closed words at the identity (`cycles.closed_words`), so at
-each node the cover walks every word from the node's base vertex through
-the ball's table and the cover together; when that lift fails to close,
-its endpoints are merged and the merge is propagated by folding
-(Stallings folding driven by the word list). The result quotients the
-walk tree exactly by closures of short cycles, so identifications are
-sound; completeness holds wherever every relevant short cycle is
-visible, which is what the certified depth records.
+the simple closed words at the identity (`cycles.closed_words`). The
+cover is a coset enumeration of the group presented by those words,
+scanned from a deduction queue (Todd-Coxeter): a node is scanned when it
+is created by a layer's expansion or survives a merge, since only then
+can a walk through it newly complete. A scan walks the words from the
+node's base vertex through the ball's table and the cover together, as
+one prefix trie so that shared prefixes are walked once; when a lift
+fails to close, its endpoints are merged and the merge is propagated by
+Stallings folding, which queues the merged nodes in turn. The result
+quotients the walk tree exactly by closures of short cycles, so
+identifications are sound; completeness holds wherever every relevant
+short cycle is visible, which is what the certified depth records.
 """
 
 from __future__ import annotations
@@ -116,31 +120,31 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
 
     Expansion runs out to depth + r so every cycle relevant to a kept
     vertex is lifted in full; the returned cover is the depth-truncation.
+    With a node cap, CapExceeded(reached=node_cap) is raised before node
+    node_cap + 1 is added.
     """
     if r < 3:
         raise ValueError("r must be >= 3")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if depth > ball.radius:
         raise ValueError("depth must be <= ball radius")
-    words = closed_words(ball, r)
+    trie = _word_trie(ball, closed_words(ball, r))
     right = ball.right
     expand_depth = depth + r
 
     uf = UnionFind()
+    find, parent = uf.find, uf.parent
     base_of = []
     adj = []  # per node (rep-owned): {base vertex: node}
-    # saturated[x]: every word walk from x that stays in the ball closes.
-    # Folds only merge nodes, so such a walk stays closed and
-    # close_cycles(x) would change nothing; the fixpoint skips x.
-    saturated = bytearray()
+    queue = []  # nodes to scan: new children and the roots of merges
 
     def new_node(bv):
-        i = uf.add()
+        if len(base_of) >= node_cap:
+            raise CapExceeded("cover node cap exceeded", reached=node_cap)
         base_of.append(bv)
         adj.append({})
-        saturated.append(0)
-        if i >= node_cap:
-            raise CapExceeded("cover node cap exceeded", reached=i + 1)
-        return i
+        return uf.add()
 
     def fold(a, b):
         """Union two nodes (always over one base vertex) and propagate the
@@ -151,72 +155,93 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
             keep, gone = uf.union(x, y)
             if gone is None:
                 continue
+            queue.append(keep)
             merged = adj[keep]
             for bv, node in adj[gone].items():
-                node = uf.find(node)
+                node = find(node)
                 cur = merged.get(bv)
-                if cur is not None and uf.find(cur) != node:
-                    stack.append((uf.find(cur), node))
+                if cur is not None and find(cur) != node:
+                    stack.append((find(cur), node))
                 else:
                     merged[bv] = node
             adj[gone] = {}
             # neighbors' back-edges must point at the surviving node
             bkey = base_of[keep]
             for bv, node in list(merged.items()):
-                node = uf.find(node)
+                node = find(node)
                 merged[bv] = node
                 adj[node][bkey] = keep
 
+    def scan(x):
+        """Walk the word trie from x and fold x with the end of every
+        complete walk that does not close. A walk stops at a step that
+        leaves the ball (no cover edge is keyed -1) or has no cover edge
+        yet. Where one stops partway round a cycle and the walk from x the
+        other way round gets as far (`_word_trie`), the two make up a
+        complete walk through x that starts elsewhere, and their ends are
+        folded.
+
+        A fold during the scan can absorb nodes held on the stack, so
+        each is re-found when popped. The fold queues its surviving root,
+        whose own scan covers whatever the stale part of this one misses.
+        """
+        reached = {}  # trie node id -> cover node
+        stopped = []  # (meets, cover node) where a walk stopped
+        stack = [(trie, x, base_of[x])]
+        while stack:
+            (tid, branches), cur, bv = stack.pop()
+            if parent[cur] != cur:
+                cur = find(cur)
+            reached[tid] = cur
+            out, row = adj[cur], right[bv]
+            for k, sub, meets in branches:
+                bw = row[k]
+                nxt = out.get(bw)
+                if nxt is None:
+                    if meets:
+                        stopped.append((meets, cur))
+                elif sub is not None:
+                    stack.append((sub, nxt, bw))
+                elif nxt != x and find(nxt) != find(x):
+                    fold(x, nxt)
+                    cur = find(cur)
+                    out = adj[cur]
+        for meets, cur in stopped:
+            for tid in reached.keys() & meets:
+                fold(reached[tid], cur)
+
     root = new_node(0)
 
-    def close_cycles(node):
-        """Force lifts of the closed words at a node to close; returns True
-        on merge. A word whose base walk leaves the ball is skipped."""
-        changed = False
-        complete = True
-        node = uf.find(node)
-        start = base_of[node]
-        for word in words:
-            cur, bv = node, start
-            for k in word:
-                bv = right[bv][k]
-                if bv < 0:
-                    break
-                nxt = adj[cur].get(bv)
-                if nxt is None:
-                    complete = False
-                    break
-                cur = uf.find(nxt)
-            else:
-                if cur != uf.find(node):
-                    fold(node, cur)
-                    changed = True
-                    node = uf.find(node)
-        saturated[node] = complete
-        return changed
-
     def depths():
-        return bfs(lambda x: (uf.find(y) for y in adj[x].values()), root)
+        return bfs(lambda x: (find(y) for y in adj[x].values()), root)
 
-    # expand layer by layer, closing cycles to a fixpoint after each layer
+    # Expand layer by layer and drain the queue before the next layer. A
+    # walk that a new edge completes starts or ends at the new child, as a
+    # simple cycle cannot pass through a leaf; one that a merge completes
+    # runs through the merged root, which `scan` checks both ways round.
+    # So the queue reaches every fold that rescanning all nodes would, and
+    # each layer ends at the least fixpoint, one partition whatever the
+    # scan order (UnionFind keeps the least member). The numbering also
+    # follows the order of the adjacency dicts, which a merge extends only
+    # at unexpanded nodes; tests/cover_oracle.py holds the full rescan it
+    # is checked against.
     for layer in range(expand_depth):
         d = depths()
         frontier = [x for x, dx in d.items() if dx == layer]
         if not frontier:
             break
         for x in frontier:
-            x = uf.find(x)
+            x = find(x)
             for bw in ball.adj[base_of[x]]:
                 if bw not in adj[x]:
                     child = new_node(bw)
                     adj[x][bw] = child
                     adj[child][base_of[x]] = x
-        pending = True
-        while pending:
-            pending = False
-            for x in range(len(base_of)):
-                if not saturated[x] and uf.find(x) == x and close_cycles(x):
-                    pending = True
+                    queue.append(child)
+        for x in queue:  # grows while it is scanned
+            if find(x) == x:
+                scan(x)
+        queue.clear()
 
     # compact: keep representatives within the requested depth
     d = depths()
@@ -228,13 +253,51 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     for _, x in kept:
         row = {}
         for bv, y in adj[x].items():
-            y = uf.find(y)
+            y = find(y)
             if y in relabel:
                 row[bv] = relabel[y]
         new_adj.append(row)
 
     certified = depth if _is_closed(ball) else min(depth, max(0, ball.radius - r))
     return TruncatedCover(ball, r, depth, projection, new_adj, node_depth, certified)
+
+
+def _word_trie(ball, words):
+    """The closed words as a prefix trie for `scan`.
+
+    A node is (id, branches); a branch is (generator index, child, meets),
+    and its child is None where a word ends (a closed word never extends
+    another). Walked from one vertex, a word u of length n and its
+    reverse word go round one cycle in the two directions. A walk of u
+    that stops before step p + 1 (0 < p < n) is at the cycle's p-th
+    vertex, and so is the reverse walk after n - p steps. `meets` holds
+    the ids of the nodes those reverse walks are at, over every word
+    through the branch.
+    """
+    right = ball.right
+    ids, nexts = {(): 0}, {(): {}}  # proper word prefix -> id, next steps
+    for word in words:
+        for p in range(len(word)):
+            ids.setdefault(word[:p], len(ids))
+            nexts.setdefault(word[:p], {})[word[p]] = None
+    meets = {}  # (id, generator index) -> ids
+    for word in words:
+        n, path = len(word), [0]
+        for k in word:
+            path.append(right[path[-1]][k])
+        path.reverse()
+        rev = tuple(right[v].index(w) for v, w in zip(path, path[1:]))
+        for p in range(1, n):
+            meets.setdefault((ids[word[:p]], word[p]), set()).add(
+                ids[rev[:n - p]])
+
+    def node(prefix):
+        i = ids[prefix]
+        return i, tuple(
+            (k, node(prefix + (k,)) if prefix + (k,) in ids else None,
+             frozenset(meets.get((i, k), ())))
+            for k in nexts[prefix])
+    return node(())
 
 
 def _is_closed(ball):

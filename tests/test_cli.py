@@ -192,6 +192,15 @@ def test_invalid_parameter_exits_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "gdecomp: ball radius must be >= r // 2\n"
+    # a negative depth, in the cover command and in the report pipeline
+    for argv in (["cover", "--group", "z5", "--radius", "8", "--r", "4",
+                  "--depth", "-1"],
+                 ["report", "--group", "z5", "--depth", "-1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.endswith("gdecomp: depth must be >= 0\n")
     # argparse usage errors: a malformed and a missing value
     for argv in (["cover", "--group", "sl2z", "--radius", "abc", "--r", "6",
                   "--depth", "2"],
@@ -219,3 +228,28 @@ def test_report_digest_pinned(capsys, group):
     code, out = run(capsys, "report", "--group", group)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[group]
+
+
+# sha256 of `gdecomp cover --group G --radius R --r r --depth D`; the cover
+# build may change its algorithm but not a byte of its output
+COVER_DIGESTS = {
+    ("amalgam", 12, 8, 5):
+        "94f5662302d8512b86f445f3c8c2d9f1387aa576ed7305a8d1589a5ffc983d81",
+    ("sl2z", 12, 6, 6):
+        "bd747d1f9315e756cdd794e8c8d862ba891557aa3b874dcdb3500910eadc1f34",
+    ("c4*c2*c6", 12, 6, 6):
+        "bbc731cf72965780b4b64633bdb34dead6ef4dbe3db42d350b8dc13809308f67",
+    ("sl2z", 10, 8, 2):
+        "cf1e91d928bea4093f727765062a4e1983b641e89de7d67573e696414785478f",
+    ("z5", 8, 4, 8):
+        "f2e1ff7db80fd36fe6db39aec5e853e1a1bc4978d43915f61fbc73ada5c970e9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVER_DIGESTS))
+def test_cover_digest_pinned(capsys, case):
+    group, radius, r, depth = case
+    code, out = run(capsys, "cover", "--group", group, "--radius", str(radius),
+                    "--r", str(r), "--depth", str(depth))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COVER_DIGESTS[case]

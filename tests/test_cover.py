@@ -11,6 +11,8 @@ from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
 from gdecomp.groups import multiply, normal_form
 
+from cover_oracle import build_truncated_cover as oracle_cover
+
 
 def test_z5_cover_is_path(z5):
     ball = build_ball(z5, 8)
@@ -97,6 +99,20 @@ def test_depth_guard(z5):
     ball = build_ball(z5, 4)
     with pytest.raises(ValueError):
         build_truncated_cover(ball, 4, 8)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        build_truncated_cover(ball, 4, -1)
+
+
+def test_node_cap_reached_is_cap(z5):
+    # r = 4 leaves the 5-cycle open, so the walk tree is a path of
+    # 2 * (depth + r) + 1 = 25 nodes; like graphs.bfs, a cap of N raises
+    # with reached == N before node N + 1 is added
+    ball = build_ball(z5, 8)
+    assert build_truncated_cover(ball, 4, 8, node_cap=25).vertex_count == 17
+    for cap in (1, 5, 24):
+        with pytest.raises(CapExceeded) as exc:
+            build_truncated_cover(ball, 4, 8, node_cap=cap)
+        assert exc.value.reached == cap
 
 
 def test_every_short_cycle_lifts_closed_all_fixtures(sl2z_ball10, c2c3, c4c2c6):
@@ -136,3 +152,33 @@ def test_cover_is_cayley_graph_past_longest_relator(group_r, depth):
     assert cov.certified_depth == depth
     assert sorted(cov.projection[x] for x in cov.certified_vertices()) \
         == ball.interior(depth)
+
+
+@st.composite
+def _cover_inputs(draw):
+    """C_a *_{C_c} C_b with a, b <= 8, or F_1..F_3, with r drawn both
+    below and at or above the longest defining relator, so that unrolled
+    covers are compared as well as Cayley graphs."""
+    if draw(st.integers(0, 3)) == 0:
+        return make_free_group(draw(st.integers(1, 3))), draw(st.integers(3, 5))
+    c = draw(st.integers(1, 4))
+    order = st.integers(1, 8 // c).map(lambda i: c * i).filter(
+        lambda n: n >= 2)
+    a, b = draw(order), draw(order)
+    longest = max(3, a, b, a // c + b // c)
+    return make_cyclic_amalgam(a, c, b), draw(st.integers(3, longest + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cover_inputs(), st.integers(1, 4), st.integers(0, 3))
+def test_cover_matches_full_rescan(group_r, depth, slack):
+    # the queued build must give the same cover, numbering included, as
+    # rescanning every unsaturated node until nothing folds; a small slack
+    # makes the ball's boundary cut walks near the cover's edge
+    group, r = group_r
+    try:
+        ball = build_ball(group, max(depth, r // 2) + slack, cap=1500)
+    except CapExceeded:
+        assume(False)
+    assert build_truncated_cover(ball, r, depth).to_json() \
+        == oracle_cover(ball, r, depth).to_json()
