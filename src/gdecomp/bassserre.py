@@ -80,6 +80,8 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
     """BFS the coset tree out to `radius` from the base vertex's coset."""
     if not isinstance(group, GraphOfGroupsGroup):
         raise VerificationFailure("tree portions need a graph-of-groups backend")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     gog = group.gog
     subgroups = [group.based_vertex_subgroup(v) for v in range(len(gog.vertices))]
 

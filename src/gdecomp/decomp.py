@@ -254,6 +254,8 @@ def _pairs_equivalent(ball, p1, p2):
 
 def compute_global_decomposition(ball, r, order_cap=64):
     """Bags, boundary flags, and the translation-quotient model graph."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
     families = maximal_finite_subgroups(ball, r, order_cap=order_cap)
 
     bag_set = {}
@@ -497,6 +499,10 @@ def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
     assemble the graph of groups with edge groups G_h ∩ G_h'."""
     if max_doublings < 1:
         raise ValueError("max_doublings must be >= 1")
+    if r0 < 1:
+        # 0 doubles to 0: the loop would stop at once, on a splitting
+        # that is not the group's
+        raise ValueError("r0 must be >= 1")
     # families have eccentricity <= r, so margin <= r + 1; radius r + 4
     # leaves a nonempty interior at every iteration
     radius_fn = radius_fn or (lambda r: r + 4)

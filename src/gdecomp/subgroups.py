@@ -220,13 +220,35 @@ def _perm_op(a, b):
 
 def low_index_action(pres, max_degree=12):
     """Smallest-degree transitive action satisfying the relators and
-    injective on the finite subgroups; deterministic first solution."""
+    injective on the finite subgroups; deterministic first solution.
+
+    A Sims-style search over coset tables (Sims, *Computation with
+    Finitely Presented Groups*, 1994, ch. 5). Column i of the table is a
+    symbol or its inverse, and entry table[c][i] is the coset that c goes
+    to under it. The relators are indexed once, by column, as the cyclic
+    rotations that start with that column, each with its list of inverse
+    columns. A definition table[c][i] = d goes on a deduction queue;
+    draining the queue scans only the rotations that start with i from c
+    and those that start with i's inverse from d, and fills every entry
+    such a scan forces. Every definition is recorded on a trail, which a
+    backtrack pops to its mark.
+    """
     syms = pres.symbols
     cols = [(s, 1) for s in syms] + [(s, -1) for s in syms]
     col_of = {c: i for i, c in enumerate(cols)}
+    inv = [col_of[(s, -e)] for s, e in cols]
+    rotations = [[] for _ in cols]
+    seen = set()
+    for rel in pres.relators:
+        word = [col_of[x] for x in rel]
+        for t in range(len(word)):
+            rot = tuple(word[t:] + word[:t])
+            if rot not in seen:
+                seen.add(rot)
+                rotations[rot[0]].append((rot, tuple(inv[k] for k in rot)))
     for degree in range(1, max_degree + 1):
         table = [[None] * len(cols)]
-        result = _search(table, cols, col_of, pres, degree)
+        result = _search(table, [], inv, rotations, col_of, pres, degree, 0)
         if result is not None:
             perms = {}
             for s in syms:
@@ -241,60 +263,110 @@ def low_index_action(pres, max_degree=12):
                       reached=max_degree)
 
 
-def _search(table, cols, col_of, pres, degree):
-    # find first undefined slot
-    slot = None
-    for c in range(len(table)):
-        for i in range(len(cols)):
-            if table[c][i] is None:
-                slot = (c, i)
-                break
-        if slot:
-            break
-    if slot is None:
-        if len(table) != degree:
-            return None
-        if _relators_ok(table, col_of, pres, complete=True) \
-                and _injective(table, col_of, pres):
+def _search(table, trail, inv, rotations, col_of, pres, degree, slot):
+    """Fill the first undefined entry at or after `slot` (row-major) with
+    each candidate coset in turn, the existing ones first and then a new
+    one, and recurse; return the first complete table of `degree` cosets
+    that satisfies the relators and is injective on the subgroups.
+
+    The deductions cut only dead subtrees, so this finds the same first
+    table as a search that fills every entry by choice and rescans every
+    relator from every coset: every walk that a definition completes
+    uses the new entry, so it starts some rotation from one of the entry's
+    two ends; an entry a scan forces holds in every consistent completion,
+    and it never creates a coset. The leaves, their coset numbering and
+    their order are therefore unchanged.
+    """
+    ncols = len(inv)
+    n = len(table)
+    while slot < n * ncols and table[slot // ncols][slot % ncols] is not None:
+        slot += 1
+    if slot == n * ncols:
+        # most complete tables fail injectivity, the cheaper check
+        if n == degree and _injective(table, col_of, pres) \
+                and _relators_ok(table, col_of, pres):
             return table
         return None
-    c, i = slot
-    s, e = cols[i]
-    j = col_of[(s, -e)]
-    candidates = list(range(len(table)))
-    if len(table) < degree:
-        candidates.append(len(table))
-    for d in candidates:
-        created = d == len(table)
+    c, i = divmod(slot, ncols)
+    j = inv[i]
+    for d in range(n + (n < degree)):
+        created = d == n
         if created:
-            table.append([None] * len(cols))
+            table.append([None] * ncols)
         elif table[d][j] is not None:
             continue
-        table[c][i] = d
-        table[d][j] = c
-        if _relators_ok(table, col_of, pres, complete=False):
-            out = _search(table, cols, col_of, pres, degree)
+        mark = len(trail)
+        if _deduce(table, trail, inv, rotations, c, i, d):
+            out = _search(table, trail, inv, rotations, col_of, pres, degree,
+                          slot + 1)
             if out is not None:
                 return out
-        table[c][i] = None
-        table[d][j] = None
+        while len(trail) > mark:
+            x, k = trail.pop()
+            table[table[x][k]][inv[k]] = None
+            table[x][k] = None
         if created:
             table.pop()
     return None
 
 
-def _relators_ok(table, col_of, pres, complete):
+def _deduce(table, trail, inv, rotations, c, i, d):
+    """Define table[c][i] = d and drain the deduction queue; False when a
+    scan shows that no completion satisfies the relators.
+
+    A scan walks a rotation forward from its coset and backward from the
+    same coset, each to its first undefined entry. A complete walk must
+    return to its start; walks that meet must meet at one coset; and when
+    exactly one entry lies between them, the relator forces it.
+    """
+    table[c][i] = d
+    table[d][inv[i]] = c
+    trail.append((c, i))
+    queue = [(c, i)]
+    while queue:
+        u, a = queue.pop()
+        for x, k in ((u, a), (table[u][a], inv[a])):
+            for word, back in rotations[k]:
+                length = len(word)
+                f, p = x, 0
+                while p < length:
+                    y = table[f][word[p]]
+                    if y is None:
+                        break
+                    f, p = y, p + 1
+                if p == length:
+                    if f != x:
+                        return False
+                    continue
+                b, q = x, length
+                while q > p:
+                    y = table[b][back[q - 1]]
+                    if y is None:
+                        break
+                    b, q = y, q - 1
+                if q == p:
+                    # the backward walk stepped over the gap: word[p]
+                    # already leads into its coset from one other than f
+                    return False
+                if q == p + 1:
+                    g = word[p]
+                    table[f][g] = b
+                    table[b][inv[g]] = f
+                    trail.append((f, g))
+                    queue.append((f, g))
+    return True
+
+
+def _relators_ok(table, col_of, pres):
+    """Every relator's walk from every coset is defined and closed."""
     for rel in pres.relators:
         for c in range(len(table)):
-            cur, defined = c, True
+            cur = c
             for s, e in rel:
                 cur = table[cur][col_of[(s, e)]]
                 if cur is None:
-                    defined = False
-                    break
-            if defined and cur != c:
-                return False
-            if complete and not defined:
+                    return False
+            if cur != c:
                 return False
     return True
 
@@ -346,6 +418,8 @@ def construct_finite_quotient(group, pres=None, max_degree=12, modulus=None):
 
 
 def congruence_hom(group, modulus, pres=None):
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
     images = {s: mat_reduce(g.data, modulus) for s, g in group.generators.items()}
     def op(a, b):
         return mat_mul(a, b, modulus)

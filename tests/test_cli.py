@@ -201,6 +201,29 @@ def test_invalid_parameter_exits_3(capsys):
         assert code == 3
         assert captured.out == ""
         assert captured.err.endswith("gdecomp: depth must be >= 0\n")
+    # a modulus of 0 divided by zero, and 1 or -3 never reached the
+    # identity; r0 = 0 stayed 0 when doubled; a negative radius built a
+    # tree portion up to its cap; a negative r decomposed
+    for argv, message in (
+            (["subgroup", "--group", "sl2z", "--modulus", "0"],
+             "modulus must be >= 2"),
+            (["subgroup", "--group", "sl2z", "--modulus", "1"],
+             "modulus must be >= 2"),
+            (["subgroup", "--group", "sl2z", "--modulus", "-3"],
+             "modulus must be >= 2"),
+            (["discover", "--group", "c2*c3", "--r0", "0"],
+             "r0 must be >= 1"),
+            (["classify", "--group", "c2*c3", "--element", "a*b",
+              "--radius", "-1"], "radius must be >= 0"),
+            (["decompose", "--group", "sl2z", "--radius", "4", "--r", "-1"],
+             "r must be >= 0"),
+            (["nerve", "--group", "sl2z", "--radius", "4", "--r", "-1"],
+             "r must be >= 0")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"gdecomp: {message}\n"
     # argparse usage errors: a malformed and a missing value
     for argv in (["cover", "--group", "sl2z", "--radius", "abc", "--r", "6",
                   "--depth", "2"],

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from lowindex_oracle import low_index_action as reference_low_index_action
 from tietze_oracle import tietze as reference_tietze
 
+from gdecomp import subgroups
 from gdecomp.cli import canonical_json
-from gdecomp.errors import CapExceeded, VerificationFailure
-from gdecomp.fixtures import make_cyclic_amalgam
-from gdecomp.subgroups import (_tietze, congruence_hom,
+from gdecomp.errors import CapExceeded, GdecompError, VerificationFailure
+from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
+from gdecomp.subgroups import (Presentation, _tietze, congruence_hom,
                                construct_finite_quotient,
                                euler_characteristic, expected_free_rank,
                                free_reduce, index_lower_bound,
@@ -141,10 +143,14 @@ def test_word_times_inverse_reduces_to_identity(w):
     assert free_reduce(w + invert_word(w)) == ()
 
 
-# sha256 of canonical_json(cert.to_json()), computed with the loop that
-# rewrote every relator after each Tietze elimination (tietze_oracle.py)
+# sha256 of canonical_json(cert.to_json()), computed with the low-index
+# search that rescanned every relator after each definition
+# (lowindex_oracle.py) and, all but (6, 2, 10), with the loop that rewrote
+# every relator after each Tietze elimination (tietze_oracle.py)
 CERT_DIGESTS = {
     (6, 2, 8): "67f62dd8a7e8c6fccad01232ad5c01e43a7eb9cade1981df2475a05f23853dd3",
+    (6, 2, 10):
+        "8a85fbc2f0657376ed1c0db6a6214239fa7a34e92536076c755cdef2350c551b",
     (6, 3, 9): "418ffd3db85c0bd076e8aece8d909a41badd0bbf666aa5e8313c9b21a4a43bd7",
     (3, 1, 7): "ac84aeefc3bf05c1315ca2d08a26b14af8d5418311b0db54aad2db77e6f31310",
 }
@@ -176,3 +182,104 @@ def test_tietze_matches_full_rescan(relators):
     want, want_eliminated = reference_tietze(relators)
     assert got == want
     assert list(eliminated.items()) == list(want_eliminated.items())
+
+
+def test_amalgam_fixture_quotient_pinned():
+    # C6 *_{C3} C12 needs degree 12; the sha256 was computed with the
+    # rescanning search (lowindex_oracle.py), which took about 80 s on
+    # 2 CPUs to find this action, too long to run with the tests
+    group = load_fixture("amalgam")
+    pres = presentation_from_group(group)
+    hom = construct_finite_quotient(group, pres)
+    assert hom.detail == {"degree": 12}
+    images = canonical_json({s: list(p) for s, p in hom.images.items()})
+    assert hashlib.sha256(images.encode()).hexdigest() \
+        == "525b13e966aab50a347195c12e6c6748b3e035fef75a502cb74765354bc61a8d"
+
+
+@st.composite
+def _low_index_inputs(draw):
+    """A presentation on 1-3 symbols with up to 4 relators of length <= 7
+    and 0-2 subgroup words, searched to degree <= 4; or C_a *_{C_c} C_b
+    with a, b <= 8, searched to the default degree cap."""
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(st.integers(1, 4))
+        order = st.integers(1, 8 // c).map(lambda i: c * i).filter(
+            lambda n: n >= 2)
+        group = make_cyclic_amalgam(draw(order), c, draw(order))
+        return presentation_from_group(group), 12
+    symbols = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    letter = st.tuples(st.sampled_from(symbols), st.sampled_from([1, -1]))
+    words = st.lists(letter, max_size=7).map(tuple)
+    relators = draw(st.lists(words, max_size=4))
+    subgroup_words = draw(st.lists(
+        st.tuples(words, st.integers(1, 6)), max_size=2))
+    return Presentation(symbols, relators, subgroup_words, []), \
+        draw(st.integers(0, 4))
+
+
+def _images_or_error(search, pres, max_degree):
+    try:
+        return search(pres, max_degree).images
+    except GdecompError as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_low_index_inputs())
+def test_low_index_matches_full_rescan(pres_degree):
+    # the search by deduction must find the same first action, numbering
+    # included, as filling every entry by choice and rescanning every
+    # relator, or fail the same way
+    pres, max_degree = pres_degree
+    assert _images_or_error(low_index_action, pres, max_degree) \
+        == _images_or_error(reference_low_index_action, pres, max_degree)
+
+
+def _deduction_gaps(table, pres):
+    """The relator walks that a full deduction pass would still act on:
+    from each coset, each rotation walked forward and backward to its
+    first undefined entry, where at least one entry is defined and the
+    walk is not closed, with one entry or none between the two walks."""
+    cols = [(s, 1) for s in pres.symbols] + [(s, -1) for s in pres.symbols]
+    col_of = {c: i for i, c in enumerate(cols)}
+    inv = [col_of[(s, -e)] for s, e in cols]
+    found = []
+    for rel in pres.relators:
+        word = [col_of[x] for x in rel]
+        for t in range(len(word)):
+            rot = word[t:] + word[:t]
+            for x in range(len(table)):
+                f, p = x, 0
+                while p < len(rot) and table[f][rot[p]] is not None:
+                    f, p = table[f][rot[p]], p + 1
+                if p == len(rot):
+                    if f != x:
+                        found.append((x, rot, "open"))
+                    continue
+                b, q = x, len(rot)
+                while q > p and table[b][inv[rot[q - 1]]] is not None:
+                    b, q = table[b][inv[rot[q - 1]]], q - 1
+                if (p > 0 or q < len(rot)) and q - p <= 1:
+                    found.append((x, rot, "forced" if q > p else "crossed"))
+    return found
+
+
+@pytest.mark.parametrize("abc", [(2, 1, 3), (4, 2, 6), (6, 3, 9), (3, 1, 7)])
+def test_search_tables_closed_under_deduction(monkeypatch, abc):
+    # a search without deductions finds the same actions, so comparing
+    # actions cannot see them; check the tables instead: every table the
+    # search branches on has its forced entries filled and no walk that
+    # the scans should have rejected
+    pres = presentation_from_group(make_cyclic_amalgam(*abc))
+    search = subgroups._search
+    seen = []
+
+    def checked(table, *args):
+        seen.append(_deduction_gaps(table, pres))
+        return search(table, *args)
+
+    monkeypatch.setattr(subgroups, "_search", checked)
+    hom = low_index_action(pres)
+    assert len(seen) > hom.detail["degree"]
+    assert not any(seen)
