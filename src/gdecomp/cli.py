@@ -75,7 +75,7 @@ def _log(msg, t0):
 
 def cmd_ball(args):
     cached, slot = _cache_get(_cache_key(args.group_path, "ball", args.radius,
-                                         args.format))
+                                         args.format, args.cap))
     if cached is not None:
         _emit(cached, args.out)
         return 0
@@ -312,13 +312,8 @@ def run_pipeline(config):
         save("tree", {"vertices": tree.vertex_count,
                       "non_elementary": bassserre.is_non_elementary(tree)})
 
-        pres = subgroups.presentation_from_group(group)
-        hom = subgroups.construct_finite_quotient(group, pres)
-        cert = subgroups.kernel_subgroup(hom, pres)
-        subgroups.reidemeister_schreier(cert, pres)
-        subgroups.verify_torsion_free(cert, pres)
-        save("certificate", cert.to_json())
-    elif isinstance(group, MatrixGroup) and group.presentation:
+    if gog is not None or (isinstance(group, MatrixGroup)
+                           and group.presentation):
         pres = subgroups.presentation_from_group(group)
         hom = subgroups.construct_finite_quotient(group, pres)
         cert = subgroups.kernel_subgroup(hom, pres)

@@ -314,6 +314,8 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
     fails when no certified vertex has its radius-ball inside the cover,
     since it then checks nothing.
     """
+    if samples is not None and samples < 0:
+        raise ValueError("samples must be >= 0")
     if radius is None:
         radius = cover.r // 2
     certified = cover.certified_vertices()

@@ -1,20 +1,26 @@
 """Canonical decomposition of a Cayley ball into bags with small adhesions.
 
-`compute_global_decomposition` takes bags to be left cosets of the
-minimal-eccentricity representatives of the conjugacy classes of maximal
-finite subgroups visible in the ball, with singleton bags elsewhere. On
-the virtually free examples this reproduces the bags-are-cosets picture
-exactly, and it is manifestly equivariant under left translation.
+`compute_global_decomposition` takes bags to be left cosets x·F of the
+minimal-eccentricity representatives F of the conjugacy classes of
+maximal finite subgroups visible in the ball, with singleton bags
+elsewhere. On the virtually free examples this reproduces the
+bags-are-cosets picture exactly, and it is manifestly equivariant under
+left translation.
 
 The model graph is the quotient of the bag structure by left
-translation: two bags (or adjacent bag pairs) are equivalent when some
-group element carries one onto the other exactly.
+translation, read off the cosets: x·F is the translate of F by x, and a
+coset determines its subgroup, so a bag's orbit is its family (all
+singletons form one orbit). Every γ with γ·min(A) ∈ B carries a coset
+bag A onto B, so a bag's stabilizer x·F·x⁻¹ is its translators onto
+itself. Adjacent bag pairs are compared by trying translations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from .cayley import build_ball
 from .graphs import UnionFind
@@ -25,25 +31,29 @@ from .groups import (FiniteGroupTable, GogEdge, GraphOfGroups, element_order,
 # ---------------------------------------------------------------------------
 # maximal finite subgroup discovery
 
-def _closure_in_ball(ball, indices, size_cap=256):
-    """Subgroup closure of ball vertices; None if it leaves the ball/cap."""
-    have = set(indices)
-    have.add(0)
-    frontier = list(have)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(have):
-                for a, b in ((i, j), (j, i)):
-                    k = ball.product(a, b)
-                    if k is None:
-                        return None
-                    if k not in have:
-                        have.add(k)
-                        nxt.append(k)
-                        if len(have) > size_cap:
-                            return None
-        frontier = nxt
+def _closure_in_ball(ball, gens, size_cap=256):
+    """The subgroup generated by the ball vertices `gens`, as a frozenset
+    of vertices, or None.
+
+    One BFS from the identity by right multiplication with `gens`. A
+    finite set closed under right multiplication by g is closed under
+    g⁻¹, so the search ends on the subgroup exactly when it is finite,
+    inside the ball and of at most size_cap elements. Otherwise it
+    returns None at the first product outside the ball, or before
+    element size_cap + 1.
+    """
+    have = {0}
+    queue = [0]
+    for x in queue:
+        for g in gens:
+            y = ball.product(x, g)
+            if y is None:
+                return None
+            if y not in have:
+                if len(have) >= size_cap:
+                    return None
+                have.add(y)
+                queue.append(y)
     return frozenset(have)
 
 
@@ -57,7 +67,14 @@ def _subgroup_key(ball, indices):
 
 def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
     """Maximal finite subgroups inside the ball with eccentricity <= r,
-    one minimal-eccentricity representative per conjugacy class."""
+    one minimal-eccentricity representative per conjugacy class.
+
+    Of the cyclic subgroups within distance r, sorted by key, the first
+    pair whose closure is a subgroup in the ball with eccentricity <= r
+    is replaced by it, and the scan restarts; each pair's verdict is
+    computed once. The families depend on this order: a worklist merge
+    can keep different ones.
+    """
     cyclic = {}
     for i in range(1, ball.vertex_count):
         if ball.word_length[i] > r:
@@ -73,31 +90,35 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
         else:
             if _eccentricity(ball, idxs) <= r:
                 cyclic[frozenset(idxs)] = True
-    subs = sorted(cyclic, key=lambda s: _subgroup_key(ball, s))
+    key = cache(lambda s: _subgroup_key(ball, s))
 
-    # merge pairs whose joint closure is still a small subgroup in the ball
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(subs)):
-            for j in range(i + 1, len(subs)):
-                if subs[i] <= subs[j] or subs[j] <= subs[i]:
-                    continue
-                merged = _closure_in_ball(ball, subs[i] | subs[j], size_cap)
-                if merged is not None and _eccentricity(ball, merged) <= r:
-                    subs = [s for k, s in enumerate(subs) if k not in (i, j)]
-                    subs.append(merged)
-                    subs.sort(key=lambda s: _subgroup_key(ball, s))
-                    changed = True
-                    break
-            if changed:
+    @cache
+    def verdict(s, t):
+        # the pair's merged subgroup, or None: decided once per pair
+        if s <= t or t <= s:
+            return None
+        merged = _closure_in_ball(ball, s | t, size_cap)
+        if merged is not None and _eccentricity(ball, merged) <= r:
+            return merged
+        return None
+
+    # merge the first mergeable pair in key order, then rescan from the start
+    subs = sorted(cyclic, key=key)
+    merged = True
+    while merged:
+        merged = None
+        for i, j in combinations(range(len(subs)), 2):
+            merged = verdict(subs[i], subs[j])
+            if merged is not None:
+                subs = [s for k, s in enumerate(subs) if k not in (i, j)]
+                subs.append(merged)
+                subs.sort(key=key)
                 break
     subs = [s for s in subs if not any(s < t for t in subs)]
 
     # conjugacy classes, smallest-eccentricity representative first
     order = sorted(range(len(subs)),
-                   key=lambda i: (_eccentricity(ball, subs[i]),
-                                  _subgroup_key(ball, subs[i])))
+                   key=lambda i: (_eccentricity(ball, subs[i]), key(subs[i])))
     reps = []
     for i in order:
         if any(_conjugate_in_ball(ball, subs[i], subs[j]) for j in reps):
@@ -217,7 +238,8 @@ def translate_bag(ball, gamma, bag):
 
 
 def _translators(ball, src, dst):
-    """Candidate gammas with gamma * min(src) landing in dst."""
+    """Every gamma with gamma * min(src) in dst, in the order of dst.
+    Each carries a coset bag src onto a coset bag dst of its family."""
     i0 = ball.inverse(min(src))
     out = []
     for w in sorted(dst):
@@ -227,16 +249,6 @@ def _translators(ball, src, dst):
         out.append(ball.elements[g] if g is not None
                    else multiply(ball.elements[w], ball.elements[i0]))
     return out
-
-
-def bags_equivalent(ball, b1, b2):
-    """Some ball-expressible element maps b1 onto b2 exactly; returns it."""
-    if len(b1) != len(b2):
-        return None
-    for gamma in _translators(ball, b1, b2):
-        if translate_bag(ball, gamma, b1) == frozenset(b2):
-            return gamma
-    return None
 
 
 def _pairs_equivalent(ball, p1, p2):
@@ -290,11 +302,8 @@ def compute_global_decomposition(ball, r, order_cap=64):
 
     # adjacency source 1: intersecting bag pairs
     pair_ids = set()
-    for v in range(ball.vertex_count):
-        bs = vertex_bags[v]
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                pair_ids.add((bs[i], bs[j]))
+    for bs in vertex_bags:
+        pair_ids.update(combinations(bs, 2))
     # adjacency source 2: ball edges not covered by a bag and with no
     # intersecting bag pair across them (the acyclic/singleton regime)
     edge_pairs = set()
@@ -304,24 +313,20 @@ def compute_global_decomposition(ball, r, order_cap=64):
         if any(bags[bu] & bags[bv]
                for bu in vertex_bags[u] for bv in vertex_bags[v]):
             continue
-        for bu in vertex_bags[u]:
-            for bv in vertex_bags[v]:
-                edge_pairs.add((min(bu, bv), max(bu, bv)))
+        edge_pairs.update((min(bu, bv), max(bu, bv))
+                          for bu in vertex_bags[u] for bv in vertex_bags[v])
     all_pairs = pair_ids | edge_pairs
 
-    # bag orbits under translation (interior bags only)
-    bag_orbit = [None] * len(bags)
-    orbit_rep_bag = []
-    for i, b in enumerate(bags):
-        if boundary_flag[i]:
-            continue
-        for o, rep in enumerate(orbit_rep_bag):
-            if bags_equivalent(ball, bags[rep], b) is not None:
-                bag_orbit[i] = o
-                break
-        else:
-            bag_orbit[i] = len(orbit_rep_bag)
-            orbit_rep_bag.append(i)
+    # a bag's orbit is its family, numbered by the family's first
+    # interior bag; boundary bags belong to no orbit
+    first = {}
+    for i, fi in enumerate(bag_family):
+        if not boundary_flag[i]:
+            first.setdefault(fi, i)
+    orbit_of = {fi: o for o, fi in enumerate(first)}
+    orbit_rep_bag = list(first.values())
+    bag_orbit = [None if flag else orbit_of[fi]
+                 for fi, flag in zip(bag_family, boundary_flag)]
     model_vertex_sizes = [len(bags[rep]) for rep in orbit_rep_bag]
 
     # edge orbits
@@ -374,12 +379,13 @@ class StabilizerRecord:
 
 
 def compute_stabilizers(decomp, ball=None):
-    """Setwise stabilizer of one representative bag per model vertex."""
+    """Setwise stabilizer of one representative bag per model vertex: the
+    bag's translators onto itself, x·F·x⁻¹ for the coset x·F."""
     ball = ball or decomp.ball
     records = []
     for orbit, rep in enumerate(decomp.orbit_rep_bag):
         bag = decomp.bags[rep]
-        stab = _bag_stabilizer(ball, bag)
+        stab = _translators(ball, bag, bag)
         data = {g.data for g in stab}
         closed = all(multiply(a, b).data in data for a in stab for b in stab)
         stab.sort(key=lambda g: g.key())
@@ -561,13 +567,13 @@ def _assemble_graph_of_groups(group, ball, decomp, stabs):
     for e in decomp.model_edges:
         i, j = e["rep_pair"]
         ou, ov = decomp.bag_orbit[i], decomp.bag_orbit[j]
-        # conjugate each endpoint's stabilizer back to the orbit representative
-        du = bags_equivalent(ball, decomp.bags[i],
-                             decomp.bags[decomp.orbit_rep_bag[ou]])
-        dv = bags_equivalent(ball, decomp.bags[j],
-                             decomp.bags[decomp.orbit_rep_bag[ov]])
-        stab_i = _bag_stabilizer(ball, decomp.bags[i])
-        stab_j_data = {g.data for g in _bag_stabilizer(ball, decomp.bags[j])}
+        bi, bj = decomp.bags[i], decomp.bags[j]
+        # conjugate each endpoint's stabilizer back to the orbit
+        # representative; every translator of a bag onto it will do
+        du = _translators(ball, bi, decomp.bags[decomp.orbit_rep_bag[ou]])[0]
+        dv = _translators(ball, bj, decomp.bags[decomp.orbit_rep_bag[ov]])[0]
+        stab_i = _translators(ball, bi, bi)
+        stab_j_data = {g.data for g in _translators(ball, bj, bj)}
         shared = [g for g in stab_i if g.data in stab_j_data]
         shared.sort(key=lambda g: g.key())
         # from_elements moves the identity to index 0; keep orders aligned
@@ -605,10 +611,3 @@ def _op_data(group, a, b):
 
 def _conj_data(delta, g):
     return multiply(multiply(delta, g), inverse(delta)).data
-
-
-def _bag_stabilizer(ball, bag):
-    """Translations carrying the bag onto itself, as group elements."""
-    bag = frozenset(bag)
-    return [gamma for gamma in _translators(ball, bag, bag)
-            if translate_bag(ball, gamma, bag) == bag]

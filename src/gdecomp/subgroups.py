@@ -394,6 +394,8 @@ def construct_finite_quotient(group, pres=None, max_degree=12, modulus=None):
 
     Matrix groups reduce mod the smallest adequate modulus; other groups
     get the smallest-degree adequate coset action."""
+    if modulus is not None and not isinstance(group, MatrixGroup):
+        raise ValueError("modulus needs a matrix group")
     pres = pres or presentation_from_group(group)
     if isinstance(group, MatrixGroup):
         if modulus is not None:

@@ -159,6 +159,11 @@ def test_cache_env(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir())  # artifact cached
     _, out2 = run(capsys, "ball", "--group", "z5", "--radius", "2")
     assert out1 == out2
+    # the cap is part of the key: a cached radius-2 ball does not hide
+    # that 2 vertices are too few for it
+    code, out3 = run(capsys, "ball", "--group", "z5", "--radius", "2",
+                     "--cap", "2")
+    assert code == 2 and out3 == ""
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -192,18 +197,25 @@ def test_invalid_parameter_exits_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "gdecomp: ball radius must be >= r // 2\n"
-    # a negative depth, in the cover command and in the report pipeline
-    for argv in (["cover", "--group", "z5", "--radius", "8", "--r", "4",
-                  "--depth", "-1"],
-                 ["report", "--group", "z5", "--depth", "-1"]):
+    # a negative depth, in the cover command and in the report pipeline;
+    # a negative sample count, which random.sample rejected with a message
+    # about its population
+    for argv, message in (
+            (["cover", "--group", "z5", "--radius", "8", "--r", "4",
+              "--depth", "-1"], "depth must be >= 0"),
+            (["report", "--group", "z5", "--depth", "-1"],
+             "depth must be >= 0"),
+            (["cover", "--group", "sl2z", "--radius", "6", "--r", "6",
+              "--depth", "2", "--samples", "-1"], "samples must be >= 0")):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.endswith("gdecomp: depth must be >= 0\n")
+        assert captured.err.endswith(f"gdecomp: {message}\n")
     # a modulus of 0 divided by zero, and 1 or -3 never reached the
-    # identity; r0 = 0 stayed 0 when doubled; a negative radius built a
-    # tree portion up to its cap; a negative r decomposed
+    # identity; a modulus was ignored on a group without matrices; r0 = 0
+    # stayed 0 when doubled; a negative radius built a tree portion up to
+    # its cap; a negative r decomposed
     for argv, message in (
             (["subgroup", "--group", "sl2z", "--modulus", "0"],
              "modulus must be >= 2"),
@@ -211,6 +223,8 @@ def test_invalid_parameter_exits_3(capsys):
              "modulus must be >= 2"),
             (["subgroup", "--group", "sl2z", "--modulus", "-3"],
              "modulus must be >= 2"),
+            (["subgroup", "--group", "c2*c3", "--modulus", "5"],
+             "modulus needs a matrix group"),
             (["discover", "--group", "c2*c3", "--r0", "0"],
              "r0 must be >= 1"),
             (["classify", "--group", "c2*c3", "--element", "a*b",
@@ -276,3 +290,24 @@ def test_cover_digest_pinned(capsys, case):
                     "--r", str(r), "--depth", str(depth))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COVER_DIGESTS[case]
+
+
+# sha256 of `gdecomp decompose --group G --radius R --r r`: families, bags,
+# orbits, model graph and stabilizers, however they are found
+DECOMP_DIGESTS = {
+    ("amalgam", 12, 8):
+        "6bae71d338819ebee6a9afab30c4be44c7c1f4a9352695f27041d94edcdd5619",
+    ("sl2z", 10, 6):
+        "5f31e5a346566853375dff5e466ed8438c88ce2463b46b5937d1b139d71e8dc5",
+    ("c4*c2*c6", 10, 6):
+        "a6593234c090de1107a229b54dc65c5ded37764dbae42130f72fa685fb583745",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMP_DIGESTS))
+def test_decompose_digest_pinned(capsys, case):
+    group, radius, r = case
+    code, out = run(capsys, "decompose", "--group", group,
+                    "--radius", str(radius), "--r", str(r))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMP_DIGESTS[case]

@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import decomp_oracle as oracle
 from gdecomp import (build_ball, build_nerve_complex, check_periodicity,
                      check_vtf_conditions, compute_global_decomposition,
                      compute_stabilizers, discover_graph_of_groups)
-from gdecomp.decomp import (bag_size_bound, edge_incidence_bound,
-                            maximal_finite_subgroups)
-from gdecomp.groups import multiply
+from gdecomp.decomp import (_translators, bag_size_bound,
+                            edge_incidence_bound, maximal_finite_subgroups)
+from gdecomp.errors import CapExceeded
+from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
+from gdecomp.groups import MatrixGroup, multiply
+from gdecomp.groups.matrix import mat_det
 
 
 def test_sl2z_decomposition_frozen(sl2z_decomp):
@@ -156,3 +161,64 @@ def test_discover_idempotent(c2c3):
         == sorted(t.order for t in gog2.vertices)
     assert sorted(e.table.order for e in gog.edges) \
         == sorted(e.table.order for e in gog2.edges)
+
+
+def _matrix_group(p, gens):
+    return MatrixGroup(f"gl2_mod{p}", 2, dict(zip("ab", gens)), modulus=p)
+
+
+@st.composite
+def _decomp_inputs(draw):
+    """(group, radius, r): C_a *_{C_c} C_b with a, b <= 8, F_1..F_3, or a
+    group generated by two invertible 2x2 matrices mod 2, 3 or 5."""
+    kind = draw(st.sampled_from(["amalgam", "free", "matrix"]))
+    if kind == "free":
+        n = draw(st.integers(1, 3))
+        return make_free_group(n), draw(st.integers(1, 7 - n)), \
+            draw(st.integers(0, 4))
+    if kind == "amalgam":
+        c = draw(st.integers(1, 4))
+        order = st.sampled_from(range(max(2, c), 9)).filter(
+            lambda n: n % c == 0)
+        return make_cyclic_amalgam(draw(order), c, draw(order)), \
+            draw(st.integers(2, 8)), draw(st.integers(1, 8))
+    p = draw(st.sampled_from([2, 3, 5]))
+    entry = st.integers(0, p - 1)
+    matrix = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)) \
+        .filter(lambda m: mat_det(m) % p)
+    gens = draw(st.tuples(matrix, matrix))
+    return _matrix_group(p, gens), draw(st.integers(1, 6)), \
+        draw(st.integers(1, 8))
+
+
+# draws on which merging from a worklist, instead of restarting the scan
+# after each merge, keeps other families
+@example((_matrix_group(3, (((0, 1), (1, 0)), ((0, 2), (1, 1)))), 3, 6))
+@example((_matrix_group(3, (((0, 2), (1, 1)), ((0, 2), (2, 2)))), 4, 7))
+@settings(max_examples=100, deadline=None)
+@given(_decomp_inputs())
+def test_decomposition_matches_searches(case):
+    # orbits, stabilizers and translators read off the cosets, and the
+    # memoized merge, must agree with the searches they replace
+    group, radius, r = case
+    try:
+        ball = build_ball(group, radius, cap=2000)
+    except CapExceeded:
+        assume(False)
+    dec = compute_global_decomposition(ball, r)
+    assert dec.families == oracle.maximal_finite_subgroups(ball, r)
+    bag_orbit, orbit_rep_bag = oracle.bag_orbits(ball, dec.bags,
+                                                 dec.boundary_flag)
+    assert dec.bag_orbit == bag_orbit
+    assert dec.orbit_rep_bag == orbit_rep_bag
+    assert dec.model_edges == oracle.model_edges(ball, dec.bags, bag_orbit,
+                                                 dec.adjacent_pairs)
+    for s in compute_stabilizers(dec):
+        rep = dec.bags[orbit_rep_bag[s.orbit]]
+        assert [g.key() for g in s.elements] \
+            == sorted(g.key() for g in oracle.bag_stabilizer(ball, rep))
+    for i, o in enumerate(bag_orbit):
+        if o is not None:
+            rep = dec.bags[orbit_rep_bag[o]]
+            assert _translators(ball, dec.bags[i], rep)[0] \
+                == oracle.bags_equivalent(ball, dec.bags[i], rep)
