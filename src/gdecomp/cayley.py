@@ -26,7 +26,7 @@ class CayleyBall:
     """Immutable once built; vertex 0 is the identity."""
 
     __slots__ = ("group", "radius", "generators", "elements", "index",
-                 "word_length", "words", "right", "adj", "_inv_gen")
+                 "word_length", "words", "right", "adj", "_inv_gen", "_keys")
 
     def __init__(self, group, radius, generators, elements, index,
                  word_length, words, right):
@@ -44,10 +44,18 @@ class CayleyBall:
         # where every stored word is empty)
         self._inv_gen = [right[j].index(0) if j >= 0 else -1
                          for j in right[0]]
+        self._keys = None
 
     @property
     def vertex_count(self):
         return len(self.elements)
+
+    @property
+    def vertex_keys(self):
+        """The `key()` string of each vertex's element, built once."""
+        if self._keys is None:
+            self._keys = [g.key() for g in self.elements]
+        return self._keys
 
     @property
     def edge_count(self):
@@ -165,6 +173,9 @@ def build_ball(group, radius, generators=None, cap=DEFAULT_CAP):
     table: each product elements[v] * gen_k is computed exactly once."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if cap < 1:
+        # the identity alone needs one vertex
+        raise ValueError("cap must be >= 1")
     pairs = _resolve_generators(group, generators)
     ident = group.identity
     elements = [ident]

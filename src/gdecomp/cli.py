@@ -210,6 +210,8 @@ def cmd_bounds(args):
         "index_upper_bound": subgroups.index_upper_bound(args.B, args.n),
     }
     if args.orders:
+        if min(args.orders) < 1:
+            raise ValueError("orders must be >= 1")
         prod = 1
         for x in args.orders:
             prod *= x
@@ -383,6 +385,9 @@ def emit_table1(specs, r=None, radius=None):
 
 
 def cmd_report(args):
+    # discovery is the fourth stage; check its parameter before the first
+    if args.max_doublings < 1:
+        raise ValueError("max_doublings must be >= 1")
     if args.format == "text-table":
         _emit(emit_table1(args.groups, r=args.r, radius=args.radius), args.out)
         return 0

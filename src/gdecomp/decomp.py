@@ -62,7 +62,8 @@ def _eccentricity(ball, indices):
 
 
 def _subgroup_key(ball, indices):
-    return tuple(sorted(ball.elements[i].key() for i in indices))
+    keys = ball.vertex_keys
+    return tuple(sorted(keys[i] for i in indices))
 
 
 def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
@@ -124,7 +125,7 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
         if any(_conjugate_in_ball(ball, subs[i], subs[j]) for j in reps):
             continue
         reps.append(i)
-    return [sorted(subs[i], key=lambda v: ball.elements[v].key()) for i in reps]
+    return [sorted(subs[i], key=ball.vertex_keys.__getitem__) for i in reps]
 
 
 def _conjugate_in_ball(ball, idx_a, idx_b):
@@ -190,12 +191,12 @@ class GlobalDecomposition:
         return max((e["adhesion_size"] for e in self.model_edges), default=0)
 
     def to_json(self):
+        keys = self.ball.vertex_keys
         return {
             "r": self.r,
             "method": "torsion",
             "interior_radius": self.interior_radius,
-            "families": [[self.ball.elements[v].key() for v in f]
-                         for f in self.families],
+            "families": [[keys[v] for v in f] for f in self.families],
             "bag_count": self.bag_count,
             "bag_sizes": sorted({len(b) for b in self.bags}),
             "model": {
@@ -205,7 +206,7 @@ class GlobalDecomposition:
                            "adhesion_size": e["adhesion_size"]}
                           for e in self.model_edges],
             },
-            "bags": [{"vertices": [self.ball.elements[v].key() for v in b],
+            "bags": [{"vertices": [keys[v] for v in b],
                       "orbit": self.bag_orbit[i],
                       "boundary": self.boundary_flag[i]}
                      for i, b in enumerate(self.bags)],
@@ -288,8 +289,8 @@ def compute_global_decomposition(ball, r, order_cap=64):
         if v not in covered:
             bag_set.setdefault(frozenset([v]), -1)
 
-    bags = sorted(bag_set, key=lambda b: (len(b), sorted(
-        ball.elements[v].key() for v in b)))
+    keys = ball.vertex_keys
+    bags = sorted(bag_set, key=lambda b: (len(b), sorted(keys[v] for v in b)))
     bag_family = [bag_set[b] for b in bags]
     margin = max((_eccentricity(ball, f) for f in families), default=0) + 1
     interior_radius = ball.radius - margin

@@ -13,6 +13,12 @@ traversal is the fixed lowest-index representative of its left coset of
 the tail-side edge-group image. With those conventions the canonical
 form is unique, so equality is structural comparison and the word
 problem is exact.
+
+Every element's data is such a normal form: `op`, `inv` and
+`loop_from_sketch` build it with `_normalize`. A product of two normal
+forms can differ from their concatenation only from the join onward,
+plus a leftward cascade of pinches across the join, so `op` and
+`vertex_coset_key` tell `_normalize` where the known normal prefix ends.
 """
 
 from __future__ import annotations
@@ -242,12 +248,23 @@ class GraphOfGroupsGroup:
 
     # -- normalization --------------------------------------------------
 
-    def _normalize(self, items):
+    def _normalize(self, items, start=0):
+        """The normal form of a path word whose first `start` items (an
+        even count) are a prefix of a normal form.
+
+        No pinch lies inside that prefix, so the pinch scan starts at the
+        first pinch that reaches item `start` and steps left only while
+        pinches cascade. Re-sweeping a canonical prefix leaves it
+        unchanged, so the coset-representative sweep starts at the
+        leftmost item that the join or a merge changed. With start 0 this
+        is the full normalization.
+        """
         items = list(items)
         # Britton pinch removal to a fixpoint. Edge items sit at odd
         # positions; a pinch is (d, g, d-reversed) with g in the edge-group
         # image on d's head side.
-        i = 1
+        changed = start
+        i = max(1, start - 1)
         while i + 2 < len(items):
             d, g, d2 = items[i], items[i + 1], items[i + 2]
             if d2[1] == d[1] and d2[2] == -d[2]:
@@ -257,11 +274,12 @@ class GraphOfGroupsGroup:
                     carried = ("v", info["tail"], info["emb_tail"][c])
                     merged = self._vmul(self._vmul(items[i - 1], carried), items[i + 3])
                     items[i - 1 : i + 4] = [merged]
+                    changed = min(changed, i - 1)
                     i = max(1, i - 2)
                     continue
             i += 2
         # Left-to-right sweep into lowest-index coset representatives.
-        for i in range(1, len(items), 2):
+        for i in range(changed + 1, len(items), 2):
             d = items[i]
             info = self._dir[(d[1], d[2])]
             g_prev = items[i - 1]
@@ -276,11 +294,15 @@ class GraphOfGroupsGroup:
     # -- group operations -----------------------------------------------
 
     def op(self, a, b):
+        """The product a * b. The words are joined at a's last vertex item;
+        a's items before it are a normal prefix, so only the items from
+        the join on, and pinches cascading left from it, are normalized."""
         items = list(a.data)
-        other = list(b.data)
+        other = b.data
         items[-1] = self._vmul(items[-1], other[0])
         items += other[1:]
-        return GroupElement("normal-form", self._normalize(tuple(items)), self)
+        return GroupElement("normal-form",
+                            self._normalize(items, len(a.data) - 1), self)
 
     def inv(self, a):
         out = []
@@ -344,7 +366,8 @@ class GraphOfGroupsGroup:
         last vertex-group item of the unique normal form, so keys are equal
         exactly when the cosets are equal. The key ends with the edge into
         v (or is empty for the base coset), so cosets of different vertex
-        subgroups never share a key.
+        subgroups never share a key. The first factor is a normal form, so
+        normalization starts where its last vertex item joins the rest.
         """
         if any(f.group is not self for f in factors):
             raise BackendMismatch("coset key factors must belong to this group")
@@ -353,7 +376,7 @@ class GraphOfGroupsGroup:
             items[-1] = self._vmul(items[-1], f.data[0])
             items += f.data[1:]
         items += self._route(0, vertex)
-        return self._normalize(tuple(items))[:-1]
+        return self._normalize(items, len(factors[0].data) - 1)[:-1]
 
     def stable_letter(self, edge_index):
         """Based loop traversing the edge once (trivial for tree edges)."""

@@ -215,7 +215,9 @@ def test_invalid_parameter_exits_3(capsys):
     # a modulus of 0 divided by zero, and 1 or -3 never reached the
     # identity; a modulus was ignored on a group without matrices; r0 = 0
     # stayed 0 when doubled; a negative radius built a tree portion up to
-    # its cap; a negative r decomposed
+    # its cap; a negative r decomposed; orders below 1 gave a product bound
+    # of 0 or less; a cap below 1, which cannot hold the identity, read as
+    # a hit cap (exit 2); max_doublings 0 failed only after three stages
     for argv, message in (
             (["subgroup", "--group", "sl2z", "--modulus", "0"],
              "modulus must be >= 2"),
@@ -232,7 +234,15 @@ def test_invalid_parameter_exits_3(capsys):
             (["decompose", "--group", "sl2z", "--radius", "4", "--r", "-1"],
              "r must be >= 0"),
             (["nerve", "--group", "sl2z", "--radius", "4", "--r", "-1"],
-             "r must be >= 0")):
+             "r must be >= 0"),
+            (["bounds", "--B", "2", "--n", "2", "--kmax", "3",
+              "--orders", "0", "-3"], "orders must be >= 1"),
+            (["ball", "--group", "z5", "--radius", "2", "--cap", "0"],
+             "cap must be >= 1"),
+            (["ball", "--group", "z5", "--radius", "2", "--cap", "-5"],
+             "cap must be >= 1"),
+            (["report", "--group", "c2*c3", "--max-doublings", "0"],
+             "max_doublings must be >= 1")):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 3

@@ -1,11 +1,14 @@
-import pytest
-from hypothesis import given, strategies as st
+from functools import cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import normalform_oracle as oracle
 from gdecomp.errors import CapExceeded, VerificationFailure
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
-from gdecomp.groups import (FiniteGroupTable, element_order, inverse,
-                            multiply, normal_form)
+from gdecomp.groups import (FiniteGroupTable, GroupElement, element_order,
+                            inverse, multiply, normal_form)
 from gdecomp.groups.matrix import (congruence_quotient_order, mat_det, mat_inv,
                                    mat_mul)
 
@@ -117,3 +120,63 @@ def test_gog_inverse_involution(word):
     x = normal_form(g, word)
     assert inverse(inverse(x)) == x
     assert multiply(x, inverse(x)) == g.identity
+
+
+# Normalization from the join against the full normalization of the
+# joined words: f2 has loop edges, c4*c2*c6 and the amalgams nontrivial
+# edge groups.
+
+@cache
+def _normal_form_group(spec):
+    if isinstance(spec, str):
+        return load_fixture(spec)
+    if len(spec) == 1:
+        return make_free_group(*spec)
+    return make_cyclic_amalgam(*spec)
+
+
+@st.composite
+def _normal_form_cases(draw):
+    """(group, a, b), with b = a^-1 * g for a short g half the time, so
+    that pinches cascade across the join through the whole of a. The
+    products are built with the reference normalization, a^-1 with `inv`,
+    which normalizes from the start."""
+    kind = draw(st.sampled_from(["fixture", "amalgam", "free"]))
+    if kind == "fixture":
+        spec = draw(st.sampled_from(["f2", "c4*c2*c6", "amalgam"]))
+    elif kind == "free":
+        spec = (draw(st.integers(1, 3)),)
+    else:
+        c = draw(st.integers(1, 4))
+        order = st.sampled_from(range(max(2, c), 9)).filter(
+            lambda n: n % c == 0)
+        spec = (draw(order), c, draw(order))
+    group = _normal_form_group(spec)
+    gens = [g for _, g in group.gen_symbols()]
+
+    def word(max_len):
+        acc = group.identity
+        for g in draw(st.lists(st.sampled_from(gens), max_size=max_len)):
+            acc = GroupElement("normal-form", oracle.op_data(group, acc, g),
+                               group)
+        return acc
+
+    a = word(12)
+    if draw(st.booleans()):
+        b = GroupElement("normal-form",
+                         oracle.op_data(group, inverse(a), word(3)), group)
+    else:
+        b = word(12)
+    return group, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_normal_form_cases())
+def test_normalization_from_join_matches_full(case):
+    group, a, b = case
+    assert group.op(a, b).data == oracle.op_data(group, a, b)
+    for v in range(len(group.gog.vertices)):
+        assert group.vertex_coset_key(v, a, b) \
+            == oracle.coset_key_data(group, v, a, b)
+        assert group.vertex_coset_key(v, a) \
+            == oracle.coset_key_data(group, v, a)
