@@ -17,19 +17,34 @@ from .groups import GraphOfGroupsGroup, element_order, inverse, multiply
 
 
 class BassSerreTreePortion:
-    __slots__ = ("group", "radius", "orbit", "reps", "adj", "dist",
-                 "key_index", "root", "_dist_cache")
+    """The ball of radius `radius` about the base vertex's coset H_0 in the
+    coset tree.
 
-    def __init__(self, group, radius, orbit, reps, adj, dist, key_index):
+    Tree vertex x is the coset reps[x] * H_v of v = orbit[x]; words[x] is
+    its normal path word, the normal form of reps[x] * p_v for the
+    spanning-tree path p_v, so its key (the word without its last item)
+    indexes the vertex in key_index. `action` translates that word, which
+    normalizes only where gamma's word meets it. A ball of a tree is a
+    tree, so `distance` walks parent links to the lowest common ancestor;
+    the parents and depths come from one BFS over `adj` from the root, so a
+    copy with rewired `adj` (`perturb_tree_portion`) measures its own
+    graph.
+    """
+
+    __slots__ = ("group", "radius", "orbit", "reps", "words", "adj", "dist",
+                 "key_index", "root", "_links")
+
+    def __init__(self, group, radius, orbit, reps, words, adj, dist, key_index):
         self.group = group
         self.radius = radius
         self.orbit = orbit  # per tree vertex: orbit vertex of the model
         self.reps = reps  # per tree vertex: representative element
+        self.words = words  # per tree vertex: normal path word of its coset
         self.adj = adj
         self.dist = dist  # from the base vertex
         self.key_index = key_index  # vertex_coset_key -> tree vertex
         self.root = 0
-        self._dist_cache = {}
+        self._links = None
 
     @property
     def vertex_count(self):
@@ -42,12 +57,26 @@ class BassSerreTreePortion:
     def action(self, gamma, x):
         """Left multiplication on cosets; None outside the portion."""
         return self.key_index.get(
-            self.group.vertex_coset_key(self.orbit[x], gamma, self.reps[x]))
+            self.group.translate_word(gamma, self.words[x])[:-1])
 
     def distance(self, x, y):
-        if x not in self._dist_cache:
-            self._dist_cache[x] = bfs(self.adj.__getitem__, x)
-        return self._dist_cache[x].get(y)
+        """Path length from x to y in `adj`; None when y is not reached."""
+        if self._links is None:
+            depth = bfs(self.adj.__getitem__, self.root)
+            parent = {z: next(p for p in self.adj[z] if depth.get(p) == d - 1)
+                      for z, d in depth.items() if d}
+            self._links = parent, depth
+        parent, depth = self._links
+        if x not in depth or y not in depth:
+            return None
+        d = depth[x] + depth[y]
+        while depth[x] > depth[y]:
+            x = parent[x]
+        while depth[y] > depth[x]:
+            y = parent[y]
+        while x != y:
+            x, y = parent[x], parent[y]
+        return d - 2 * depth[x]
 
     def interior_vertices(self):
         return [x for x in range(self.vertex_count) if self.dist[x] < self.radius]
@@ -99,7 +128,8 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
 
     orbit = [0]
     reps = [group.identity]
-    key_index = {group.vertex_coset_key(0, group.identity): 0}
+    words = [group.coset_word(0, group.identity)]
+    key_index = {words[0][:-1]: 0}
     dist = [0]
     adj = [set()]
     queue = deque([0])
@@ -108,22 +138,23 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
         if dist[x] == radius:
             continue
         for v, step in moves[orbit[x]]:
-            k = group.vertex_coset_key(v, reps[x], step)
-            y = key_index.get(k)
+            word = group.coset_word(v, reps[x], step)
+            y = key_index.get(word[:-1])
             if y is None:
                 y = len(reps)
                 if y >= vertex_cap:
                     raise CapExceeded("tree portion cap exceeded", reached=y)
-                key_index[k] = y
+                key_index[word[:-1]] = y
                 orbit.append(v)
                 reps.append(multiply(reps[x], step))
+                words.append(word)
                 dist.append(dist[x] + 1)
                 adj.append(set())
                 queue.append(y)
             if y != x:
                 adj[x].add(y)
                 adj[y].add(x)
-    return BassSerreTreePortion(group, radius, orbit, reps,
+    return BassSerreTreePortion(group, radius, orbit, reps, words,
                                 [sorted(a) for a in adj], dist, key_index)
 
 
@@ -249,7 +280,8 @@ def perturb_tree_portion(tree):
     adj[leaf] = [target]
     adj[target] = sorted(adj[target] + [leaf])
     return BassSerreTreePortion(tree.group, tree.radius, list(tree.orbit),
-                                list(tree.reps), [sorted(a) for a in adj],
+                                list(tree.reps), list(tree.words),
+                                [sorted(a) for a in adj],
                                 list(tree.dist), dict(tree.key_index))
 
 

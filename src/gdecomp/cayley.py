@@ -59,7 +59,7 @@ class CayleyBall:
 
     @property
     def edge_count(self):
-        return sum(1 for u, nbrs in enumerate(self.adj) for v in nbrs if v > u)
+        return sum(1 for _ in self.edge_pairs())
 
     def locate(self, g):
         """Vertex index of an element, or None if outside the ball."""
@@ -94,13 +94,16 @@ class CayleyBall:
                     return self.locate(acc)
         return x
 
+    def edge_pairs(self):
+        """The adjacent pairs (u, v) with u < v, in sorted order."""
+        return ((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if v > u)
+
     def edges(self):
         """Sorted (u, v, labels) triples with u < v; labels are the sorted
         generator symbols s with elements[u] * s == elements[v]."""
         syms = [sym for sym, _ in self.generators]
-        return [(u, v, sorted({s for s, w in zip(syms, row) if w == v}))
-                for u, row in enumerate(self.right)
-                for v in self.adj[u] if v > u]
+        return [(u, v, sorted({s for s, w in zip(syms, self.right[u]) if w == v}))
+                for u, v in self.edge_pairs()]
 
     def interior(self, radius):
         """Vertex indices at word distance <= radius."""

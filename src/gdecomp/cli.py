@@ -118,7 +118,7 @@ def cmd_decompose(args):
         _emit(dec.to_dot(), args.out)
         return 0
     report = dec.to_json()
-    report["axioms"] = dec.verify_axioms()
+    report["axioms"] = dec.covering_report
     report["stabilizers"] = [_stab_json(s) for s in decomp.compute_stabilizers(dec)]
     _emit(canonical_json(report), args.out)
     if not (report["axioms"]["h1_pass"] and report["axioms"]["h2_pass"]):
@@ -295,7 +295,7 @@ def run_pipeline(config):
 
     dec = decomp.compute_global_decomposition(ball, config.r)
     dec_json = dec.to_json()
-    dec_json["axioms"] = dec.verify_axioms()
+    dec_json["axioms"] = dec.covering_report
     save("decomposition", dec_json)
 
     gog = None

@@ -166,7 +166,7 @@ class GlobalDecomposition:
         joins two intersecting bags."""
         interior = set(self.interior_vertices())
         uncovered = []
-        for u, v, _ in self.ball.edges():
+        for u, v in self.ball.edge_pairs():
             if u not in interior or v not in interior:
                 continue
             if any(v in self.bags[b] for b in self.vertex_bags[u]):
@@ -308,7 +308,7 @@ def compute_global_decomposition(ball, r, order_cap=64):
     # adjacency source 2: ball edges not covered by a bag and with no
     # intersecting bag pair across them (the acyclic/singleton regime)
     edge_pairs = set()
-    for u, v, _ in ball.edges():
+    for u, v in ball.edge_pairs():
         if any(v in bags[b] for b in vertex_bags[u]):
             continue
         if any(bags[bu] & bags[bv]

@@ -15,10 +15,16 @@ form is unique, so equality is structural comparison and the word
 problem is exact.
 
 Every element's data is such a normal form: `op`, `inv` and
-`loop_from_sketch` build it with `_normalize`. A product of two normal
-forms can differ from their concatenation only from the join onward,
-plus a leftward cascade of pinches across the join, so `op` and
-`vertex_coset_key` tell `_normalize` where the known normal prefix ends.
+`loop_from_sketch` build it with `_normalize`. A product a * b of two
+normal forms is their concatenation joined at a's last vertex item, so
+only the join can break the form. Pinches cascade left from it, and a
+non-trivial edge-group element carried by the coset sweep runs on right
+into b. So `op` tells `_normalize` that a's items before the join are a
+normal prefix and that b's items after its first are an untouched normal
+suffix: the pinch scan stops where its middle item enters the suffix,
+and the sweep stops inside the suffix once it carries the identity. A
+translate gamma * w of a normal path word w from the base (a coset's word
+in the Bass-Serre tree) is normalized the same way.
 """
 
 from __future__ import annotations
@@ -190,6 +196,10 @@ class GraphOfGroupsGroup:
         if len(path) != n:
             raise SpecFormatError("spanning tree does not reach all vertices")
         self._tree_path = path
+        # the tree path as a normal path word: it has no backtracking, and
+        # the identity is the lowest-index representative of every coset
+        self._tree_word = [(("v", 0, 0),) + tuple(self._route(0, v))
+                           for v in range(n)]
 
     # -- word assembly --------------------------------------------------
 
@@ -248,16 +258,23 @@ class GraphOfGroupsGroup:
 
     # -- normalization --------------------------------------------------
 
-    def _normalize(self, items, start=0):
+    def _normalize(self, items, start=0, tail=0):
         """The normal form of a path word whose first `start` items (an
-        even count) are a prefix of a normal form.
+        even count) are a prefix of a normal form and whose last `tail`
+        items (an even count, starting with an edge item) are the suffix
+        after the first item of a normal form.
 
-        No pinch lies inside that prefix, so the pinch scan starts at the
+        No pinch lies inside the prefix, so the pinch scan starts at the
         first pinch that reaches item `start` and steps left only while
-        pinches cascade. Re-sweeping a canonical prefix leaves it
-        unchanged, so the coset-representative sweep starts at the
-        leftmost item that the join or a merge changed. With start 0 this
-        is the full normalization.
+        pinches cascade. No pinch lies inside the suffix either, so the
+        scan stops at the first triple whose middle item is in it; a merge
+        that eats suffix items shrinks it. Re-sweeping a canonical prefix
+        leaves it unchanged, so the coset-representative sweep starts at
+        the leftmost item that the join or a merge changed. Each suffix
+        vertex item before an edge is already its coset representative,
+        so once the sweep is inside the suffix and carries the identity
+        of the edge group, nothing after changes and the sweep stops.
+        With start 0 and tail 0 this is the full normalization.
         """
         items = list(items)
         # Britton pinch removal to a fixpoint. Edge items sit at odd
@@ -265,7 +282,9 @@ class GraphOfGroupsGroup:
         # image on d's head side.
         changed = start
         i = max(1, start - 1)
-        while i + 2 < len(items):
+        # the last triple, or the first whose middle is in the suffix
+        end = len(items) - (tail or 1)
+        while i + 1 < end:
             d, g, d2 = items[i], items[i + 1], items[i + 2]
             if d2[1] == d[1] and d2[2] == -d[2]:
                 info = self._dir[(d[1], d[2])]
@@ -275,10 +294,13 @@ class GraphOfGroupsGroup:
                     merged = self._vmul(self._vmul(items[i - 1], carried), items[i + 3])
                     items[i - 1 : i + 4] = [merged]
                     changed = min(changed, i - 1)
+                    tail = min(tail, len(items) - i)
+                    end = len(items) - (tail or 1)
                     i = max(1, i - 2)
                     continue
             i += 2
         # Left-to-right sweep into lowest-index coset representatives.
+        suffix = len(items) - tail
         for i in range(changed + 1, len(items), 2):
             d = items[i]
             info = self._dir[(d[1], d[2])]
@@ -287,22 +309,31 @@ class GraphOfGroupsGroup:
             tbl = self.gog.vertices[info["tail"]]
             h = tbl.mul[tbl.inv[r]][g_prev[2]]  # r * h = g_prev, h in tail image
             c = info["pre_tail"][h]
+            if c == 0 and i >= suffix:
+                break
             items[i - 1] = ("v", info["tail"], r)
             items[i + 1] = self._vmul(("v", info["head"], info["emb_head"][c]), items[i + 1])
         return tuple(items)
 
     # -- group operations -----------------------------------------------
 
+    def _join(self, a, b):
+        """The normal form of the path word a * b, for normal path words a
+        and b with a ending at the vertex where b starts."""
+        items = list(a)
+        items[-1] = self._vmul(items[-1], b[0])
+        items += b[1:]
+        return self._normalize(items, len(a) - 1, len(b) - 1)
+
     def op(self, a, b):
         """The product a * b. The words are joined at a's last vertex item;
-        a's items before it are a normal prefix, so only the items from
-        the join on, and pinches cascading left from it, are normalized."""
-        items = list(a.data)
-        other = b.data
-        items[-1] = self._vmul(items[-1], other[0])
-        items += other[1:]
-        return GroupElement("normal-form",
-                            self._normalize(items, len(a.data) - 1), self)
+        a's items before it are a normal prefix and b's items after its
+        first an untouched normal suffix. So `_normalize` scans pinches
+        from the join, stepping left only while they cascade and stopping
+        where the scan enters b's suffix, and sweeps coset representatives
+        from the leftmost changed item until, inside b's suffix, the
+        carried edge-group element is the identity."""
+        return GroupElement("normal-form", self._join(a.data, b.data), self)
 
     def inv(self, a):
         out = []
@@ -355,28 +386,39 @@ class GraphOfGroupsGroup:
         tbl = self.gog.vertices[vertex]
         return [self.based_vertex_element(vertex, i) for i in range(tbl.order)]
 
+    def coset_word(self, vertex, *factors):
+        """The normal path word of (f1 * ... * fk) * p, where p is the
+        spanning-tree path from the base to the vertex. The words are
+        joined as `op` joins two, and normalized once: f1 is a normal
+        prefix and p a normal suffix."""
+        if any(f.group is not self for f in factors):
+            raise BackendMismatch("coset word factors must belong to this group")
+        path = self._tree_word[vertex]
+        items = list(factors[0].data)
+        for word in [f.data for f in factors[1:]] + [path]:
+            items[-1] = self._vmul(items[-1], word[0])
+            items += word[1:]
+        return self._normalize(items, len(factors[0].data) - 1, len(path) - 1)
+
+    def translate_word(self, gamma, word):
+        """The normal path word gamma * word, for a normal path word from
+        the base (such as a `coset_word`): only the join is normalized."""
+        if gamma.group is not self:
+            raise BackendMismatch("translating element must belong to this group")
+        return self._join(gamma.data, word)
+
     def vertex_coset_key(self, vertex, *factors):
         """Key of the left coset (f1 * ... * fk) * H_v of the based vertex
         subgroup H_v = p G_v p^-1, where p is the spanning-tree path from
-        the base to v.
+        the base to v: the `coset_word` without its last item.
 
-        The factors are joined as `op` joins words, the path p is appended,
-        and the path word is normalized once; the key is that normal form
-        without its last item. Right multiplication by G_v changes only the
-        last vertex-group item of the unique normal form, so keys are equal
-        exactly when the cosets are equal. The key ends with the edge into
-        v (or is empty for the base coset), so cosets of different vertex
-        subgroups never share a key. The first factor is a normal form, so
-        normalization starts where its last vertex item joins the rest.
+        Right multiplication by G_v changes only the last vertex-group
+        item of the unique normal form, so keys are equal exactly when the
+        cosets are equal. The key ends with the edge into v (or is empty
+        for the base coset), so cosets of different vertex subgroups never
+        share a key.
         """
-        if any(f.group is not self for f in factors):
-            raise BackendMismatch("coset key factors must belong to this group")
-        items = list(factors[0].data)
-        for f in factors[1:]:
-            items[-1] = self._vmul(items[-1], f.data[0])
-            items += f.data[1:]
-        items += self._route(0, vertex)
-        return self._normalize(items, len(factors[0].data) - 1)[:-1]
+        return self.coset_word(vertex, *factors)[:-1]
 
     def stable_letter(self, edge_index):
         """Based loop traversing the edge once (trivial for tree edges)."""

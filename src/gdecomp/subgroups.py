@@ -469,9 +469,11 @@ def kernel_subgroup(hom, pres):
     index = {hom.identity: 0}
     words = [()]
     inv = hom.inverses
+    table = []  # row i is filled when element i leaves the queue
     queue = deque([0])
     while queue:
         i = queue.popleft()
+        row = {}
         for s in pres.symbols:
             for e, img in ((1, hom.images[s]), (-1, inv[s])):
                 y = hom.op(elems[i], img)
@@ -480,12 +482,7 @@ def kernel_subgroup(hom, pres):
                     elems.append(y)
                     words.append(words[i] + ((s, e),))
                     queue.append(len(elems) - 1)
-    table = []
-    for i, x in enumerate(elems):
-        row = {}
-        for s in pres.symbols:
-            row[(s, 1)] = index[hom.op(x, hom.images[s])]
-            row[(s, -1)] = index[hom.op(x, inv[s])]
+                row[(s, e)] = index[y]
         table.append(row)
     return SubgroupCertificate(hom, len(elems), words, table, pres.symbols)
 

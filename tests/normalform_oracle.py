@@ -2,10 +2,11 @@
 one that starts at a join.
 
 `normalize(group, items)` is the full normalization that
-`GraphOfGroupsGroup._normalize` did before it took a start position: the
-pinch scan runs over the whole word and the coset-representative sweep
-over every edge. `op_data` and `coset_key_data` join words the way
-`op` and `vertex_coset_key` do and normalize the whole result.
+`GraphOfGroupsGroup._normalize` did before it took a start position and
+a suffix length: the pinch scan runs over the whole word and the
+coset-representative sweep over every edge. `op_data`, `coset_word_data`
+and `coset_key_data` join words the way `op`, `coset_word` and
+`vertex_coset_key` do and normalize the whole result.
 """
 
 from __future__ import annotations
@@ -56,9 +57,15 @@ def op_data(group, a, b):
     return normalize(group, _join(group, a.data, b.data))
 
 
-def coset_key_data(group, vertex, *factors):
-    """Key of (f1 * ... * fk) * H_v from the fully normalized joined words
-    followed by the tree path to the vertex."""
+def coset_word_data(group, vertex, *factors):
+    """Normal path word of (f1 * ... * fk) * p_v from the fully normalized
+    joined words followed by the tree path to the vertex."""
     items = _join(group, *(f.data for f in factors))
     items += group._route(0, vertex)
-    return normalize(group, items)[:-1]
+    return normalize(group, items)
+
+
+def coset_key_data(group, vertex, *factors):
+    """Key of (f1 * ... * fk) * H_v: its normal path word without the last
+    item."""
+    return coset_word_data(group, vertex, *factors)[:-1]

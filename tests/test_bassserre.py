@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from gdecomp.bassserre import (DecompositionTree, is_non_elementary,
                                perturb_tree_portion, small_index_threshold)
 from gdecomp.errors import UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
+from gdecomp.graphs import bfs
 from gdecomp.groups import inverse, multiply, normal_form
 
 
@@ -190,3 +193,88 @@ def test_degenerate_edge_is_one_tree_edge():
     assert tree.orbit == [0, 1] and tree.adj == [[1], [0]]
     x = group.generators["x"]
     assert [tree.action(x, v) for v in (0, 1)] == [0, 1]
+
+
+# Pinned tree actions: sha256 of the canonical JSON of each output, computed
+# while every action still normalized the whole word gamma * reps[x] * p_v.
+# The amalgam and c4*c2*c6 have nontrivial edge groups, so a carried
+# edge-group element can run on into the translated path word.
+
+def _classify_words(seed):
+    """The 60 words of the tree-certificate benchmark workload: word i has
+    1 + i mod 8 alternating syllables before reduction."""
+    rng = random.Random(seed)
+    words = []
+    for i in range(60):
+        letter = rng.choice("ab")
+        word = []
+        for _ in range(1 + i % 8):
+            if letter == "a":
+                word.append(rng.choice(["a", "a'"]))
+            else:
+                word += rng.choice([["b"], ["b'"], ["b", "b"], ["b'", "b'"]])
+            letter = "b" if letter == "a" else "a"
+        words.append(word)
+    return words
+
+
+def _digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.cache
+def _portion(name, radius):
+    return build_tree_portion(load_fixture(name), radius)
+
+
+CLASSIFY_DIGESTS = {
+    1: "ee4361318ede9526f023ac5f37b86e4fa6055493d1839a061918bca98544f258",
+    2: "b66f13af219253aed500f4cd727172bfcf37524186f5c92edb0a588c5d5aa50a",
+    5: "589866386a7058f3aeb4b3d3d415fe299bfd5d6631357cf87a1607cda346419f",
+    9: "f358b861df676615524f122097dca7ce127b32555846f972772b247c2aaa4bc7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CLASSIFY_DIGESTS))
+def test_classification_digests(seed):
+    tree = _portion("c2*c3", 14)
+    out = []
+    for word in _classify_words(seed):
+        act = classify_tree_automorphism(tree, normal_form(tree.group, word))
+        out.append([act.kind, act.translation_length, act.witness])
+    assert _digest(out) == CLASSIFY_DIGESTS[seed]
+
+
+ACTION_DIGESTS = {
+    ("amalgam", 5):
+        "53d0234bb25fd4f5b9eed1d0d9f398f0f622fc1473065b8fce3bfdf5f2976209",
+    ("c2*c3", 14):
+        "063390cc918836d249034889ff12678553a15c503b83b6a8cc0021a89f1f3a6d",
+    ("c4*c2*c6", 7):
+        "acb6ec13799f60a25aa5091283ebcffd81bef2ebbdb109dca35150fff5d13bfd",
+    ("f2", 6):
+        "3912465f8c8182c6a85afee698aadf45d999e8df5d8a14a144db937e15944dd3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_DIGESTS), ids=str)
+def test_action_digests(case):
+    tree = _portion(*case)
+    rng = random.Random(str(case))
+    images = []
+    for _ in range(40):
+        gamma = _random_element(tree.group, rng, 10)
+        images.append([tree.action(gamma, x) for x in range(tree.vertex_count)])
+    assert _digest(images) == ACTION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(ACTION_DIGESTS), ids=str)
+def test_distance_matches_bfs(case):
+    built = _portion(*case)
+    for tree in (built, perturb_tree_portion(built)):
+        n = tree.vertex_count
+        for x in random.Random(str(case)).sample(range(n), 12):
+            ref = bfs(tree.adj.__getitem__, x)
+            assert [tree.distance(x, y) for y in range(n)] \
+                == [ref.get(y) for y in range(n)]

@@ -137,8 +137,9 @@ def _normal_form_group(spec):
 
 @st.composite
 def _normal_form_cases(draw):
-    """(group, a, b), with b = a^-1 * g for a short g half the time, so
-    that pinches cascade across the join through the whole of a. The
+    """(group, a, b). A third of the time b = a^-1 * g for a short g, so
+    that pinches cascade across the join through the whole of a, and a
+    third of the time b is long, so that a carry can run far into it. The
     products are built with the reference normalization, a^-1 with `inv`,
     which normalizes from the start."""
     kind = draw(st.sampled_from(["fixture", "amalgam", "free"]))
@@ -162,11 +163,12 @@ def _normal_form_cases(draw):
         return acc
 
     a = word(12)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["cancel", "short", "long"]))
+    if shape == "cancel":
         b = GroupElement("normal-form",
                          oracle.op_data(group, inverse(a), word(3)), group)
     else:
-        b = word(12)
+        b = word(12 if shape == "short" else 40)
     return group, a, b
 
 
@@ -180,3 +182,9 @@ def test_normalization_from_join_matches_full(case):
             == oracle.coset_key_data(group, v, a, b)
         assert group.vertex_coset_key(v, a) \
             == oracle.coset_key_data(group, v, a)
+        # a translate of a coset's normal path word, as a tree action
+        # normalizes it
+        word = oracle.coset_word_data(group, v, b)
+        assert group.coset_word(v, b) == word
+        assert group.translate_word(a, word) \
+            == oracle.coset_word_data(group, v, a, b)
