@@ -10,10 +10,19 @@ table of the trivial subgroup: right[v][k] is the vertex of
 elements[v] * gen_k, or -1 outside the ball. Each of those products is
 computed once, while the ball is built; adjacency, edges and labels are
 read off the table, and products of ball vertices walk it (`product`,
-`inverse`).
+`inverse`). For a graph-of-groups group the products come from the
+group's memo of window products (`GraphOfGroupsGroup.right_multiplier`):
+right multiplication by a generator rewrites only a bounded suffix of a
+normal form.
+
+A ball is a prefix of every larger ball of the same generators, so one
+ball serves a run: `build_ball` cuts a smaller ball from a given one, or
+grows a larger one out of it by continuing its BFS.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .errors import CapExceeded, UnknownGenerator, VerificationFailure
 from .graphs import bfs
@@ -29,7 +38,7 @@ class CayleyBall:
                  "word_length", "words", "right", "adj", "_inv_gen", "_keys")
 
     def __init__(self, group, radius, generators, elements, index,
-                 word_length, words, right):
+                 word_length, words, right, keys=()):
         self.group = group
         self.radius = radius
         self.generators = generators  # list of (symbol, element), symmetric
@@ -44,7 +53,7 @@ class CayleyBall:
         # where every stored word is empty)
         self._inv_gen = [right[j].index(0) if j >= 0 else -1
                          for j in right[0]]
-        self._keys = None
+        self._keys = list(keys)  # a prefix of vertex_keys
 
     @property
     def vertex_count(self):
@@ -52,10 +61,11 @@ class CayleyBall:
 
     @property
     def vertex_keys(self):
-        """The `key()` string of each vertex's element, built once."""
-        if self._keys is None:
-            self._keys = [g.key() for g in self.elements]
-        return self._keys
+        """The `key()` string of each vertex's element, each built once."""
+        keys = self._keys
+        if len(keys) < len(self.elements):
+            keys += [g.key() for g in self.elements[len(keys):]]
+        return keys
 
     @property
     def edge_count(self):
@@ -125,13 +135,14 @@ class CayleyBall:
 
     def to_json(self):
         syms = [sym for sym, _ in self.generators]
+        keys = self.vertex_keys
         return {
             "group": getattr(self.group, "name", "group"),
             "radius": self.radius,
             "generators": sorted(syms),
             "vertex_count": self.vertex_count,
             "vertices": [
-                {"index": i, "element": self.elements[i].key(),
+                {"index": i, "element": keys[i],
                  "distance": self.word_length[i],
                  "word": [syms[k] for k in self.words[i]]}
                 for i in range(self.vertex_count)
@@ -142,8 +153,8 @@ class CayleyBall:
 
     def to_dot(self):
         lines = ["graph ball {", "  node [shape=circle];"]
-        for i in range(self.vertex_count):
-            lines.append(f'  n{i} [label="{self.elements[i].key()}"];')
+        for i, key in enumerate(self.vertex_keys):
+            lines.append(f'  n{i} [label="{key}"];')
         for u, v, labels in self.edges():
             lines.append(f'  n{u} -- n{v} [label="{",".join(labels)}"];')
         lines.append("}")
@@ -171,45 +182,89 @@ def _resolve_generators(group, generators):
     return pairs
 
 
-def build_ball(group, radius, generators=None, cap=DEFAULT_CAP):
+def build_ball(group, radius, generators=None, cap=DEFAULT_CAP, ball=None):
     """BFS out to word distance `radius`, filling the right-multiplication
-    table: each product elements[v] * gen_k is computed exactly once."""
+    table: each product elements[v] * gen_k is computed exactly once.
+
+    A ball is a prefix of every larger ball of the same generators: the
+    same BFS order, words and rows, with the entries that leave it set to
+    -1. So a given `ball` of the group serves any radius. A smaller radius
+    restricts it, with no products; a larger one continues its BFS,
+    forming only the products that its boundary rows lack and those of
+    the new layers. Its generators are used, and it is left unchanged."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if cap < 1:
         # the identity alone needs one vertex
         raise ValueError("cap must be >= 1")
-    pairs = _resolve_generators(group, generators)
-    ident = group.identity
-    elements = [ident]
-    index = {ident.data: 0}
-    word_length = [0]
-    words = [()]
-    right = []
+    if ball is None:
+        pairs = _resolve_generators(group, generators)
+        ident = group.identity
+        elements, index = [ident], {ident.data: 0}
+        word_length, words, right, keys = [0], [()], [[-1] * len(pairs)], ()
+        start = 0
+    elif radius <= ball.radius:
+        return _restriction(ball, radius, cap)
+    else:
+        pairs, keys = ball.generators, ball._keys
+        elements, index = ball.elements[:], ball.index.copy()
+        word_length, words = ball.word_length[:], ball.words[:]
+        # the BFS resumes at the boundary, whose rows are copied to be filled
+        start = bisect_left(word_length, ball.radius)
+        right = ball.right[:start] + [row[:] for row in ball.right[start:]]
+    times = _right_multipliers(group, pairs)
     # vertices are appended in BFS order, so when vertex i is expanded every
-    # vertex at distance <= word_length[i] + 1 is either known or new here
-    for i, x in enumerate(elements):
+    # vertex at distance <= word_length[i] + 1 is either known or new here;
+    # only the -1 entries of its row are computed
+    i = start
+    while i < len(elements):
+        x, row = elements[i], right[i]
         inside = word_length[i] < radius
-        row = []
-        for k, (_, g) in enumerate(pairs):
-            y = multiply(x, g)
+        for k, times_k in enumerate(times):
+            if row[k] >= 0:
+                continue
+            y = times_k(x)
             j = index.get(y.data)
-            if j is None:
-                if not inside:
-                    j = -1
-                else:
-                    if len(elements) >= cap:
-                        raise CapExceeded(f"ball exceeded vertex cap {cap}",
-                                          reached=len(elements))
-                    j = len(elements)
-                    index[y.data] = j
-                    elements.append(y)
-                    word_length.append(word_length[i] + 1)
-                    words.append(words[i] + (k,))
-            row.append(j)
-        right.append(row)
+            if j is None and inside:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"ball exceeded vertex cap {cap}",
+                                      reached=len(elements))
+                j = len(elements)
+                index[y.data] = j
+                elements.append(y)
+                word_length.append(word_length[i] + 1)
+                words.append(words[i] + (k,))
+                right.append([-1] * len(pairs))
+            if j is not None:
+                row[k] = j
+        i += 1
     return CayleyBall(group, radius, pairs, elements, index, word_length,
-                      words, right)
+                      words, right, keys)
+
+
+def _right_multipliers(group, pairs):
+    """x -> x * gen_k for each generator: from the normal forms' window
+    memo where the group has one, else by group arithmetic."""
+    if isinstance(group, GraphOfGroupsGroup):
+        return [group.right_multiplier(g) for _, g in pairs]
+    return [lambda x, g=g: multiply(x, g) for _, g in pairs]
+
+
+def _restriction(ball, radius, cap):
+    """The ball of a smaller radius: a prefix of the table, with the
+    entries of its boundary rows that leave it set to -1."""
+    n = bisect_right(ball.word_length, radius)
+    if n > cap:
+        raise CapExceeded(f"ball exceeded vertex cap {cap}", reached=cap)
+    # rows inside the smaller boundary point only to vertices below it
+    first = bisect_left(ball.word_length, radius)
+    right = ball.right[:first] + [[j if j < n else -1 for j in row]
+                                  for row in ball.right[first:n]]
+    elements = ball.elements[:n]
+    return CayleyBall(ball.group, radius, ball.generators, elements,
+                      {g.data: i for i, g in enumerate(elements)},
+                      ball.word_length[:n], ball.words[:n], right,
+                      ball._keys[:n])
 
 
 def coset_subgraph(ball, subgroup_elements, coset_rep):
@@ -284,9 +339,9 @@ def torsion_length_bound(group, generators=None, max_radius=64):
             ai = inverse(a)
             for b in elems:
                 needed.add(multiply(ai, b).data)
-    radius = 1
+    radius, ball = 1, None
     while radius <= max_radius:
-        ball = build_ball(group, radius, generators)
+        ball = build_ball(group, radius, generators, ball=ball)
         if all(d in ball.index for d in needed):
             return max(ball.word_length[ball.index[d]] for d in needed)
         radius *= 2

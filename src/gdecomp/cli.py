@@ -301,7 +301,8 @@ def run_pipeline(config):
     gog = None
     if isinstance(group, GraphOfGroupsGroup):
         gog, trace = decomp.discover_graph_of_groups(
-            group, r0=config.r0, max_doublings=config.max_doublings)
+            group, r0=config.r0, max_doublings=config.max_doublings,
+            ball=ball)
         if gog is None:
             raise CapExceeded(trace["diagnosis"],
                               reached=config.max_doublings)

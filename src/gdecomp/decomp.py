@@ -501,9 +501,11 @@ def build_nerve_complex(decomp):
 # discovery (doubling loop, stabilizer assembly)
 
 def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
-                             radius_fn=None):
+                             radius_fn=None, ball=None):
     """Double r until the model graph and stabilizer orders repeat, then
-    assemble the graph of groups with edge groups G_h ∩ G_h'."""
+    assemble the graph of groups with edge groups G_h ∩ G_h'. Each
+    doubling's ball is cut from, or grown out of, the largest ball so far,
+    starting from `ball` (a ball of the group for `generators`) if given."""
     if max_doublings < 1:
         raise ValueError("max_doublings must be >= 1")
     if r0 < 1:
@@ -516,9 +518,12 @@ def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
     transcript = []
     previous = None
     stable = None
+    largest = ball
     r = r0
     for step in range(max_doublings + 1):
-        ball = build_ball(group, radius_fn(r), generators)
+        ball = build_ball(group, radius_fn(r), generators, ball=largest)
+        if largest is None or ball.radius > largest.radius:
+            largest = ball
         decomp = compute_global_decomposition(ball, r)
         stabs = compute_stabilizers(decomp, ball)
         signature = _model_signature(decomp, stabs)

@@ -25,6 +25,11 @@ suffix: the pinch scan stops where its middle item enters the suffix,
 and the sweep stops inside the suffix once it carries the identity. A
 translate gamma * w of a normal path word w from the base (a coset's word
 in the Bass-Serre tree) is normalized the same way.
+
+Right multiplication by a generator g rewrites at most the last
+len(g.data) items of a normal form, so `right_multiplier` reads x * g off
+a memo of those windows. Items come from a finite alphabet, and `key`
+joins their memoized reprs into repr(data).
 """
 
 from __future__ import annotations
@@ -134,6 +139,15 @@ class GraphOfGroupsGroup:
         self.name = name or gog.name
         self._prepare_edge_data()
         self._prepare_tree_paths()
+        # the finite item alphabet, each item with its repr, and the memo of
+        # window products per generator (see `right_multiplier`)
+        self._item_reprs = {
+            item: repr(item)
+            for item in [("v", v, i) for v, t in enumerate(gog.vertices)
+                         for i in range(t.order)]
+            + [("e", ei, sign) for ei in range(len(gog.edges))
+               for sign in (1, -1)]}
+        self._window_products = {}
         self.identity = GroupElement("normal-form", (("v", 0, 0),), self)
         self.generators = {}
         for gname, sketch in (generator_sketches or {}).items():
@@ -325,6 +339,35 @@ class GraphOfGroupsGroup:
         items += b[1:]
         return self._normalize(items, len(a) - 1, len(b) - 1)
 
+    def right_multiplier(self, g):
+        """The map x -> x * g on elements, read from a memo of window
+        products.
+
+        Let g's normal form have e edge items, so n = 2e + 1 items. In the
+        join x * g every pinch consumes one edge item of g and one of x,
+        so at most e pinches cascade left from the join, and the item they
+        merge into is never left of x's item len(x) - n. The coset sweep
+        starts at the leftmost item that the join or a pinch changed. So
+        x's items before its last n are unchanged, and what follows them
+        is the normal form of (the last n items of x, or all of a shorter
+        x) * g, which depends on that window and on g alone. A window is a suffix of a normal
+        form that starts at a vertex item, hence normal itself, and `_join`
+        normalizes it as it does whole words. The memo, held by the group
+        per generator, maps each window seen to that normal form; it is
+        bounded by the n-item words over the finite item alphabet.
+        """
+        n = len(g.data)
+        memo = self._window_products.setdefault(g.data, {})
+
+        def times(x):
+            data = x.data
+            window = data[-n:]
+            product = memo.get(window)
+            if product is None:
+                product = memo[window] = self._join(window, g.data)
+            return GroupElement("normal-form", data[:-n] + product, self)
+        return times
+
     def op(self, a, b):
         """The product a * b. The words are joined at a's last vertex item;
         a's items before it are a normal prefix and b's items after its
@@ -347,7 +390,9 @@ class GraphOfGroupsGroup:
         return GroupElement("normal-form", self._normalize(tuple(out)), self)
 
     def key(self, g):
-        return repr(g.data)
+        """`repr(g.data)`, joined from the memoized reprs of its items."""
+        body = ", ".join(map(self._item_reprs.__getitem__, g.data))
+        return "(" + body + ("," if len(g.data) == 1 else "") + ")"
 
     def render(self, g):
         parts = []

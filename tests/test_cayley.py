@@ -10,7 +10,8 @@ from gdecomp.cayley import (coset_subgraph, subgraph_diameter,
                             torsion_length_bound)
 from gdecomp.cycles import Cycle
 from gdecomp.errors import CapExceeded
-from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
+from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
+                              make_free_group)
 from gdecomp.groups import inverse, multiply
 
 
@@ -115,10 +116,14 @@ def test_ball_json_deterministic(z5):
 # of C_a *_{C_c} C_b and F_n
 
 @lru_cache(maxsize=None)
+def _table_group(family, params):
+    return (make_cyclic_amalgam(*params) if family == "amalgam"
+            else make_free_group(*params))
+
+
+@lru_cache(maxsize=None)
 def _table_ball(family, params, radius):
-    group = (make_cyclic_amalgam(*params) if family == "amalgam"
-             else make_free_group(*params))
-    return build_ball(group, radius)
+    return build_ball(_table_group(family, params), radius)
 
 
 _amalgams = st.tuples(st.integers(1, 3), st.integers(1, 3),
@@ -187,3 +192,37 @@ def test_cycles_match_vertex_dfs(ball, data):
     expected.sort(key=lambda c: (len(c), c.canonical, c.vertices))
     assert [c.to_json() for c in enumerate_short_cycles(ball, r)] \
         == [c.to_json() for c in expected]
+
+
+# a ball cut from a larger one, or grown out of a smaller one, against a
+# fresh build at its radius
+
+def _table_fields(ball):
+    return ([g.data for g in ball.elements], ball.index, ball.word_length,
+            ball.words, ball.right, ball.adj, ball.generators, ball.radius)
+
+
+def _ball_fields(ball):
+    return _table_fields(ball) + (ball.vertex_keys,)
+
+
+_resize_groups = st.one_of(
+    st.one_of(_amalgams, _free).map(lambda t: _table_group(*t)),
+    st.just(load_fixture("sl2z")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_resize_groups, st.integers(0, 5), st.integers(0, 5), st.booleans())
+def test_resized_balls_match_fresh_builds(group, r1, r2, keyed):
+    r1, r2 = min(r1, r2), max(r1, r2)
+    small, large = build_ball(group, r1), build_ball(group, r2)
+    if keyed:
+        # keys already built are carried over, the rest built on demand
+        small.vertex_keys, large.vertex_keys
+    before = _table_fields(small), _table_fields(large)
+    cut = build_ball(group, r1, ball=large)
+    grown = build_ball(group, r2, ball=small)
+    assert _ball_fields(cut) == _ball_fields(small)
+    assert _ball_fields(grown) == _ball_fields(large)
+    # the given balls are left as they were
+    assert (_table_fields(small), _table_fields(large)) == before

@@ -321,3 +321,30 @@ def test_decompose_digest_pinned(capsys, case):
                     "--radius", str(radius), "--r", str(r))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMP_DIGESTS[case]
+
+
+# sha256 of `gdecomp ball --group G --radius R --format F`: every vertex's
+# key string, distance and word, and every edge's labels
+BALL_DIGESTS = {
+    ("amalgam", 6, "json"):
+        "fdc657ff6fc5a0534c75d1621786177cd4df37550914adae9d871fac2e0a1296",
+    ("amalgam", 6, "dot"):
+        "91ab21f736d3053b5e01235fcef2acd07ccc54b6de3471e37843b4623f5fd14d",
+    ("f2", 5, "json"):
+        "148ece0e5dc7c6b2edfd9c056c3f55266115d40607fb2ea1529d3d3a0cec3e15",
+    ("f2", 5, "dot"):
+        "1de2103e49a222d64bb21c16b1bca67e2ae2569cbe3c1e056d411f23cde9bfd1",
+    ("sl2z", 6, "json"):
+        "7fdbe5db5023d6dcffdff8b7b73bd97c4d5caa094ac6387ef91f7bb31283503e",
+    ("sl2z", 6, "dot"):
+        "38fdee27950cd290baf80762f81b2f6465935bbbad0f73ba9eb6b05a6dd722bd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BALL_DIGESTS))
+def test_ball_digest_pinned(capsys, case):
+    group, radius, fmt = case
+    code, out = run(capsys, "ball", "--group", group, "--radius", str(radius),
+                    "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BALL_DIGESTS[case]

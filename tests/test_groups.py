@@ -1,4 +1,5 @@
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,8 @@ import normalform_oracle as oracle
 from gdecomp.errors import CapExceeded, VerificationFailure
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
-from gdecomp.groups import (FiniteGroupTable, GroupElement, element_order,
+from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
+                            GraphOfGroupsGroup, GroupElement, element_order,
                             inverse, multiply, normal_form)
 from gdecomp.groups.matrix import (congruence_quotient_order, mat_det, mat_inv,
                                    mat_mul)
@@ -188,3 +190,68 @@ def test_normalization_from_join_matches_full(case):
         assert group.coset_word(v, b) == word
         assert group.translate_word(a, word) \
             == oracle.coset_word_data(group, v, a, b)
+
+
+# Right multiplication by a generator from the window memo against the full
+# normalization of the joined words, on long normal forms: amalgams whose
+# edge group is non-trivial, so the coset sweep carries, free groups, and
+# HNN extensions C_n *_{C_c} whose loop edge embeds C_c twice, the second
+# time twisted by the automorphism i -> k * i.
+
+@cache
+def _hnn(n, c, k):
+    edge = GogEdge(0, 0, FiniteGroupTable.cyclic(c, "c"),
+                   [i * (n // c) for i in range(c)],
+                   [(i * k % c) * (n // c) for i in range(c)], tree=False)
+    gog = GraphOfGroups([FiniteGroupTable.cyclic(n, "x")], [edge], [f"C{n}"],
+                        name=f"hnn{n}_{c}_{k}")
+    return GraphOfGroupsGroup(gog, {"x": [("v", 0, 1)], "t": [("e", 0, 1)]})
+
+
+@st.composite
+def _long_normal_forms(draw):
+    """(group, x) with x a normal form of at least 20 items, built by the
+    reference normalization one step at a time. A step is a word of one
+    or two generators that lengthens the form; one always exists."""
+    kind = draw(st.sampled_from(["amalgam", "free", "hnn"]))
+    if kind == "free":
+        group = _normal_form_group((draw(st.integers(1, 3)),))
+    elif kind == "amalgam":
+        c = draw(st.integers(2, 4))
+        order = st.sampled_from(range(2 * c, 13, c))
+        group = _normal_form_group((draw(order), c, draw(order)))
+    else:
+        c = draw(st.integers(2, 4))
+        k = draw(st.sampled_from([k for k in range(1, c) if gcd(k, c) == 1]))
+        group = _hnn(c * draw(st.integers(1, 3)), c, k)
+    gens = [g for _, g in group.gen_symbols()]
+    steps = [(g,) for g in gens] + [(g, h) for g in gens for h in gens]
+    x = group.identity
+    while len(x.data) < 20:
+        longer = []
+        for step in steps:
+            y = x
+            for g in step:
+                y = GroupElement("normal-form", oracle.op_data(group, y, g),
+                                 group)
+            if len(y.data) > len(x.data):
+                longer.append(y)
+        x = draw(st.sampled_from(longer))
+    return group, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_normal_forms())
+def test_window_products_match_full_normalization(case):
+    group, x = case
+    for _, g in group.gen_symbols():
+        times = group.right_multiplier(g)
+        # the first call may fill the memo, the second reads it
+        assert times(x).data == oracle.op_data(group, x, g)
+        assert times(x).data == oracle.op_data(group, x, g)
+        assert times(x).key() == repr(times(x).data)
+    assert x.key() == repr(x.data)
+    # one-item data keep the trailing comma of a 1-tuple's repr
+    for i in range(group.gog.vertices[0].order):
+        y = GroupElement("normal-form", (("v", 0, i),), group)
+        assert y.key() == repr(y.data)
