@@ -38,7 +38,7 @@ class CayleyBall:
                  "word_length", "words", "right", "adj", "_inv_gen", "_keys")
 
     def __init__(self, group, radius, generators, elements, index,
-                 word_length, words, right, keys=()):
+                 word_length, words, right, keys=(), adj=()):
         self.group = group
         self.radius = radius
         self.generators = generators  # list of (symbol, element), symmetric
@@ -47,8 +47,10 @@ class CayleyBall:
         self.word_length = word_length
         self.words = words  # a shortest word per vertex, as generator indices
         self.right = right  # vertex -> [vertex of elements[v] * gen_k or -1]
-        self.adj = [sorted(set(row) - {-1, v})  # vertex -> sorted neighbors
-                    for v, row in enumerate(right)]
+        # vertex -> sorted neighbors; `adj` is a prefix of them, shared
+        self.adj = list(adj) + [sorted(set(row) - {-1, v})
+                                for v, row in enumerate(right[len(adj):],
+                                                        len(adj))]
         # generator index of each generator's inverse (unused at radius 0,
         # where every stored word is empty)
         self._inv_gen = [right[j].index(0) if j >= 0 else -1
@@ -202,16 +204,18 @@ def build_ball(group, radius, generators=None, cap=DEFAULT_CAP, ball=None):
         ident = group.identity
         elements, index = [ident], {ident.data: 0}
         word_length, words, right, keys = [0], [()], [[-1] * len(pairs)], ()
-        start = 0
+        start, adj = 0, ()
     elif radius <= ball.radius:
         return _restriction(ball, radius, cap)
     else:
         pairs, keys = ball.generators, ball._keys
         elements, index = ball.elements[:], ball.index.copy()
         word_length, words = ball.word_length[:], ball.words[:]
-        # the BFS resumes at the boundary, whose rows are copied to be filled
+        # the BFS resumes at the boundary, whose rows are copied to be
+        # filled; the rows inside it, and so their neighbor lists, stay
         start = bisect_left(word_length, ball.radius)
         right = ball.right[:start] + [row[:] for row in ball.right[start:]]
+        adj = ball.adj[:start]
     times = _right_multipliers(group, pairs)
     # vertices are appended in BFS order, so when vertex i is expanded every
     # vertex at distance <= word_length[i] + 1 is either known or new here;
@@ -239,7 +243,7 @@ def build_ball(group, radius, generators=None, cap=DEFAULT_CAP, ball=None):
                 row[k] = j
         i += 1
     return CayleyBall(group, radius, pairs, elements, index, word_length,
-                      words, right, keys)
+                      words, right, keys, adj)
 
 
 def _right_multipliers(group, pairs):
@@ -264,7 +268,7 @@ def _restriction(ball, radius, cap):
     return CayleyBall(ball.group, radius, ball.generators, elements,
                       {g.data: i for i, g in enumerate(elements)},
                       ball.word_length[:n], ball.words[:n], right,
-                      ball._keys[:n])
+                      ball._keys[:n], ball.adj[:first])
 
 
 def coset_subgraph(ball, subgroup_elements, coset_rep):

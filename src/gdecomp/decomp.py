@@ -13,6 +13,13 @@ coset determines its subgroup, so a bag's orbit is its family (all
 singletons form one orbit). Every γ with γ·min(A) ∈ B carries a coset
 bag A onto B, so a bag's stabilizer x·F·x⁻¹ is its translators onto
 itself. Adjacent bag pairs are compared by trying translations.
+
+Discovery needs only the model graph of each doubling, and reads it at
+the identity: each family F is its own bag there, and every interior bag
+pair is a translate of a pair (F, B′) with B′ adjacent to F, so the
+edge orbits are the classes of those pairs (Serre, *Trees*, §I.3–I.5).
+The reading is exact when F and every bag adjacent to it are interior;
+where they are not, discovery builds the full decomposition instead.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ def _closure_in_ball(ball, gens, size_cap=256):
     g⁻¹, so the search ends on the subgroup exactly when it is finite,
     inside the ball and of at most size_cap elements. Otherwise it
     returns None at the first product outside the ball, or before
-    element size_cap + 1.
+    element size_cap + 1. Any generating set of the subgroup gives the
+    same verdict, so callers pass one generator per cyclic subgroup.
     """
     have = {0}
     queue = [0]
@@ -61,6 +69,13 @@ def _eccentricity(ball, indices):
     return max(ball.word_length[i] for i in indices)
 
 
+def _interior_radius(ball, families):
+    # a bag is interior when its vertices keep a margin of one more than
+    # the largest family eccentricity from the boundary
+    return ball.radius - 1 - max((_eccentricity(ball, f) for f in families),
+                                 default=0)
+
+
 def _subgroup_key(ball, indices):
     keys = ball.vertex_keys
     return tuple(sorted(keys[i] for i in indices))
@@ -73,10 +88,10 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
     Of the cyclic subgroups within distance r, sorted by key, the first
     pair whose closure is a subgroup in the ball with eccentricity <= r
     is replaced by it, and the scan restarts; each pair's verdict is
-    computed once. The families depend on this order: a worklist merge
-    can keep different ones.
+    computed once, by a closure over the pair's generators. The families
+    depend on this order: a worklist merge can keep different ones.
     """
-    cyclic = {}
+    cyclic = {}  # cyclic subgroup -> its generators: (g,) for <g>
     for i in range(1, ball.vertex_count):
         if ball.word_length[i] > r:
             continue
@@ -90,16 +105,18 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
             p = ball.product(p, i)
         else:
             if _eccentricity(ball, idxs) <= r:
-                cyclic[frozenset(idxs)] = True
+                cyclic.setdefault(frozenset(idxs), (i,))
     key = cache(lambda s: _subgroup_key(ball, s))
+    gens = dict(cyclic)
 
     @cache
     def verdict(s, t):
         # the pair's merged subgroup, or None: decided once per pair
         if s <= t or t <= s:
             return None
-        merged = _closure_in_ball(ball, s | t, size_cap)
+        merged = _closure_in_ball(ball, gens[s] + gens[t], size_cap)
         if merged is not None and _eccentricity(ball, merged) <= r:
+            gens.setdefault(merged, gens[s] + gens[t])
             return merged
         return None
 
@@ -265,11 +282,13 @@ def _pairs_equivalent(ball, p1, p2):
     return None
 
 
-def compute_global_decomposition(ball, r, order_cap=64):
-    """Bags, boundary flags, and the translation-quotient model graph."""
+def compute_global_decomposition(ball, r, order_cap=64, families=None):
+    """Bags, boundary flags, and the translation-quotient model graph.
+    `families`, if given, are maximal_finite_subgroups(ball, r, order_cap)."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    families = maximal_finite_subgroups(ball, r, order_cap=order_cap)
+    if families is None:
+        families = maximal_finite_subgroups(ball, r, order_cap=order_cap)
 
     bag_set = {}
     for x in range(ball.vertex_count):
@@ -292,8 +311,7 @@ def compute_global_decomposition(ball, r, order_cap=64):
     keys = ball.vertex_keys
     bags = sorted(bag_set, key=lambda b: (len(b), sorted(keys[v] for v in b)))
     bag_family = [bag_set[b] for b in bags]
-    margin = max((_eccentricity(ball, f) for f in families), default=0) + 1
-    interior_radius = ball.radius - margin
+    interior_radius = _interior_radius(ball, families)
     boundary_flag = [_eccentricity(ball, b) > interior_radius for b in bags]
 
     vertex_bags = [[] for _ in range(ball.vertex_count)]
@@ -505,7 +523,13 @@ def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
     """Double r until the model graph and stabilizer orders repeat, then
     assemble the graph of groups with edge groups G_h ∩ G_h'. Each
     doubling's ball is cut from, or grown out of, the largest ball so far,
-    starting from `ball` (a ball of the group for `generators`) if given."""
+    starting from `ball` (a ball of the group for `generators`) if given.
+
+    A doubling's transcript entry is read at the identity
+    (`_read_at_identity`) where every bag adjacent to a family
+    representative is interior, and off the full decomposition elsewhere.
+    Only the kept doubling needs its full decomposition, for the graph of
+    groups; it is built once."""
     if max_doublings < 1:
         raise ValueError("max_doublings must be >= 1")
     if r0 < 1:
@@ -524,36 +548,103 @@ def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
         ball = build_ball(group, radius_fn(r), generators, ball=largest)
         if largest is None or ball.radius > largest.radius:
             largest = ball
-        decomp = compute_global_decomposition(ball, r)
-        stabs = compute_stabilizers(decomp, ball)
-        signature = _model_signature(decomp, stabs)
-        transcript.append({
-            "r": r, "radius": ball.radius, "ball_vertices": ball.vertex_count,
-            "model_vertices": decomp.model_vertex_count,
-            "model_edges": len(decomp.model_edges),
-            "bag_sizes": decomp.model_vertex_sizes,
-            "stabilizer_orders": [s.order for s in stabs],
-            "signature": signature,
-        })
-        if previous is not None and signature == previous[0]:
+        families = maximal_finite_subgroups(ball, r)
+        decomp = None
+        fields = _read_at_identity(ball, families)
+        if fields is None:
+            decomp = compute_global_decomposition(ball, r, families=families)
+            fields = _transcript_fields(
+                decomp.model_vertex_sizes,
+                [(e["u"], e["v"], e["adhesion_size"])
+                 for e in decomp.model_edges])
+        transcript.append({"r": r, "radius": ball.radius,
+                           "ball_vertices": ball.vertex_count, **fields})
+        if previous is not None and fields["signature"] == previous[0]:
             stable = previous[1]
             break
-        previous = (signature, (r, ball, decomp, stabs))
+        previous = (fields["signature"], (r, ball, families, decomp))
         r *= 2
     if stable is None:
         return None, {"stabilized": False, "iterations": transcript,
                       "diagnosis": "no stabilization within max doublings"}
-    R, ball, decomp, stabs = stable
+    R, ball, families, decomp = stable
+    if decomp is None:
+        decomp = compute_global_decomposition(ball, R, families=families)
+    stabs = compute_stabilizers(decomp, ball)
     gog = _assemble_graph_of_groups(group, ball, decomp, stabs)
     return gog, {"stabilized": True, "R": R, "iterations": transcript}
 
 
-def _model_signature(decomp, stabs):
-    edges = sorted((e["u"], e["v"], e["adhesion_size"])
-                   for e in decomp.model_edges)
-    return (tuple(sorted(decomp.model_vertex_sizes)),
-            tuple(edges),
-            tuple(sorted(s.order for s in stabs)))
+def _transcript_fields(sizes, edges):
+    # a stabilizer x·F·x⁻¹ has one translator per vertex of its bag, so
+    # the stabilizer orders are the bag sizes
+    return {"model_vertices": len(sizes), "model_edges": len(edges),
+            "bag_sizes": list(sizes), "stabilizer_orders": list(sizes),
+            "signature": (tuple(sorted(sizes)), tuple(sorted(edges)),
+                          tuple(sorted(sizes)))}
+
+
+def _read_at_identity(ball, families):
+    """The transcript fields of compute_global_decomposition(ball, r),
+    `families` being r's, read from the pairs (F, B′) of each family F
+    (or {1} when there are none) and a bag B′ adjacent to it. None unless
+    F and every such B′ are interior: only then do these pairs stand for
+    every interior pair. Every interior vertex v lies in v·F, so once
+    there are families no interior bag is a singleton.
+    """
+    interior_radius = _interior_radius(ball, families)
+    # without families every bag is a singleton, a coset of {1}
+    families = families or [[0]]
+    reps = [frozenset(f) for f in families]
+    if any(_eccentricity(ball, f) > interior_radius for f in reps):
+        return None
+
+    def bags_at(v):
+        # (family, bag) of each bag holding v; for v in or next to an
+        # interior F, every v·G lies in the ball
+        return [(gi, frozenset(ball.product(v, h) for h in g))
+                for gi, g in enumerate(families)]
+
+    # a bag is adjacent to F if it meets F, or if an edge from F lies in
+    # no bag and joins no two meeting bags
+    pairs = []
+    for fi, rep in enumerate(reps):
+        adjacent = {}
+        for u in rep:
+            at_u = bags_at(u)
+            adjacent.update((b, gi) for gi, b in at_u if b != rep)
+            for w in ball.adj[u]:
+                if any(w in b for _, b in at_u):
+                    continue
+                at_w = bags_at(w)
+                if not any(a & b for _, a in at_u for _, b in at_w):
+                    adjacent.update((b, gi) for gi, b in at_w)
+        for b, gi in adjacent.items():
+            if _eccentricity(ball, b) > interior_radius:
+                return None
+            pairs.append((fi, gi, rep, b))
+
+    # orbits are numbered by each family's first interior bag in the
+    # scan's (size, sorted keys) order; only a tie in size needs keys
+    sizes = [len(f) for f in reps]
+
+    def first_bag(fi):
+        keys = ball.vertex_keys
+        cosets = ([ball.product(x, h) for h in families[fi]]
+                  for x in ball.interior(interior_radius))
+        return min(sorted(keys[v] for v in c) for c in cosets
+                   if _eccentricity(ball, c) <= interior_radius)
+
+    order = sorted(range(len(reps)), key=lambda fi: (
+        sizes[fi], first_bag(fi) if sizes.count(sizes[fi]) > 1 else ()))
+    orbit = {fi: o for o, fi in enumerate(order)}
+    classes = []
+    for fi, gi, a, b in pairs:
+        if all(_pairs_equivalent(ball, p, (a, b)) is None for p, _ in classes):
+            ou, ov = orbit[fi], orbit[gi]
+            classes.append(((a, b), (min(ou, ov), max(ou, ov), len(a & b))))
+    return _transcript_fields([sizes[fi] for fi in order],
+                              [e for _, e in classes])
 
 
 def _assemble_graph_of_groups(group, ball, decomp, stabs):

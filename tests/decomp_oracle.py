@@ -2,7 +2,8 @@
 reading in `gdecomp.decomp`.
 
 Here subgroups are closed over all pairs of their members, every merge
-pair is re-decided after each merge, a bag's orbit is found by trying a
+pair is looked at again after each merge (its closure is kept by pair,
+since it depends on the pair alone), a bag's orbit is found by trying a
 translation onto each orbit representative so far, and a stabilizer is
 filtered by translating the bag. Their results must equal what
 `compute_global_decomposition` and `compute_stabilizers` read off the
@@ -56,6 +57,7 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
     subs = sorted(cyclic, key=lambda s: _subgroup_key(ball, s))
 
     # merge the first mergeable pair, then rescan every pair from the start
+    closures = {}
     changed = True
     while changed:
         changed = False
@@ -63,7 +65,11 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
             for j in range(i + 1, len(subs)):
                 if subs[i] <= subs[j] or subs[j] <= subs[i]:
                     continue
-                merged = closure_in_ball(ball, subs[i] | subs[j], size_cap)
+                pair = (subs[i], subs[j])
+                if pair not in closures:
+                    closures[pair] = closure_in_ball(ball, subs[i] | subs[j],
+                                                     size_cap)
+                merged = closures[pair]
                 if merged is not None and _eccentricity(ball, merged) <= r:
                     subs = [s for k, s in enumerate(subs) if k not in (i, j)]
                     subs.append(merged)

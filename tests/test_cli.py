@@ -6,6 +6,8 @@ import jsonschema
 import pytest
 
 from gdecomp.cli import canonical_json, emit_table1, main
+from gdecomp.decomp import discover_graph_of_groups
+from gdecomp.fixtures import make_cyclic_amalgam
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
@@ -218,6 +220,7 @@ def test_invalid_parameter_exits_3(capsys):
     # its cap; a negative r decomposed; orders below 1 gave a product bound
     # of 0 or less; a cap below 1, which cannot hold the identity, read as
     # a hit cap (exit 2); max_doublings 0 failed only after three stages
+    # in the report pipeline, and is rejected by discover itself
     for argv, message in (
             (["subgroup", "--group", "sl2z", "--modulus", "0"],
              "modulus must be >= 2"),
@@ -242,6 +245,8 @@ def test_invalid_parameter_exits_3(capsys):
             (["ball", "--group", "z5", "--radius", "2", "--cap", "-5"],
              "cap must be >= 1"),
             (["report", "--group", "c2*c3", "--max-doublings", "0"],
+             "max_doublings must be >= 1"),
+            (["discover", "--group", "c2*c3", "--max-doublings", "0"],
              "max_doublings must be >= 1")):
         code = main(argv)
         captured = capsys.readouterr()
@@ -348,3 +353,39 @@ def test_ball_digest_pinned(capsys, case):
                     "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BALL_DIGESTS[case]
+
+
+# sha256 of `gdecomp discover --group G`: the splitting and the doubling
+# transcript. sl2z is discovered from its matrices here; `report` skips
+# discovery on matrix input
+DISCOVER_DIGESTS = {
+    "sl2z": "674f702103c5cabc5ad377ff8b0f24364fb9d49a4c17b550359da255cbf0a186",
+    "c4*c2*c6":
+        "a202a62c2db0e4dd6fb2934dd20e1759fd724fa80db101b6ee878c4afc252359",
+    "f2": "22db35c7dd56f0b6d0920990ccb1b8ea506da269412e9b4028207b83607c51e7",
+}
+
+
+@pytest.mark.parametrize("group", sorted(DISCOVER_DIGESTS))
+def test_discover_digest_pinned(capsys, group):
+    code, out = run(capsys, "discover", "--group", group)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DISCOVER_DIGESTS[group]
+
+
+# sha256 of canonical_json([gog.to_json(), trace]) from
+# discover_graph_of_groups(make_cyclic_amalgam(a, c, b))
+AMALGAM_DISCOVER_DIGESTS = {
+    (4, 2, 6):
+        "036c90ced25ced5f2a3901eeeb22da65265325f5c0b9d74be2446420a28817df",
+    (6, 3, 9):
+        "3934b3a0ba8bb933ac6e896007004c8a95a9f399a39bc625bfe57655352425ff",
+}
+
+
+@pytest.mark.parametrize("case", sorted(AMALGAM_DISCOVER_DIGESTS))
+def test_amalgam_discover_digest_pinned(case):
+    gog, trace = discover_graph_of_groups(make_cyclic_amalgam(*case))
+    text = canonical_json([gog.to_json(), trace])
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == AMALGAM_DISCOVER_DIGESTS[case]

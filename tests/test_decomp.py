@@ -10,11 +10,13 @@ import decomp_oracle as oracle
 from gdecomp import (build_ball, build_nerve_complex, check_periodicity,
                      check_vtf_conditions, compute_global_decomposition,
                      compute_stabilizers, discover_graph_of_groups)
-from gdecomp.decomp import (_translators, bag_size_bound,
+from gdecomp.decomp import (_read_at_identity, _translators, bag_size_bound,
                             edge_incidence_bound, maximal_finite_subgroups)
 from gdecomp.errors import CapExceeded
-from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
-from gdecomp.groups import MatrixGroup, multiply
+from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
+                              make_free_group)
+from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
+                            GraphOfGroupsGroup, MatrixGroup, multiply)
 from gdecomp.groups.matrix import mat_det
 
 
@@ -236,3 +238,65 @@ def test_decomposition_matches_searches(case):
             rep = dec.bags[orbit_rep_bag[o]]
             assert _translators(ball, dec.bags[i], rep)[0] \
                 == oracle.bags_equivalent(ball, dec.bags[i], rep)
+
+
+def _c4_c2_c4_free_c4():
+    """(C4 *_{C2} C4) * C4: three families of order 4, two of them
+    sharing a C2, so the orbit numbers of tied families show in the
+    model edges."""
+    cyclic = FiniteGroupTable.cyclic
+    gog = GraphOfGroups(
+        [cyclic(4, "x"), cyclic(4, "y"), cyclic(4, "z")],
+        [GogEdge(0, 1, cyclic(2, "c"), [0, 2], [0, 2], tree=True),
+         GogEdge(1, 2, FiniteGroupTable.trivial(), [0], [0], tree=True)],
+        ["C4", "C4", "C4"], name="c4_c2_c4_c4")
+    gens = {s: [("v", i, 1)] for i, s in enumerate("xyz")}
+    return GraphOfGroupsGroup(gog, gens, name="c4_c2_c4_c4")
+
+
+# draws on which every bag adjacent to a family representative is
+# interior, so that the identity reading is exact; the last has a tie in
+# family size that the orbit numbering must break by keys
+IDENTITY_EXACT = [(load_fixture("f2"), 8, 4), (load_fixture("c2*c3"), 8, 4),
+                  (make_cyclic_amalgam(6, 3, 9), 12, 8),
+                  (_c4_c2_c4_free_c4(), 7, 2)]
+
+
+@pytest.mark.parametrize("case", IDENTITY_EXACT,
+                         ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]}")
+def test_identity_reading_exact_on_examples(case):
+    group, radius, r = case
+    ball = build_ball(group, radius)
+    assert _read_at_identity(ball, maximal_finite_subgroups(ball, r)) \
+        is not None
+
+
+@example(IDENTITY_EXACT[0])
+@example(IDENTITY_EXACT[1])
+@example(IDENTITY_EXACT[2])
+@example(IDENTITY_EXACT[3])
+@settings(max_examples=100, deadline=None)
+@given(_decomp_inputs())
+def test_identity_reading_matches_scan(case):
+    # where every bag adjacent to a family representative is interior,
+    # the transcript fields read at the identity equal those read off the
+    # full decomposition and its stabilizers
+    group, radius, r = case
+    try:
+        ball = build_ball(group, radius, cap=20000)
+    except CapExceeded:
+        assume(False)
+    dec = compute_global_decomposition(ball, r)
+    fields = _read_at_identity(ball, dec.families)
+    if fields is None:
+        return  # the reading is not exact here, and discovery scans
+    stabs = compute_stabilizers(dec)
+    edges = sorted((e["u"], e["v"], e["adhesion_size"])
+                   for e in dec.model_edges)
+    assert fields == {
+        "model_vertices": dec.model_vertex_count,
+        "model_edges": len(dec.model_edges),
+        "bag_sizes": dec.model_vertex_sizes,
+        "stabilizer_orders": [s.order for s in stabs],
+        "signature": (tuple(sorted(dec.model_vertex_sizes)), tuple(edges),
+                      tuple(sorted(s.order for s in stabs)))}
