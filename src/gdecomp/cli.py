@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import bassserre, cover, decomp, subgroups
@@ -243,7 +243,6 @@ class RunConfig:
     max_doublings: int = 5
     seed: int = 0
     out_dir: Path = None
-    caps: dict = field(default_factory=dict)
 
     def resolve(self, group):
         """Fill parameter defaults from the group: r just above twice the
@@ -436,7 +435,7 @@ def build_parser():
     _add_group(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--cap", type=int, default=2_000_000)
-    _add_common(p)
+    _add_common(p, ["json", "dot"])
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("cover", help="truncated local cover")
@@ -445,21 +444,21 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
+    _add_common(p, ["json"], seed=True)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("decompose", help="canonical decomposition of a ball")
     _add_group(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_common(p)
+    _add_common(p, ["json", "dot"])
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("discover", help="stabilized splitting discovery")
     _add_group(p)
     p.add_argument("--r0", type=int, default=2)
     p.add_argument("--max-doublings", type=int, default=5)
-    _add_common(p)
+    _add_common(p, ["json", "dot"])
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("classify", help="Tits type of an element on the tree")
@@ -467,14 +466,13 @@ def build_parser():
     p.add_argument("--element", required=True,
                    help="generator word, e.g. \"S*T\" or \"a*b'\"")
     p.add_argument("--radius", type=int, default=4)
-    _add_common(p)
+    _add_common(p, ["json", "dot"])
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("subgroup", help="finite-index subgroup certificate")
     _add_group(p)
-    p.add_argument("--method", choices=["quotient"], default="quotient")
     p.add_argument("--modulus", type=int, default=None)
-    _add_common(p)
+    _add_common(p, ["json"])
     p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("bounds", help="index bounds from ball data")
@@ -483,14 +481,14 @@ def build_parser():
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--orders", type=int, nargs="*", default=None,
                    help="vertex group orders for the product bound")
-    _add_common(p)
+    _add_common(p, ["json"])
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("nerve", help="nerve complex of the bag covering")
     _add_group(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_common(p)
+    _add_common(p, ["json"])
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("report", help="full pipeline report / summary table")
@@ -500,16 +498,18 @@ def build_parser():
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--max-doublings", type=int, default=5)
-    _add_common(p)
+    _add_common(p, ["json", "text-table"], seed=True)
     p.set_defaults(func=cmd_report)
     return ap
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=["json", "dot", "text-table"],
-                   default="json")
+def _add_common(p, formats, seed=False):
+    """--format with the formats the command writes, --out, and --seed
+    for the commands that sample."""
+    p.add_argument("--format", choices=formats, default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def main(argv=None):

@@ -2,10 +2,10 @@
 
 The paper's objects are graphs searched outward from a base point: the
 Cayley ball, the truncated cover, the decomposition tree, the
-Bass-Serre tree portion and the finite quotients behind the subgroup
-certificate (whose elements are the vertices reached from the identity
-by the generators). `bfs` is that search, with distances; `UnionFind`
-merges cover nodes and nerve components.
+Bass-Serre tree portion and the finite vertex groups (whose elements are
+the vertices reached from the identity by the generators). `bfs` is that
+search, with distances; `UnionFind` merges cover nodes and nerve
+components.
 """
 
 from __future__ import annotations

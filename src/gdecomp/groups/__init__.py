@@ -1,7 +1,7 @@
 from .element import GroupElement, element_order, inverse, multiply, normal_form
 from .gog import GogEdge, GraphOfGroups, GraphOfGroupsGroup
 from .io import load_group, table_from_spec
-from .matrix import MatrixGroup, congruence_quotient_order
+from .matrix import MatrixGroup
 from .table import FiniteGroupTable
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "normal_form",
     "FiniteGroupTable",
     "MatrixGroup",
-    "congruence_quotient_order",
     "GraphOfGroups",
     "GogEdge",
     "GraphOfGroupsGroup",

@@ -51,6 +51,25 @@ def inverse(a):
     return a.group.inv(a)
 
 
+def gen_symbols(group):
+    """Symmetric closure as (label, element) pairs; inverses labeled X'.
+
+    Shared as the `gen_symbols` method of the matrix and graph-of-groups
+    backends."""
+    out = []
+    seen = set()
+    for name, g in group.generators.items():
+        if g.data not in seen:
+            out.append((name, g))
+            seen.add(g.data)
+    for name, g in list(group.generators.items()):
+        gi = group.inv(g)
+        if gi.data not in seen:
+            out.append((name + "'", gi))
+            seen.add(gi.data)
+    return out
+
+
 def element_order(g, cap):
     """Smallest k <= cap with g^k = 1, else None ("exceeds cap")."""
     if cap < 1:

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from ..errors import BackendMismatch, SpecFormatError, VerificationFailure
 from ..graphs import bfs
-from .element import GroupElement
+from .element import GroupElement, gen_symbols
 from .table import FiniteGroupTable
 
 
@@ -406,19 +406,7 @@ class GraphOfGroupsGroup:
                 parts.append(f"t{ei}" if sign > 0 else f"t{ei}'")
         return "*".join(parts) or "1"
 
-    def gen_symbols(self):
-        out = []
-        seen = set()
-        for name, g in self.generators.items():
-            if g.data not in seen:
-                out.append((name, g))
-                seen.add(g.data)
-        for name, g in list(self.generators.items()):
-            gi = self.inv(g)
-            if gi.data not in seen:
-                out.append((name + "'", gi))
-                seen.add(gi.data)
-        return out
+    gen_symbols = gen_symbols
 
     # -- based subgroup copies ------------------------------------------
 

@@ -8,8 +8,7 @@ same machinery into a finite congruence quotient.
 from __future__ import annotations
 
 from ..errors import SpecFormatError, VerificationFailure
-from ..graphs import bfs
-from .element import GroupElement
+from .element import GroupElement, gen_symbols
 
 
 def mat_mul(a, b, modulus=None):
@@ -117,27 +116,4 @@ class MatrixGroup:
     def render(self, g):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in g.data) + "]"
 
-    def gen_symbols(self):
-        """Symmetric closure as (label, element) pairs; inverses labeled X'."""
-        out = []
-        seen = set()
-        for name, g in self.generators.items():
-            if g.data not in seen:
-                out.append((name, g))
-                seen.add(g.data)
-        for name, g in list(self.generators.items()):
-            gi = self.inv(g)
-            if gi.data not in seen:
-                out.append((name + "'", gi))
-                seen.add(gi.data)
-        return out
-
-
-def congruence_quotient_order(group, modulus, cap=10**6):
-    """|image of the generated group in GL(n, Z/m)| by closure enumeration."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    gens = [mat_reduce(m, modulus) for m in group.gen_matrices.values()]
-    gens += [mat_inv(m, modulus) for m in gens]
-    return len(bfs(lambda x: (mat_mul(x, g, modulus) for g in gens),
-                   mat_identity(group.dimension), cap=cap))
+    gen_symbols = gen_symbols

@@ -3,8 +3,9 @@
 The pipeline: extract a presentation, find a homomorphism onto a finite
 group that is injective on every finite vertex subgroup (systematic
 coset-table search, or congruence reduction for matrix groups), take
-the kernel, produce a prefix-closed Schreier transversal, and attempt a
-freeness certificate by Schreier rewriting plus Tietze elimination.
+the kernel, and attempt a freeness certificate by Schreier rewriting
+plus Tietze elimination. The hom's one enumeration of its image group
+is the kernel's prefix-closed Schreier transversal and coset table.
 Since kernels are normal, torsion-freeness reduces to "no nontrivial
 torsion representative maps to the identity"; the per-coset conjugate
 sweep is still recorded as evidence.
@@ -14,15 +15,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from fractions import Fraction
 
 from .errors import CapExceeded, SpecFormatError, VerificationFailure
-from .graphs import bfs
 from .groups import GraphOfGroupsGroup, MatrixGroup
 from .groups.matrix import mat_identity, mat_mul, mat_reduce
 
 # words are tuples of (symbol, +1|-1)
+
+# the largest image group a finite quotient enumerates
+QUOTIENT_CAP = 200_000
 
 
 def parse_word(symbols):
@@ -163,10 +165,16 @@ def _power_word(vgen, v, idx):
 
 class FiniteQuotientHom:
     """Generator images in a concrete finite group (permutations of a
-    coset action, or matrices mod m)."""
+    coset action, or matrices mod m), with the image group enumerated.
+
+    One BFS from the identity, trying each symbol's image and then its
+    inverse, gives `elements` in BFS order, `words`, the kernel's
+    prefix-closed Schreier transversal, and `table`, its coset table:
+    table[i][(sym, e)] is the index of elements[i] times sym^e's image.
+    """
 
     __slots__ = ("kind", "symbols", "images", "inverses", "op", "identity",
-                 "order", "elements", "detail")
+                 "order", "elements", "words", "table", "detail")
 
     def __init__(self, kind, symbols, images, op, identity, detail=None):
         self.kind = kind
@@ -177,10 +185,27 @@ class FiniteQuotientHom:
         self.detail = detail or {}
         self.inverses = {s: _generic_inverse(g, op, identity)
                          for s, g in self.images.items()}
-        gens = list(self.images.values()) + list(self.inverses.values())
-        self.elements = set(bfs(lambda x: (op(x, g) for g in gens), identity,
-                                cap=200_000))
-        self.order = len(self.elements)
+        steps = [((s, e), img) for s in self.symbols
+                 for e, img in ((1, self.images[s]), (-1, self.inverses[s]))]
+        elems, words, table = [identity], [()], []
+        index = {identity: 0}
+        for i, x in enumerate(elems):
+            row = {}
+            for step, img in steps:
+                y = op(x, img)
+                j = index.get(y)
+                if j is None:
+                    if len(elems) >= QUOTIENT_CAP:
+                        raise CapExceeded("search exceeded vertex cap "
+                                          f"{QUOTIENT_CAP}",
+                                          reached=QUOTIENT_CAP)
+                    j = index[y] = len(elems)
+                    elems.append(y)
+                    words.append(words[i] + (step,))
+                row[step] = j
+            table.append(row)
+        self.elements, self.words, self.table = elems, words, table
+        self.order = len(elems)
 
     def image_of_word(self, word):
         acc = self.identity
@@ -401,14 +426,14 @@ def construct_finite_quotient(group, pres=None, max_degree=12, modulus=None):
         if modulus is not None:
             # explicit modulus: build it even when inadequate (negative
             # controls); relators must still hold
-            hom = congruence_hom(group, modulus, pres)
+            hom = congruence_hom(group, modulus)
             bad = hom.check_relators(pres)
             if bad:
                 raise VerificationFailure(f"relators not satisfied mod "
                                           f"{modulus}: {bad}")
             return hom
         for m in range(2, 30):
-            hom = congruence_hom(group, m, pres)
+            hom = congruence_hom(group, m)
             if not hom.check_relators(pres) and hom.injective_on_subgroups(pres):
                 return hom
         raise CapExceeded("no adequate congruence modulus found", reached=29)
@@ -419,7 +444,7 @@ def construct_finite_quotient(group, pres=None, max_degree=12, modulus=None):
     return hom
 
 
-def congruence_hom(group, modulus, pres=None):
+def congruence_hom(group, modulus):
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     images = {s: mat_reduce(g.data, modulus) for s, g in group.generators.items()}
@@ -464,27 +489,9 @@ class SubgroupCertificate:
 
 def kernel_subgroup(hom, pres):
     """Kernel of the hom with a prefix-closed Schreier transversal over
-    the image group's regular action."""
-    elems = [hom.identity]
-    index = {hom.identity: 0}
-    words = [()]
-    inv = hom.inverses
-    table = []  # row i is filled when element i leaves the queue
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        row = {}
-        for s in pres.symbols:
-            for e, img in ((1, hom.images[s]), (-1, inv[s])):
-                y = hom.op(elems[i], img)
-                if y not in index:
-                    index[y] = len(elems)
-                    elems.append(y)
-                    words.append(words[i] + ((s, e),))
-                    queue.append(len(elems) - 1)
-                row[(s, e)] = index[y]
-        table.append(row)
-    return SubgroupCertificate(hom, len(elems), words, table, pres.symbols)
+    the image group's regular action: the hom's own enumeration."""
+    return SubgroupCertificate(hom, hom.order, hom.words, hom.table,
+                               pres.symbols)
 
 
 def reidemeister_schreier(cert, pres):

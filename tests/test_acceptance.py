@@ -22,7 +22,6 @@ from gdecomp.bassserre import DecompositionTree, perturb_tree_portion
 from gdecomp.errors import UncertifiedRegion
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.groups import inverse, multiply
-from gdecomp.groups.matrix import congruence_quotient_order
 from gdecomp.subgroups import (congruence_hom, construct_finite_quotient,
                                index_lower_bound, index_upper_bound,
                                kernel_subgroup, presentation_from_group,
@@ -112,7 +111,7 @@ def test_criterion_05_free_subgroup_certificates(c2c3, sl2z):
     reidemeister_schreier(cert_z, pres_z)
     tf_z, _ = verify_torsion_free(cert_z, pres_z)
     sl2z_ok = (tf_z and cert_z.rank == 1 + Fraction(cert_z.index, 12))
-    mod2 = kernel_subgroup(congruence_hom(sl2z, 2, pres_z), pres_z)
+    mod2 = kernel_subgroup(congruence_hom(sl2z, 2), pres_z)
     tf2, witnesses = verify_torsion_free(mod2, pres_z)
     control_ok = (not tf2) and "S*S" in witnesses
     assert verdict(
@@ -217,9 +216,9 @@ def test_criterion_09_equivariant_tree_isomorphism(sl2z_decomp, c4c2c6):
 
 def test_criterion_10_congruence_orders(sl2z):
     sl3z = load_fixture("sl3z")
-    orders = (congruence_quotient_order(sl2z, 2),
-              congruence_quotient_order(sl2z, 3),
-              congruence_quotient_order(sl3z, 3))
+    orders = (congruence_hom(sl2z, 2).order,
+              congruence_hom(sl2z, 3).order,
+              congruence_hom(sl3z, 3).order)
     ok = orders == (6, 24, 5616)
     assert verdict(10, "congruence quotient orders 6/24/5616", ok,
                    str(orders))

@@ -253,10 +253,27 @@ def test_invalid_parameter_exits_3(capsys):
         assert code == 3
         assert captured.out == ""
         assert captured.err == f"gdecomp: {message}\n"
-    # argparse usage errors: a malformed and a missing value
+    # argparse usage errors: a malformed and a missing value; an option
+    # the subcommand does not read (a format it does not write, a seed it
+    # does not sample with, the removed subgroup --method)
     for argv in (["cover", "--group", "sl2z", "--radius", "abc", "--r", "6",
                   "--depth", "2"],
-                 ["ball", "--group", "sl2z"]):
+                 ["ball", "--group", "sl2z"],
+                 ["ball", "--group", "z5", "--radius", "2",
+                  "--format", "text-table"],
+                 ["cover", "--group", "z5", "--radius", "8", "--r", "4",
+                  "--depth", "2", "--format", "dot"],
+                 ["decompose", "--group", "z5", "--radius", "4", "--r", "5",
+                  "--seed", "1"],
+                 ["discover", "--group", "c2*c3", "--format", "text-table"],
+                 ["classify", "--group", "c2*c3", "--element", "a*b",
+                  "--seed", "1"],
+                 ["subgroup", "--group", "sl2z", "--method", "quotient"],
+                 ["bounds", "--B", "6", "--n", "2", "--kmax", "6",
+                  "--format", "dot"],
+                 ["nerve", "--group", "f2", "--radius", "5", "--r", "3",
+                  "--format", "dot"],
+                 ["report", "--group", "z5", "--format", "dot"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3

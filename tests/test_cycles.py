@@ -24,14 +24,16 @@ def test_cycle_shape(sl2z_ball8):
 def test_z5_single_cycle(z5):
     ball = build_ball(z5, 4)
     assert enumerate_short_cycles(ball, 4) == []
-    cycles = enumerate_short_cycles(ball, 5)
+    with pytest.warns(UserWarning, match="ball radius"):
+        cycles = enumerate_short_cycles(ball, 5)
     assert len(cycles) == 1
     assert len(cycles[0].vertices) == 5
 
 
 def test_f2_no_cycles(f2):
     ball = build_ball(f2, 3)
-    assert enumerate_short_cycles(ball, 6) == []
+    with pytest.warns(UserWarning, match="ball radius"):
+        assert enumerate_short_cycles(ball, 6) == []
 
 
 def test_r_minimum(sl2z_ball8):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import normalform_oracle as oracle
+from gdecomp import subgroups
 from gdecomp.errors import CapExceeded, VerificationFailure
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
 from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
                             GraphOfGroupsGroup, GroupElement, element_order,
                             inverse, multiply, normal_form)
-from gdecomp.groups.matrix import (congruence_quotient_order, mat_det, mat_inv,
-                                   mat_mul)
+from gdecomp.groups.matrix import mat_det, mat_inv, mat_mul
 
 
 def cyclic_table(n):
@@ -65,13 +65,14 @@ def test_matrix_arithmetic(sl2z):
     assert multiply(minus_i, T) == multiply(T, minus_i)
 
 
-def test_congruence_orders():
+def test_congruence_orders(monkeypatch):
     sl2z = load_fixture("sl2z")
-    assert congruence_quotient_order(sl2z, 2) == 6
-    assert congruence_quotient_order(sl2z, 3) == 24
-    # |SL(2, Z/5)| = 120: the closure stops at its cap
+    assert subgroups.congruence_hom(sl2z, 2).order == 6
+    assert subgroups.congruence_hom(sl2z, 3).order == 24
+    # |SL(2, Z/5)| = 120: the enumeration stops at its cap
+    monkeypatch.setattr(subgroups, "QUOTIENT_CAP", 10)
     with pytest.raises(CapExceeded) as exc:
-        congruence_quotient_order(sl2z, 5, cap=10)
+        subgroups.congruence_hom(sl2z, 5)
     assert exc.value.reached == 10
 
 

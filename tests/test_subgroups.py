@@ -10,6 +10,7 @@ from gdecomp import subgroups
 from gdecomp.cli import canonical_json
 from gdecomp.errors import CapExceeded, GdecompError, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
+from gdecomp.graphs import bfs
 from gdecomp.subgroups import (Presentation, _tietze, congruence_hom,
                                construct_finite_quotient,
                                euler_characteristic, expected_free_rank,
@@ -67,7 +68,7 @@ def test_sl2z_congruence_certificate(sl2z):
 
 def test_sl2z_mod2_negative_control(sl2z):
     pres = presentation_from_group(sl2z)
-    hom = congruence_hom(sl2z, 2, pres)
+    hom = congruence_hom(sl2z, 2)
     assert hom.order == 6
     assert not hom.injective_on_subgroups(pres)
     cert = kernel_subgroup(hom, pres)
@@ -166,6 +167,36 @@ def test_amalgam_certificates_pinned(abc):
     assert cert.rank == expected_free_rank(group.gog, cert.index)
     if abc == (3, 1, 7):
         assert (cert.index, cert.rank) == (2520, 1321)
+
+
+# (fixture name or amalgam (a, c, b), congruence modulus or None for the
+# quotient that construct_finite_quotient picks)
+QUOTIENT_CASES = [("sl2z", 2), ("sl2z", 3), ("c2*c3", None),
+                  ("c4*c2*c6", None)] + [(abc, None) for abc in
+                                         sorted(CERT_DIGESTS)]
+
+
+@pytest.mark.parametrize("name, modulus", QUOTIENT_CASES,
+                         ids=[f"{n}-{m}" for n, m in QUOTIENT_CASES])
+def test_quotient_enumeration_is_coset_table(name, modulus):
+    group = (make_cyclic_amalgam(*name) if isinstance(name, tuple)
+             else load_fixture(name))
+    hom = (congruence_hom(group, modulus) if modulus
+           else construct_finite_quotient(group))
+    index = {x: i for i, x in enumerate(hom.elements)}
+    assert len(index) == hom.order == len(hom.words) == len(hom.table)
+    steps = [(s, e) for s in hom.symbols for e in (1, -1)]
+    for i, row in enumerate(hom.table):
+        assert list(row) == steps
+        for (s, e), j in row.items():
+            img = hom.images[s] if e > 0 else hom.inverses[s]
+            assert index[hom.op(hom.elements[i], img)] == j
+    for word, x in zip(hom.words, hom.elements):
+        assert hom.image_of_word(word) == x
+    # the enumeration this one replaced, kept as the reference
+    gens = list(hom.images.values()) + list(hom.inverses.values())
+    assert hom.order == len(bfs(lambda x: (hom.op(x, g) for g in gens),
+                                hom.identity))
 
 
 # relators over up to 6 generators, including empty and unreduced words
