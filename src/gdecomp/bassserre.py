@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 
+from .decomp import TORSION_ORDER_CAP, translate_bag
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from .graphs import bfs
 from .groups import GraphOfGroupsGroup, element_order, inverse, multiply
+
+# the most vertices a tree portion holds
+TREE_VERTEX_CAP = 100_000
 
 
 class BassSerreTreePortion:
@@ -105,8 +109,9 @@ def _coset_transversal(elements, image_data):
     return reps
 
 
-def build_tree_portion(group, radius, vertex_cap=100_000):
-    """BFS the coset tree out to `radius` from the base vertex's coset."""
+def build_tree_portion(group, radius):
+    """BFS the coset tree out to `radius` from the base vertex's coset,
+    raising CapExceeded past TREE_VERTEX_CAP vertices."""
     if not isinstance(group, GraphOfGroupsGroup):
         raise VerificationFailure("tree portions need a graph-of-groups backend")
     if radius < 0:
@@ -142,7 +147,7 @@ def build_tree_portion(group, radius, vertex_cap=100_000):
             y = key_index.get(word[:-1])
             if y is None:
                 y = len(reps)
-                if y >= vertex_cap:
+                if y >= TREE_VERTEX_CAP:
                     raise CapExceeded("tree portion cap exceeded", reached=y)
                 key_index[word[:-1]] = y
                 orbit.append(v)
@@ -207,7 +212,7 @@ def classify_tree_automorphism(tree, gamma):
         "build a larger portion")
 
 
-def locate_torsion(decomp, tree, gamma, order_cap=512):
+def locate_torsion(decomp, tree, gamma):
     """Where a torsion element lives in the decomposition.
 
     Returns a "bag" locator when the stabilized bags all belong to one
@@ -215,11 +220,10 @@ def locate_torsion(decomp, tree, gamma, order_cap=512):
     locator when bags of two orbits are stabilized (the element lies in
     the shared adhesion). The tree classification is attached when the
     tree acts on the same group."""
-    k = element_order(gamma, order_cap)
+    k = element_order(gamma, TORSION_ORDER_CAP)
     if k is None:
         raise VerificationFailure("element is not torsion within the cap")
     ball = decomp.ball
-    from .decomp import translate_bag
     cyc, power = set(), ball.group.identity
     for _ in range(k):
         i = ball.locate(power)
@@ -330,7 +334,6 @@ class DecompositionTree:
         return len(self.decomp.bags[x])
 
     def action(self, gamma, x):
-        from .decomp import translate_bag
         image = translate_bag(self.decomp.ball, gamma, self.decomp.bags[x])
         if image is None:
             return None

@@ -1,9 +1,10 @@
 """Finite Cayley balls and coset bookkeeping on them.
 
 A ball is the induced subgraph on all elements within a given word
-distance of the identity, for a fixed symmetric generating set. Edges
-run x -- x*s for each generator s; parallel edges (distinct generators
-giving the same neighbor) collapse to one, keeping every label.
+distance of the identity, for the group's symmetric generating set
+`gen_symbols()`. Edges run x -- x*s for each generator s; parallel edges
+(distinct generators giving the same neighbor) collapse to one, keeping
+every label.
 
 The ball is stored as its right-multiplication table, a partial coset
 table of the trivial subgroup: right[v][k] is the vertex of
@@ -15,27 +16,30 @@ group's memo of window products (`GraphOfGroupsGroup.right_multiplier`):
 right multiplication by a generator rewrites only a bounded suffix of a
 normal form.
 
-A ball is a prefix of every larger ball of the same generators, so one
-ball serves a run: `build_ball` cuts a smaller ball from a given one, or
-grows a larger one out of it by continuing its BFS.
+A ball is a prefix of every larger ball of the group, so one ball
+serves a run: `build_ball` cuts a smaller ball from a given one, or grows
+a larger one out of it by continuing its BFS.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .errors import CapExceeded, UnknownGenerator, VerificationFailure
+from .errors import CapExceeded, VerificationFailure
 from .graphs import bfs
 from .groups import GraphOfGroupsGroup, inverse, multiply
 
 DEFAULT_CAP = 2 * 10**6
+
+# the largest radius torsion_length_bound grows its ball to
+TORSION_RADIUS_CAP = 64
 
 
 class CayleyBall:
     """Immutable once built; vertex 0 is the identity."""
 
     __slots__ = ("group", "radius", "generators", "elements", "index",
-                 "word_length", "words", "right", "adj", "_inv_gen", "_keys")
+                 "word_length", "words", "right", "adj", "inv_gen", "_keys")
 
     def __init__(self, group, radius, generators, elements, index,
                  word_length, words, right, keys=(), adj=()):
@@ -53,8 +57,8 @@ class CayleyBall:
                                                         len(adj))]
         # generator index of each generator's inverse (unused at radius 0,
         # where every stored word is empty)
-        self._inv_gen = [right[j].index(0) if j >= 0 else -1
-                         for j in right[0]]
+        self.inv_gen = [right[j].index(0) if j >= 0 else -1
+                        for j in right[0]]
         self._keys = list(keys)  # a prefix of vertex_keys
 
     @property
@@ -83,7 +87,7 @@ class CayleyBall:
     def inverse(self, v):
         """Vertex of elements[v]^-1: the reversed, inverted stored word of v
         walked from vertex 0, which never leaves the ball."""
-        right, inv = self.right, self._inv_gen
+        right, inv = self.right, self.inv_gen
         x = 0
         for k in reversed(self.words[v]):
             x = right[x][inv[k]]
@@ -163,44 +167,24 @@ class CayleyBall:
         return "\n".join(lines) + "\n"
 
 
-def _resolve_generators(group, generators):
-    symbolic = group.gen_symbols()
-    if generators is None:
-        pairs = list(symbolic)
-    else:
-        by_name = dict(symbolic)
-        pairs = []
-        for sym in generators:
-            if sym not in by_name:
-                raise UnknownGenerator(f"unknown generator {sym!r}")
-            pairs.append((sym, by_name[sym]))
-        # symmetric closure, recorded under primed labels
-        have = {g.data for _, g in pairs}
-        for sym, g in list(pairs):
-            gi = inverse(g)
-            if gi.data not in have:
-                pairs.append((sym + "'", gi))
-                have.add(gi.data)
-    return pairs
+def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
+    """BFS out to word distance `radius` over `group.gen_symbols()`,
+    filling the right-multiplication table: each product
+    elements[v] * gen_k is computed exactly once.
 
-
-def build_ball(group, radius, generators=None, cap=DEFAULT_CAP, ball=None):
-    """BFS out to word distance `radius`, filling the right-multiplication
-    table: each product elements[v] * gen_k is computed exactly once.
-
-    A ball is a prefix of every larger ball of the same generators: the
-    same BFS order, words and rows, with the entries that leave it set to
-    -1. So a given `ball` of the group serves any radius. A smaller radius
+    A ball is a prefix of every larger ball of the group: the same BFS
+    order, words and rows, with the entries that leave it set to -1. So a
+    given `ball` of the group serves any radius. A smaller radius
     restricts it, with no products; a larger one continues its BFS,
     forming only the products that its boundary rows lack and those of
-    the new layers. Its generators are used, and it is left unchanged."""
+    the new layers. The given ball is left unchanged."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if cap < 1:
         # the identity alone needs one vertex
         raise ValueError("cap must be >= 1")
     if ball is None:
-        pairs = _resolve_generators(group, generators)
+        pairs = list(group.gen_symbols())
         ident = group.identity
         elements, index = [ident], {ident.data: 0}
         word_length, words, right, keys = [0], [()], [[-1] * len(pairs)], ()
@@ -327,12 +311,13 @@ def verify_short_cycle_cosets(ball, r, candidate_subgroups):
     }
 
 
-def torsion_length_bound(group, generators=None, max_radius=64):
+def torsion_length_bound(group):
     """Max word-metric diameter over vertex-group cosets.
 
     Left-invariance of the word metric reduces this to the diameters of
-    the based vertex subgroups themselves; the ball is grown until every
-    pairwise quotient inside each subgroup has a known word length.
+    the based vertex subgroups themselves; the ball is grown, by doubling
+    its radius up to TORSION_RADIUS_CAP, until every pairwise quotient
+    inside each subgroup has a known word length.
     """
     if not isinstance(group, GraphOfGroupsGroup):
         raise VerificationFailure("torsion_length_bound needs a graph-of-groups backend")
@@ -344,10 +329,10 @@ def torsion_length_bound(group, generators=None, max_radius=64):
             for b in elems:
                 needed.add(multiply(ai, b).data)
     radius, ball = 1, None
-    while radius <= max_radius:
-        ball = build_ball(group, radius, generators, ball=ball)
+    while radius <= TORSION_RADIUS_CAP:
+        ball = build_ball(group, radius, ball=ball)
         if all(d in ball.index for d in needed):
             return max(ball.word_length[ball.index[d]] for d in needed)
         radius *= 2
-    raise CapExceeded(f"vertex-group cosets did not close within radius {max_radius}",
-                      reached=max_radius)
+    raise CapExceeded("vertex-group cosets did not close within radius "
+                      f"{TORSION_RADIUS_CAP}", reached=TORSION_RADIUS_CAP)

@@ -2,11 +2,13 @@
 tree classification, subgroup certificates, and summary tables.
 
 Exit codes: 0 success, 2 a stage hit a configured cap (partial output),
-3 a verification failed or a parameter was invalid (a usage error, or a
+3 a verification failed, a parameter was invalid (a usage error, or a
 ValueError from the library, such as a cover depth beyond the ball
-radius). JSON artifacts are canonical (sorted keys, two-space indent,
-trailing newline) so reruns are byte-identical; timings go to stderr
-only.
+radius), or an answer needed more than the built region holds
+(UncertifiedRegion, such as a classify portion too small to certify the
+element's type; a larger radius may settle it). JSON artifacts are
+canonical (sorted keys, two-space indent, trailing newline) so reruns
+are byte-identical; timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -239,7 +241,6 @@ class RunConfig:
     r: int = None
     radius: int = None
     depth: int = None
-    r0: int = 2
     max_doublings: int = 5
     seed: int = 0
     out_dir: Path = None
@@ -300,8 +301,7 @@ def run_pipeline(config):
     gog = None
     if isinstance(group, GraphOfGroupsGroup):
         gog, trace = decomp.discover_graph_of_groups(
-            group, r0=config.r0, max_doublings=config.max_doublings,
-            ball=ball)
+            group, max_doublings=config.max_doublings, ball=ball)
         if gog is None:
             raise CapExceeded(trace["diagnosis"],
                               reached=config.max_doublings)
@@ -410,8 +410,8 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_group(p, required=True):
-    p.add_argument("--group", required=required,
+def _add_group(p):
+    p.add_argument("--group", required=True,
                    help="fixture name or path to a group spec JSON")
 
 

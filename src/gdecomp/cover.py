@@ -268,13 +268,13 @@ def _word_trie(ball, words):
     A node is (id, branches); a branch is (generator index, child, meets),
     and its child is None where a word ends (a closed word never extends
     another). Walked from one vertex, a word u of length n and its
-    reverse word go round one cycle in the two directions. A walk of u
+    reverse word, u's inverse generators in reverse order
+    (`ball.inv_gen`), go round one cycle in the two directions. A walk of u
     that stops before step p + 1 (0 < p < n) is at the cycle's p-th
     vertex, and so is the reverse walk after n - p steps. `meets` holds
     the ids of the nodes those reverse walks are at, over every word
     through the branch.
     """
-    right = ball.right
     ids, nexts = {(): 0}, {(): {}}  # proper word prefix -> id, next steps
     for word in words:
         for p in range(len(word)):
@@ -282,11 +282,7 @@ def _word_trie(ball, words):
             nexts.setdefault(word[:p], {})[word[p]] = None
     meets = {}  # (id, generator index) -> ids
     for word in words:
-        n, path = len(word), [0]
-        for k in word:
-            path.append(right[path[-1]][k])
-        path.reverse()
-        rev = tuple(right[v].index(w) for v, w in zip(path, path[1:]))
+        n, rev = len(word), tuple(ball.inv_gen[k] for k in reversed(word))
         for p in range(1, n):
             meets.setdefault((ids[word[:p]], word[p]), set()).add(
                 ids[rev[:n - p]])
@@ -364,7 +360,7 @@ def classify_cycle_lift(cover, cycle):
     return "lifts-closed" if end == start else "lifts-open"
 
 
-def lift_element_action(cover, gamma, base_point_lift=None):
+def lift_element_action(cover, gamma):
     """Extend gamma's deck transformation edge-by-edge from the root lift.
 
     The image of the root is the lift of gamma reached by walking gamma's
@@ -373,17 +369,16 @@ def lift_element_action(cover, gamma, base_point_lift=None):
     """
     ball = cover.base
     gi = ball.locate(gamma)
+    if gi is None:
+        raise VerificationFailure("gamma lies outside the base ball")
+    # base path from center to gamma, as successive base vertices
+    path, x = [], 0
+    for k in ball.words[gi]:
+        x = ball.right[x][k]
+        path.append(x)
+    base_point_lift = cover.walk(cover.root, path)
     if base_point_lift is None:
-        if gi is None:
-            raise VerificationFailure("gamma lies outside the base ball")
-        # base path from center to gamma, as successive base vertices
-        path, x = [], 0
-        for k in ball.words[gi]:
-            x = ball.right[x][k]
-            path.append(x)
-        base_point_lift = cover.walk(cover.root, path)
-        if base_point_lift is None:
-            raise UncertifiedRegion("no lift of gamma within the truncation")
+        raise UncertifiedRegion("no lift of gamma within the truncation")
 
     image_base = {}  # base vertex -> base vertex under left mult by gamma
     mapping = {cover.root: base_point_lift}
@@ -392,14 +387,10 @@ def lift_element_action(cover, gamma, base_point_lift=None):
         x = queue.popleft()
         y = mapping[x]
         for bv, xc in cover.adj[x].items():
-            tb = image_base.get(bv)
+            if bv not in image_base:
+                image_base[bv] = ball.product(gi, bv)
+            tb = image_base[bv]
             if tb is None:
-                tb = (ball.product(gi, bv) if gi is not None
-                      else ball.locate(multiply(gamma, ball.elements[bv])))
-                image_base[bv] = tb if tb is not None else -1
-            elif tb == -1:
-                tb = None
-            if tb is None or tb == -1:
                 continue
             yc = cover.adj[y].get(tb)
             if yc is None:

@@ -34,21 +34,29 @@ from .graphs import UnionFind
 from .groups import (FiniteGroupTable, GogEdge, GraphOfGroups, element_order,
                      inverse, multiply)
 
+# the largest order of a cyclic subgroup that maximal_finite_subgroups keeps
+CYCLIC_ORDER_CAP = 64
+# the largest finite subgroup a closure in the ball grows to
+CLOSURE_SIZE_CAP = 256
+# the largest order a torsion element is checked for
+TORSION_ORDER_CAP = 512
+
 
 # ---------------------------------------------------------------------------
 # maximal finite subgroup discovery
 
-def _closure_in_ball(ball, gens, size_cap=256):
+def _closure_in_ball(ball, gens):
     """The subgroup generated by the ball vertices `gens`, as a frozenset
     of vertices, or None.
 
     One BFS from the identity by right multiplication with `gens`. A
     finite set closed under right multiplication by g is closed under
     g⁻¹, so the search ends on the subgroup exactly when it is finite,
-    inside the ball and of at most size_cap elements. Otherwise it
-    returns None at the first product outside the ball, or before
-    element size_cap + 1. Any generating set of the subgroup gives the
-    same verdict, so callers pass one generator per cyclic subgroup.
+    inside the ball and of at most CLOSURE_SIZE_CAP elements. Otherwise
+    it returns None at the first product outside the ball, or before
+    element CLOSURE_SIZE_CAP + 1. Any generating set of the subgroup
+    gives the same verdict, so callers pass one generator per cyclic
+    subgroup.
     """
     have = {0}
     queue = [0]
@@ -58,7 +66,7 @@ def _closure_in_ball(ball, gens, size_cap=256):
             if y is None:
                 return None
             if y not in have:
-                if len(have) >= size_cap:
+                if len(have) >= CLOSURE_SIZE_CAP:
                     return None
                 have.add(y)
                 queue.append(y)
@@ -81,7 +89,7 @@ def _subgroup_key(ball, indices):
     return tuple(sorted(keys[i] for i in indices))
 
 
-def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
+def maximal_finite_subgroups(ball, r):
     """Maximal finite subgroups inside the ball with eccentricity <= r,
     one minimal-eccentricity representative per conjugacy class.
 
@@ -96,10 +104,10 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
         if ball.word_length[i] > r:
             continue
         # powers of g through the ball; g is dropped once a power leaves
-        # the ball or its order would exceed order_cap
+        # the ball or its order would exceed CYCLIC_ORDER_CAP
         idxs, p = [0], i
         while p != 0:
-            if p is None or len(idxs) >= order_cap:
+            if p is None or len(idxs) >= CYCLIC_ORDER_CAP:
                 break
             idxs.append(p)
             p = ball.product(p, i)
@@ -114,7 +122,7 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
         # the pair's merged subgroup, or None: decided once per pair
         if s <= t or t <= s:
             return None
-        merged = _closure_in_ball(ball, gens[s] + gens[t], size_cap)
+        merged = _closure_in_ball(ball, gens[s] + gens[t])
         if merged is not None and _eccentricity(ball, merged) <= r:
             gens.setdefault(merged, gens[s] + gens[t])
             return merged
@@ -282,13 +290,13 @@ def _pairs_equivalent(ball, p1, p2):
     return None
 
 
-def compute_global_decomposition(ball, r, order_cap=64, families=None):
+def compute_global_decomposition(ball, r, families=None):
     """Bags, boundary flags, and the translation-quotient model graph.
-    `families`, if given, are maximal_finite_subgroups(ball, r, order_cap)."""
+    `families`, if given, are maximal_finite_subgroups(ball, r)."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if families is None:
-        families = maximal_finite_subgroups(ball, r, order_cap=order_cap)
+        families = maximal_finite_subgroups(ball, r)
 
     bag_set = {}
     for x in range(ball.vertex_count):
@@ -397,14 +405,13 @@ class StabilizerRecord:
         self.order = len(elements)
 
 
-def compute_stabilizers(decomp, ball=None):
+def compute_stabilizers(decomp):
     """Setwise stabilizer of one representative bag per model vertex: the
     bag's translators onto itself, x·F·x⁻¹ for the coset x·F."""
-    ball = ball or decomp.ball
     records = []
     for orbit, rep in enumerate(decomp.orbit_rep_bag):
         bag = decomp.bags[rep]
-        stab = _translators(ball, bag, bag)
+        stab = _translators(decomp.ball, bag, bag)
         data = {g.data for g in stab}
         closed = all(multiply(a, b).data in data for a in stab for b in stab)
         stab.sort(key=lambda g: g.key())
@@ -458,7 +465,7 @@ def check_vtf_conditions(decomp, stabilizers, torsion_sample):
     }
     failures = []
     for g in torsion_sample:
-        k = element_order(g, 512)
+        k = element_order(g, TORSION_ORDER_CAP)
         if k is None:
             failures.append({"element": g.key(), "reason": "order cap"})
             continue
@@ -518,12 +525,11 @@ def build_nerve_complex(decomp):
 # ---------------------------------------------------------------------------
 # discovery (doubling loop, stabilizer assembly)
 
-def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
-                             radius_fn=None, ball=None):
+def discover_graph_of_groups(group, r0=2, max_doublings=5, ball=None):
     """Double r until the model graph and stabilizer orders repeat, then
     assemble the graph of groups with edge groups G_h ∩ G_h'. Each
     doubling's ball is cut from, or grown out of, the largest ball so far,
-    starting from `ball` (a ball of the group for `generators`) if given.
+    starting from `ball` (a ball of the group) if given.
 
     A doubling's transcript entry is read at the identity
     (`_read_at_identity`) where every bag adjacent to a family
@@ -536,16 +542,15 @@ def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
         # 0 doubles to 0: the loop would stop at once, on a splitting
         # that is not the group's
         raise ValueError("r0 must be >= 1")
-    # families have eccentricity <= r, so margin <= r + 1; radius r + 4
-    # leaves a nonempty interior at every iteration
-    radius_fn = radius_fn or (lambda r: r + 4)
     transcript = []
     previous = None
     stable = None
     largest = ball
     r = r0
     for step in range(max_doublings + 1):
-        ball = build_ball(group, radius_fn(r), generators, ball=largest)
+        # families have eccentricity <= r, so margin <= r + 1; radius
+        # r + 4 leaves a nonempty interior at every iteration
+        ball = build_ball(group, r + 4, ball=largest)
         if largest is None or ball.radius > largest.radius:
             largest = ball
         families = maximal_finite_subgroups(ball, r)
@@ -570,7 +575,7 @@ def discover_graph_of_groups(group, generators=None, r0=2, max_doublings=5,
     R, ball, families, decomp = stable
     if decomp is None:
         decomp = compute_global_decomposition(ball, R, families=families)
-    stabs = compute_stabilizers(decomp, ball)
+    stabs = compute_stabilizers(decomp)
     gog = _assemble_graph_of_groups(group, ball, decomp, stabs)
     return gog, {"stabilized": True, "R": R, "iterations": transcript}
 

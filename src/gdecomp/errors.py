@@ -1,7 +1,9 @@
 """Shared exception types.
 
 Exit-code mapping for the CLI lives in cli.py: CapExceeded -> 2; every
-other GdecompError and an invalid parameter (ValueError) -> 3.
+other GdecompError and an invalid parameter (ValueError) -> 3. That
+includes UncertifiedRegion: an answer the built region cannot certify is
+not a cap that was hit, so it exits 3 like a failed verification.
 """
 
 

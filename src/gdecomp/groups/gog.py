@@ -35,6 +35,7 @@ joins their memoized reprs into repr(data).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from ..errors import BackendMismatch, SpecFormatError, VerificationFailure
 from ..graphs import bfs
@@ -421,17 +422,13 @@ class GraphOfGroupsGroup:
 
     def coset_word(self, vertex, *factors):
         """The normal path word of (f1 * ... * fk) * p, where p is the
-        spanning-tree path from the base to the vertex. The words are
-        joined as `op` joins two, and normalized once: f1 is a normal
-        prefix and p a normal suffix."""
+        spanning-tree path from the base to the vertex: `_join` folded
+        over the factors' words and p. Normal forms are unique, so the
+        order of the joins does not change the word."""
         if any(f.group is not self for f in factors):
             raise BackendMismatch("coset word factors must belong to this group")
-        path = self._tree_word[vertex]
-        items = list(factors[0].data)
-        for word in [f.data for f in factors[1:]] + [path]:
-            items[-1] = self._vmul(items[-1], word[0])
-            items += word[1:]
-        return self._normalize(items, len(factors[0].data) - 1, len(path) - 1)
+        return reduce(self._join, [f.data for f in factors[1:]]
+                      + [self._tree_word[vertex]], factors[0].data)
 
     def translate_word(self, gamma, word):
         """The normal path word gamma * word, for a normal path word from

@@ -17,14 +17,19 @@ import heapq
 import math
 from fractions import Fraction
 
+from .decomp import TORSION_ORDER_CAP
 from .errors import CapExceeded, SpecFormatError, VerificationFailure
-from .groups import GraphOfGroupsGroup, MatrixGroup
+from .groups import GraphOfGroupsGroup, MatrixGroup, element_order
 from .groups.matrix import mat_identity, mat_mul, mat_reduce
 
 # words are tuples of (symbol, +1|-1)
 
 # the largest image group a finite quotient enumerates
 QUOTIENT_CAP = 200_000
+# the largest degree construct_finite_quotient searches for a coset action
+DEGREE_CAP = 12
+# the largest order of a subgroup word's image that a quotient computes
+WORD_ORDER_CAP = 10_000
 
 
 def parse_word(symbols):
@@ -92,14 +97,13 @@ def presentation_from_group(group):
     raise SpecFormatError("unsupported group backend for presentations")
 
 
-def _matrix_word_order(group, word, cap=512):
+def _matrix_word_order(group, word):
     gens = dict(group.gen_symbols())
     acc = group.identity
     for s, e in word:
         g = gens[s] if e > 0 else group.inv(gens[s])
         acc = group.op(acc, g)
-    from .groups import element_order
-    order = element_order(acc, cap)
+    order = element_order(acc, TORSION_ORDER_CAP)
     if order is None:
         raise VerificationFailure(f"word {render_word(word)} is not torsion")
     return order
@@ -213,14 +217,15 @@ class FiniteQuotientHom:
             acc = self.op(acc, self.images[s] if e > 0 else self.inverses[s])
         return acc
 
-    def word_order(self, word, cap=10_000):
+    def word_order(self, word):
         g = self.image_of_word(word)
         acc, k = g, 1
         while acc != self.identity:
             acc = self.op(acc, g)
             k += 1
-            if k > cap:
-                raise CapExceeded("order cap in quotient", reached=cap)
+            if k > WORD_ORDER_CAP:
+                raise CapExceeded("order cap in quotient",
+                                  reached=WORD_ORDER_CAP)
         return k
 
     def check_relators(self, pres):
@@ -243,7 +248,7 @@ def _perm_op(a, b):
     return tuple(b[x] for x in a)
 
 
-def low_index_action(pres, max_degree=12):
+def low_index_action(pres, max_degree=DEGREE_CAP):
     """Smallest-degree transitive action satisfying the relators and
     injective on the finite subgroups; deterministic first solution.
 
@@ -301,15 +306,23 @@ def _search(table, trail, inv, rotations, col_of, pres, degree, slot):
     two ends; an entry a scan forces holds in every consistent completion,
     and it never creates a coset. The leaves, their coset numbering and
     their order are therefore unchanged.
+
+    A leaf needs no relator check. Every entry of a complete table was
+    defined in a `_deduce` call that drained its queue, which scanned the
+    rotations that start with the entry from both of its ends. Take a
+    relator's walk from any coset and the rotation that starts at the
+    walk's entry defined last: its scan saw the whole walk, forward to
+    the walk's end and backward to its start, and returned False unless
+    those are one coset (the columns are injective). So every relator
+    closes from every coset; `construct_finite_quotient` still checks
+    the relators on the hom.
     """
     ncols = len(inv)
     n = len(table)
     while slot < n * ncols and table[slot // ncols][slot % ncols] is not None:
         slot += 1
     if slot == n * ncols:
-        # most complete tables fail injectivity, the cheaper check
-        if n == degree and _injective(table, col_of, pres) \
-                and _relators_ok(table, col_of, pres):
+        if n == degree and _injective(table, col_of, pres):
             return table
         return None
     c, i = divmod(slot, ncols)
@@ -382,21 +395,7 @@ def _deduce(table, trail, inv, rotations, c, i, d):
     return True
 
 
-def _relators_ok(table, col_of, pres):
-    """Every relator's walk from every coset is defined and closed."""
-    for rel in pres.relators:
-        for c in range(len(table)):
-            cur = c
-            for s, e in rel:
-                cur = table[cur][col_of[(s, e)]]
-                if cur is None:
-                    return False
-            if cur != c:
-                return False
-    return True
-
-
-def _injective(table, col_of, pres, cap=10_000):
+def _injective(table, col_of, pres):
     n = len(table)
     for word, order in pres.subgroup_words:
         perm = list(range(n))
@@ -407,18 +406,19 @@ def _injective(table, col_of, pres, cap=10_000):
         while acc != ident:
             acc = [perm[x] for x in acc]
             k += 1
-            if k > cap:
+            if k > WORD_ORDER_CAP:
                 return False
         if k != order:
             return False
     return True
 
 
-def construct_finite_quotient(group, pres=None, max_degree=12, modulus=None):
+def construct_finite_quotient(group, pres=None, modulus=None):
     """Hom to a finite group injective on the finite vertex subgroups.
 
     Matrix groups reduce mod the smallest adequate modulus; other groups
-    get the smallest-degree adequate coset action."""
+    get the smallest-degree adequate coset action, of degree at most
+    DEGREE_CAP. `check_relators` verifies either hom."""
     if modulus is not None and not isinstance(group, MatrixGroup):
         raise ValueError("modulus needs a matrix group")
     pres = pres or presentation_from_group(group)
@@ -437,7 +437,7 @@ def construct_finite_quotient(group, pres=None, max_degree=12, modulus=None):
             if not hom.check_relators(pres) and hom.injective_on_subgroups(pres):
                 return hom
         raise CapExceeded("no adequate congruence modulus found", reached=29)
-    hom = low_index_action(pres, max_degree)
+    hom = low_index_action(pres)
     bad = hom.check_relators(pres)
     if bad:
         raise VerificationFailure(f"relators not satisfied: {bad}")
@@ -459,15 +459,14 @@ def congruence_hom(group, modulus):
 # kernel, transversal, Reidemeister-Schreier
 
 class SubgroupCertificate:
-    __slots__ = ("hom", "index", "transversal", "coset_table", "symbols",
-                 "free_basis", "rank", "torsion_free", "evidence")
+    __slots__ = ("hom", "index", "transversal", "coset_table", "free_basis",
+                 "rank", "torsion_free", "evidence")
 
-    def __init__(self, hom, index, transversal, coset_table, symbols):
+    def __init__(self, hom, index, transversal, coset_table):
         self.hom = hom
         self.index = index
         self.transversal = transversal  # coset id -> word
         self.coset_table = coset_table  # coset id -> {(sym, e): coset id}
-        self.symbols = symbols
         self.free_basis = None
         self.rank = None
         self.torsion_free = None
@@ -489,9 +488,9 @@ class SubgroupCertificate:
 
 def kernel_subgroup(hom, pres):
     """Kernel of the hom with a prefix-closed Schreier transversal over
-    the image group's regular action: the hom's own enumeration."""
-    return SubgroupCertificate(hom, hom.order, hom.words, hom.table,
-                               pres.symbols)
+    the image group's regular action: the hom's own enumeration. `pres`,
+    the presentation the hom was built for, is not read."""
+    return SubgroupCertificate(hom, hom.order, hom.words, hom.table)
 
 
 def reidemeister_schreier(cert, pres):

@@ -91,6 +91,17 @@ def test_locate_torsion(c2c3, c4c2c6):
     assert loc["tree_action"] == "elliptic"
 
 
+@pytest.mark.parametrize("word, message", [
+    ("ST", "cyclic subgroup exits the ball"),
+    ("T", "element is not torsion within the cap")])
+def test_locate_torsion_failures(sl2z, word, message):
+    from gdecomp import build_ball, compute_global_decomposition
+    dec = compute_global_decomposition(build_ball(sl2z, 1), 1)
+    gamma = normal_form(sl2z, list(word))
+    with pytest.raises(VerificationFailure, match=message):
+        locate_torsion(dec, None, gamma)
+
+
 def test_small_index_threshold():
     assert small_index_threshold(2, 6, 2) == 4
     assert small_index_threshold(1, 1, 0) == 1

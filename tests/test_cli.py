@@ -79,6 +79,21 @@ def test_classify_rejects_matrix_backend(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("radius, message", [
+    ("1", "min displacement 2 not certified on an axis segment; "
+          "build a larger portion"),
+    ("0", "no vertex image computable on the portion")])
+def test_classify_uncertified_exits_3(capsys, radius, message):
+    # an UncertifiedRegion is a verification that could not be made on
+    # the portion built, not a cap that was hit
+    code = main(["classify", "--group", "c2*c3", "--element", "a*b",
+                 "--radius", radius])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"gdecomp: {message}\n"
+
+
 def test_subgroup_command(capsys):
     code, out = run(capsys, "subgroup", "--group", "c2*c3")
     assert code == 0

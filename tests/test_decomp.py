@@ -65,6 +65,20 @@ def test_sl2z_vtf_conditions(sl2z, sl2z_decomp):
     assert report["iii"]["max_finite_subgroup_order"] == 6
 
 
+@pytest.mark.parametrize("radius, reason", [
+    (1, "cyclic group exits ball"), (4, "cyclic group in no bag")])
+def test_sl2z_vtf_condition_ii_failures(sl2z, radius, reason):
+    # at r = 1 no family is found, so every bag is a singleton; a radius-1
+    # ball does not hold <S> or <ST>, a radius-4 ball holds both
+    S, T = sl2z.generators["S"], sl2z.generators["T"]
+    dec = compute_global_decomposition(build_ball(sl2z, radius), 1)
+    report = check_vtf_conditions(dec, compute_stabilizers(dec),
+                                  [S, multiply(S, T), T])
+    assert not report["pass"] and not report["ii"]["pass"]
+    assert [f["reason"] for f in report["ii"]["failures"]] \
+        == [reason, reason, "order cap"]  # T has infinite order
+
+
 def test_c2c3_decomposition(c2c3):
     ball = build_ball(c2c3, 7)
     dec = compute_global_decomposition(ball, 3)

@@ -160,7 +160,9 @@ CERT_DIGESTS = {
 @pytest.mark.parametrize("abc", sorted(CERT_DIGESTS))
 def test_amalgam_certificates_pinned(abc):
     group = make_cyclic_amalgam(*abc)
-    _, cert = build_cert(group)
+    pres, cert = build_cert(group)
+    # the search checks no relator at its leaves: its deductions do
+    assert cert.hom.check_relators(pres) == []
     text = canonical_json(cert.to_json())
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_DIGESTS[abc]
     assert cert.evidence["free"] and cert.torsion_free
@@ -251,9 +253,12 @@ def _low_index_inputs(draw):
 
 def _images_or_error(search, pres, max_degree):
     try:
-        return search(pres, max_degree).images
+        hom = search(pres, max_degree)
     except GdecompError as e:
         return type(e)
+    # the search checks no relator at its leaves: its deductions do
+    assert hom.check_relators(pres) == []
+    return hom.images
 
 
 @settings(max_examples=200, deadline=None)
