@@ -2,19 +2,19 @@
 
 Tree vertices are cosets of the based vertex subgroups; two cosets are
 adjacent when an edge-group coset connects them. Group elements act by
-left multiplication, and the action is classified into the three types
-(fixed vertex / transposed edge / translation along an axis) with
-explicit witnesses, declining to answer when the portion is too small.
+left multiplication, without inversions (Serre, *Trees*, §I.5), and are
+classified as elliptic or hyperbolic with explicit witnesses, declining
+to answer when the portion is too small.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .decomp import TORSION_ORDER_CAP, translate_bag
+from .decomp import cyclic_subgroup_in_ball, translate_bag
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from .graphs import bfs
-from .groups import GraphOfGroupsGroup, element_order, inverse, multiply
+from .groups import GraphOfGroupsGroup, inverse, multiply
 
 # the most vertices a tree portion holds
 TREE_VERTEX_CAP = 100_000
@@ -167,7 +167,7 @@ class ElementAction:
     __slots__ = ("kind", "witness", "translation_length")
 
     def __init__(self, kind, witness, translation_length=None):
-        self.kind = kind  # "elliptic" | "reflection" | "hyperbolic"
+        self.kind = kind  # "elliptic" | "hyperbolic"
         self.witness = witness
         self.translation_length = translation_length
 
@@ -198,9 +198,6 @@ def classify_tree_automorphism(tree, gamma):
     if dmin == 0:
         x = min(x for d, x, _ in displacements if d == 0)
         return ElementAction("elliptic", x)
-    for d, x, y in displacements:
-        if d == 1 and tree.action(gamma, y) == x:
-            return ElementAction("reflection", (min(x, y), max(x, y)))
     attaining = {x for d, x, _ in displacements if d == dmin}
     for x in sorted(attaining):
         for y in tree.adj[x]:
@@ -220,17 +217,12 @@ def locate_torsion(decomp, tree, gamma):
     locator when bags of two orbits are stabilized (the element lies in
     the shared adhesion). The tree classification is attached when the
     tree acts on the same group."""
-    k = element_order(gamma, TORSION_ORDER_CAP)
+    ball = decomp.ball
+    k, cyc = cyclic_subgroup_in_ball(ball, gamma)
     if k is None:
         raise VerificationFailure("element is not torsion within the cap")
-    ball = decomp.ball
-    cyc, power = set(), ball.group.identity
-    for _ in range(k):
-        i = ball.locate(power)
-        if i is None:
-            raise VerificationFailure("cyclic subgroup exits the ball")
-        cyc.add(i)
-        power = multiply(power, gamma)
+    if cyc is None:
+        raise VerificationFailure("cyclic subgroup exits the ball")
     stabilized = [i for i, b in enumerate(decomp.bags)
                   if cyc <= b and translate_bag(ball, gamma, b) == b]
     orbits = sorted({decomp.bag_orbit[i] for i in stabilized

@@ -16,6 +16,9 @@ group's memo of window products (`GraphOfGroupsGroup.right_multiplier`):
 right multiplication by a generator rewrites only a bounded suffix of a
 normal form.
 
+Vertex keys (`elements[v].key()`) are not cached: each reader keys only
+the vertices it reads.
+
 A ball is a prefix of every larger ball of the group, so one ball
 serves a run: `build_ball` cuts a smaller ball from a given one, or grows
 a larger one out of it by continuing its BFS.
@@ -39,10 +42,10 @@ class CayleyBall:
     """Immutable once built; vertex 0 is the identity."""
 
     __slots__ = ("group", "radius", "generators", "elements", "index",
-                 "word_length", "words", "right", "adj", "inv_gen", "_keys")
+                 "word_length", "words", "right", "adj", "inv_gen")
 
     def __init__(self, group, radius, generators, elements, index,
-                 word_length, words, right, keys=(), adj=()):
+                 word_length, words, right, adj=()):
         self.group = group
         self.radius = radius
         self.generators = generators  # list of (symbol, element), symmetric
@@ -59,19 +62,10 @@ class CayleyBall:
         # where every stored word is empty)
         self.inv_gen = [right[j].index(0) if j >= 0 else -1
                         for j in right[0]]
-        self._keys = list(keys)  # a prefix of vertex_keys
 
     @property
     def vertex_count(self):
         return len(self.elements)
-
-    @property
-    def vertex_keys(self):
-        """The `key()` string of each vertex's element, each built once."""
-        keys = self._keys
-        if len(keys) < len(self.elements):
-            keys += [g.key() for g in self.elements[len(keys):]]
-        return keys
 
     @property
     def edge_count(self):
@@ -141,17 +135,16 @@ class CayleyBall:
 
     def to_json(self):
         syms = [sym for sym, _ in self.generators]
-        keys = self.vertex_keys
         return {
             "group": getattr(self.group, "name", "group"),
             "radius": self.radius,
             "generators": sorted(syms),
             "vertex_count": self.vertex_count,
             "vertices": [
-                {"index": i, "element": keys[i],
+                {"index": i, "element": g.key(),
                  "distance": self.word_length[i],
                  "word": [syms[k] for k in self.words[i]]}
-                for i in range(self.vertex_count)
+                for i, g in enumerate(self.elements)
             ],
             "edges": [{"u": u, "v": v, "labels": labels}
                       for u, v, labels in self.edges()],
@@ -159,8 +152,8 @@ class CayleyBall:
 
     def to_dot(self):
         lines = ["graph ball {", "  node [shape=circle];"]
-        for i, key in enumerate(self.vertex_keys):
-            lines.append(f'  n{i} [label="{key}"];')
+        for i, g in enumerate(self.elements):
+            lines.append(f'  n{i} [label="{g.key()}"];')
         for u, v, labels in self.edges():
             lines.append(f'  n{u} -- n{v} [label="{",".join(labels)}"];')
         lines.append("}")
@@ -187,12 +180,12 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         pairs = list(group.gen_symbols())
         ident = group.identity
         elements, index = [ident], {ident.data: 0}
-        word_length, words, right, keys = [0], [()], [[-1] * len(pairs)], ()
+        word_length, words, right = [0], [()], [[-1] * len(pairs)]
         start, adj = 0, ()
     elif radius <= ball.radius:
         return _restriction(ball, radius, cap)
     else:
-        pairs, keys = ball.generators, ball._keys
+        pairs = ball.generators
         elements, index = ball.elements[:], ball.index.copy()
         word_length, words = ball.word_length[:], ball.words[:]
         # the BFS resumes at the boundary, whose rows are copied to be
@@ -227,7 +220,7 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
                 row[k] = j
         i += 1
     return CayleyBall(group, radius, pairs, elements, index, word_length,
-                      words, right, keys, adj)
+                      words, right, adj)
 
 
 def _right_multipliers(group, pairs):
@@ -252,7 +245,7 @@ def _restriction(ball, radius, cap):
     return CayleyBall(ball.group, radius, ball.generators, elements,
                       {g.data: i for i, g in enumerate(elements)},
                       ball.word_length[:n], ball.words[:n], right,
-                      ball._keys[:n], ball.adj[:first])
+                      ball.adj[:first])
 
 
 def coset_subgraph(ball, subgroup_elements, coset_rep):

@@ -4,11 +4,12 @@ tree classification, subgroup certificates, and summary tables.
 Exit codes: 0 success, 2 a stage hit a configured cap (partial output),
 3 a verification failed, a parameter was invalid (a usage error, or a
 ValueError from the library, such as a cover depth beyond the ball
-radius), or an answer needed more than the built region holds
-(UncertifiedRegion, such as a classify portion too small to certify the
-element's type; a larger radius may settle it). JSON artifacts are
-canonical (sorted keys, two-space indent, trailing newline) so reruns
-are byte-identical; timings go to stderr only.
+radius), a group spec was malformed (SpecFormatError), or an answer
+needed more than the built region holds (UncertifiedRegion, such as a
+classify portion too small to certify the element's type; a larger
+radius may settle it). JSON artifacts are canonical (sorted keys,
+two-space indent, trailing newline) so reruns are byte-identical;
+timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def _load_group_arg(value):
         path = fixture_path(value)
     else:
         path = Path(value)
-        if not path.exists():
+        # os.path.exists is False, not OSError, for an overlong name
+        if not os.path.exists(path):
             raise SpecFormatError(f"no such group spec or fixture: {value}")
     return load_group(path), path
 

@@ -45,25 +45,26 @@ TORSION_ORDER_CAP = 512
 # ---------------------------------------------------------------------------
 # maximal finite subgroup discovery
 
-def _closure_in_ball(ball, gens):
+def _closure_in_ball(ball, gens, r):
     """The subgroup generated by the ball vertices `gens`, as a frozenset
     of vertices, or None.
 
     One BFS from the identity by right multiplication with `gens`. A
     finite set closed under right multiplication by g is closed under
     g⁻¹, so the search ends on the subgroup exactly when it is finite,
-    inside the ball and of at most CLOSURE_SIZE_CAP elements. Otherwise
-    it returns None at the first product outside the ball, or before
-    element CLOSURE_SIZE_CAP + 1. Any generating set of the subgroup
-    gives the same verdict, so callers pass one generator per cyclic
-    subgroup.
+    of eccentricity <= r and of at most CLOSURE_SIZE_CAP elements.
+    Otherwise it returns None at the first product outside the ball or
+    longer than r, or before element CLOSURE_SIZE_CAP + 1: a subgroup
+    with an element longer than r is not kept, so its closure need not
+    be finished. Any generating set of the subgroup gives the same
+    verdict, so callers pass one generator per cyclic subgroup.
     """
     have = {0}
     queue = [0]
     for x in queue:
         for g in gens:
             y = ball.product(x, g)
-            if y is None:
+            if y is None or ball.word_length[y] > r:
                 return None
             if y not in have:
                 if len(have) >= CLOSURE_SIZE_CAP:
@@ -85,8 +86,7 @@ def _interior_radius(ball, families):
 
 
 def _subgroup_key(ball, indices):
-    keys = ball.vertex_keys
-    return tuple(sorted(keys[i] for i in indices))
+    return tuple(sorted(ball.elements[i].key() for i in indices))
 
 
 def maximal_finite_subgroups(ball, r):
@@ -98,38 +98,36 @@ def maximal_finite_subgroups(ball, r):
     is replaced by it, and the scan restarts; each pair's verdict is
     computed once, by a closure over the pair's generators. The families
     depend on this order: a worklist merge can keep different ones.
+    Walks stop at their first element longer than r, as its subgroup is
+    dropped; conjugacy is tested on generators (`_conjugate_in_ball`).
     """
-    cyclic = {}  # cyclic subgroup -> its generators: (g,) for <g>
-    for i in range(1, ball.vertex_count):
-        if ball.word_length[i] > r:
-            continue
+    gens = {}  # subgroup -> generators: (g,) for <g>, the pair's for a merge
+    for i in ball.interior(r)[1:]:
         # powers of g through the ball; g is dropped once a power leaves
-        # the ball or its order would exceed CYCLIC_ORDER_CAP
+        # the ball or distance r, or its order would exceed CYCLIC_ORDER_CAP
         idxs, p = [0], i
         while p != 0:
-            if p is None or len(idxs) >= CYCLIC_ORDER_CAP:
+            if p is None or ball.word_length[p] > r \
+                    or len(idxs) >= CYCLIC_ORDER_CAP:
                 break
             idxs.append(p)
             p = ball.product(p, i)
         else:
-            if _eccentricity(ball, idxs) <= r:
-                cyclic.setdefault(frozenset(idxs), (i,))
+            gens.setdefault(frozenset(idxs), (i,))
     key = cache(lambda s: _subgroup_key(ball, s))
-    gens = dict(cyclic)
 
     @cache
     def verdict(s, t):
         # the pair's merged subgroup, or None: decided once per pair
         if s <= t or t <= s:
             return None
-        merged = _closure_in_ball(ball, gens[s] + gens[t])
-        if merged is not None and _eccentricity(ball, merged) <= r:
+        merged = _closure_in_ball(ball, gens[s] + gens[t], r)
+        if merged is not None:
             gens.setdefault(merged, gens[s] + gens[t])
-            return merged
-        return None
+        return merged
 
     # merge the first mergeable pair in key order, then rescan from the start
-    subs = sorted(cyclic, key=key)
+    subs = sorted(gens, key=key)
     merged = True
     while merged:
         merged = None
@@ -147,18 +145,24 @@ def maximal_finite_subgroups(ball, r):
                    key=lambda i: (_eccentricity(ball, subs[i]), key(subs[i])))
     reps = []
     for i in order:
-        if any(_conjugate_in_ball(ball, subs[i], subs[j]) for j in reps):
+        if any(_conjugate_in_ball(ball, subs[i], subs[j], gens[subs[i]])
+               for j in reps):
             continue
         reps.append(i)
-    return [sorted(subs[i], key=ball.vertex_keys.__getitem__) for i in reps]
+    return [sorted(subs[i], key=lambda v: ball.elements[v].key())
+            for i in reps]
 
 
-def _conjugate_in_ball(ball, idx_a, idx_b):
+def _conjugate_in_ball(ball, idx_a, idx_b, gens_a):
+    """Whether c·A·c⁻¹ = B for a ball vertex c, for finite subgroups A
+    and B as vertex sets and generators `gens_a` of A. c·g·c⁻¹ ∈ B for
+    each generator g puts c·A·c⁻¹ in the subgroup B; |A| = |B| then
+    makes them equal."""
     if len(idx_a) != len(idx_b):
         return False
     for c in range(ball.vertex_count):
         ci = ball.inverse(c)
-        if all(ball.product(c, a, ci) in idx_b for a in idx_a):
+        if all(ball.product(c, a, ci) in idx_b for a in gens_a):
             return True
     return False
 
@@ -167,7 +171,7 @@ def _conjugate_in_ball(ball, idx_a, idx_b):
 # global decomposition
 
 class GlobalDecomposition:
-    __slots__ = ("ball", "r", "families", "bags", "bag_family",
+    __slots__ = ("ball", "keys", "r", "families", "bags", "bag_family",
                  "boundary_flag", "vertex_bags", "interior_radius",
                  "bag_orbit", "model_vertex_count", "model_vertex_sizes",
                  "model_edges", "orbit_rep_bag", "adjacent_pairs",
@@ -216,12 +220,11 @@ class GlobalDecomposition:
         return max((e["adhesion_size"] for e in self.model_edges), default=0)
 
     def to_json(self):
-        keys = self.ball.vertex_keys
         return {
             "r": self.r,
             "method": "torsion",
             "interior_radius": self.interior_radius,
-            "families": [[keys[v] for v in f] for f in self.families],
+            "families": [[self.keys[v] for v in f] for f in self.families],
             "bag_count": self.bag_count,
             "bag_sizes": sorted({len(b) for b in self.bags}),
             "model": {
@@ -231,7 +234,7 @@ class GlobalDecomposition:
                            "adhesion_size": e["adhesion_size"]}
                           for e in self.model_edges],
             },
-            "bags": [{"vertices": [keys[v] for v in b],
+            "bags": [{"vertices": [self.keys[v] for v in b],
                       "orbit": self.bag_orbit[i],
                       "boundary": self.boundary_flag[i]}
                      for i, b in enumerate(self.bags)],
@@ -316,7 +319,7 @@ def compute_global_decomposition(ball, r, families=None):
         if v not in covered:
             bag_set.setdefault(frozenset([v]), -1)
 
-    keys = ball.vertex_keys
+    keys = [g.key() for g in ball.elements]
     bags = sorted(bag_set, key=lambda b: (len(b), sorted(keys[v] for v in b)))
     bag_family = [bag_set[b] for b in bags]
     interior_radius = _interior_radius(ball, families)
@@ -379,7 +382,7 @@ def compute_global_decomposition(ball, r, families=None):
                                     e["rep_pair"]))
 
     decomp = GlobalDecomposition(
-        ball=ball, r=r, families=families, bags=bags,
+        ball=ball, keys=keys, r=r, families=families, bags=bags,
         bag_family=bag_family, boundary_flag=boundary_flag,
         vertex_bags=vertex_bags, interior_radius=interior_radius,
         bag_orbit=bag_orbit, model_vertex_count=len(orbit_rep_bag),
@@ -455,6 +458,23 @@ def bag_size_bound(M, K, component_sizes):
     return M * (math.ceil(Fraction(K)) - 1) + sum(component_sizes)
 
 
+def cyclic_subgroup_in_ball(ball, g):
+    """(k, vertices of ⟨g⟩) for g of order k <= TORSION_ORDER_CAP; k is
+    None past the cap, and the vertices None when a power of g lies
+    outside the ball."""
+    k = element_order(g, TORSION_ORDER_CAP)
+    if k is None:
+        return None, None
+    cyc, power = set(), ball.group.identity
+    for _ in range(k):
+        i = ball.locate(power)
+        if i is None:
+            return k, None
+        cyc.add(i)
+        power = multiply(power, g)
+    return k, cyc
+
+
 def check_vtf_conditions(decomp, stabilizers, torsion_sample):
     """The three virtually-torsion-free conditions at ball scale."""
     ball = decomp.ball
@@ -465,22 +485,12 @@ def check_vtf_conditions(decomp, stabilizers, torsion_sample):
     }
     failures = []
     for g in torsion_sample:
-        k = element_order(g, TORSION_ORDER_CAP)
+        k, cyc = cyclic_subgroup_in_ball(ball, g)
         if k is None:
             failures.append({"element": g.key(), "reason": "order cap"})
-            continue
-        cyc, power, ok = set(), ball.group.identity, True
-        for _ in range(k):
-            i = ball.locate(power)
-            if i is None:
-                ok = False
-                break
-            cyc.add(i)
-            power = multiply(power, g)
-        if not ok:
+        elif cyc is None:
             failures.append({"element": g.key(), "reason": "cyclic group exits ball"})
-            continue
-        if not any(cyc <= set(b) for b in decomp.bags):
+        elif not any(cyc <= set(b) for b in decomp.bags):
             failures.append({"element": g.key(),
                              "reason": "cyclic group in no bag"})
     cond_ii = {"pass": not failures, "failures": failures,
@@ -634,10 +644,9 @@ def _read_at_identity(ball, families):
     sizes = [len(f) for f in reps]
 
     def first_bag(fi):
-        keys = ball.vertex_keys
         cosets = ([ball.product(x, h) for h in families[fi]]
                   for x in ball.interior(interior_radius))
-        return min(sorted(keys[v] for v in c) for c in cosets
+        return min(sorted(ball.elements[v].key() for v in c) for c in cosets
                    if _eccentricity(ball, c) <= interior_radius)
 
     order = sorted(range(len(reps)), key=lambda fi: (
@@ -656,14 +665,11 @@ def _assemble_graph_of_groups(group, ball, decomp, stabs):
     tables = []
     index_maps = []
     for s in stabs:
-        labels = {g.data: g.key() for g in s.elements}
         table, imap = FiniteGroupTable.from_elements(
-            [g.data for g in s.elements],
-            lambda a, b, _g=group: _op_data(_g, a, b),
-            group.identity.data, labels)
+            s.elements, multiply, group.identity,
+            {g: g.key() for g in s.elements})
         tables.append(table)
         index_maps.append(imap)
-    stab_data = [{g.data for g in s.elements} for s in stabs]
 
     edges = []
     for e in decomp.model_edges:
@@ -674,20 +680,16 @@ def _assemble_graph_of_groups(group, ball, decomp, stabs):
         # representative; every translator of a bag onto it will do
         du = _translators(ball, bi, decomp.bags[decomp.orbit_rep_bag[ou]])[0]
         dv = _translators(ball, bj, decomp.bags[decomp.orbit_rep_bag[ov]])[0]
-        stab_i = _translators(ball, bi, bi)
-        stab_j_data = {g.data for g in _translators(ball, bj, bj)}
-        shared = [g for g in stab_i if g.data in stab_j_data]
-        shared.sort(key=lambda g: g.key())
+        stab_j = set(_translators(ball, bj, bj))
         # from_elements moves the identity to index 0; keep orders aligned
-        ident = group.identity
-        shared = [ident] + [g for g in shared if g.data != ident.data]
-        labels = {g.data: g.key() for g in shared}
+        shared = sorted((g for g in _translators(ball, bi, bi) if g in stab_j),
+                        key=lambda g: (g != group.identity, g.key()))
         etable, _ = FiniteGroupTable.from_elements(
-            [g.data for g in shared],
-            lambda a, b, _g=group: _op_data(_g, a, b),
-            group.identity.data, labels)
-        into_u = [index_maps[ou][_conj_data(du, g)] for g in shared]
-        into_v = [index_maps[ov][_conj_data(dv, g)] for g in shared]
+            shared, multiply, group.identity, {g: g.key() for g in shared})
+        into_u = [index_maps[ou][multiply(multiply(du, g), inverse(du))]
+                  for g in shared]
+        into_v = [index_maps[ov][multiply(multiply(dv, g), inverse(dv))]
+                  for g in shared]
         edges.append(GogEdge(ou, ov, etable, into_u, into_v, tree=False))
 
     # mark a spanning tree
@@ -703,13 +705,3 @@ def _assemble_graph_of_groups(group, ball, decomp, stabs):
     names = [f"orbit{i}(|G|={t.order})" for i, t in enumerate(tables)]
     return GraphOfGroups(tables, edges, names,
                          name=f"discovered:{getattr(group, 'name', 'group')}")
-
-
-def _op_data(group, a, b):
-    cls = group.identity.__class__
-    backend = group.identity.backend
-    return multiply(cls(backend, a, group), cls(backend, b, group)).data
-
-
-def _conj_data(delta, g):
-    return multiply(multiply(delta, g), inverse(delta)).data

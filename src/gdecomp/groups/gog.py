@@ -229,21 +229,21 @@ class GraphOfGroupsGroup:
         items = [("v", 0, 0)]
         cur = 0
         for entry in sketch:
-            kind = entry[0]
-            if kind == "v":
+            # a sketch entry is a path-word item of the graph's alphabet
+            if tuple(entry) not in self._item_reprs:
+                raise SpecFormatError(f"bad sketch entry {entry!r}")
+            if entry[0] == "v":
                 _, vtx, idx = entry
                 items += self._route(cur, vtx)
                 cur = vtx
                 items[-1] = self._vmul(items[-1], ("v", vtx, idx))
-            elif kind == "e":
+            else:
                 _, ei, sign = entry
                 tail = self._dir[(ei, sign)]["tail"]
                 items += self._route(cur, tail)
                 items.append(("e", ei, sign))
                 cur = self._dir[(ei, sign)]["head"]
                 items.append(("v", cur, 0))
-            else:
-                raise SpecFormatError(f"bad sketch entry {entry!r}")
         items += self._route(cur, 0)
         return GroupElement("normal-form", self._normalize(tuple(items)), self)
 

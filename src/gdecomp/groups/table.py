@@ -56,8 +56,9 @@ class FiniteGroupTable:
         return cls(mul)
 
     @classmethod
-    def from_elements(cls, elements, op, identity, labels=None):
-        """Table for an explicitly listed closed set of abstract elements.
+    def from_elements(cls, elements, op, identity, labels):
+        """Table for an explicitly listed closed set of abstract elements,
+        each labelled by the dict `labels`.
 
         Returns (table, index_map). `elements` need not start with the
         identity; indices are remapped so it sits at 0.
@@ -75,9 +76,7 @@ class FiniteGroupTable:
                     raise VerificationFailure("element set not closed under the operation")
                 row.append(index[c])
             mul.append(row)
-        if labels is not None:
-            labels = [labels.get(e, f"g{index[e]}") for e in elems]
-        return cls(mul, labels), index
+        return cls(mul, [labels[e] for e in elems]), index
 
     # -- basic structure ------------------------------------------------
 

@@ -4,18 +4,18 @@ reading in `gdecomp.decomp`.
 Here subgroups are closed over all pairs of their members, every merge
 pair is looked at again after each merge (its closure is kept by pair,
 since it depends on the pair alone), a bag's orbit is found by trying a
-translation onto each orbit representative so far, and a stabilizer is
-filtered by translating the bag. Their results must equal what
+translation onto each orbit representative so far, conjugacy is tested
+on every member of a subgroup, and a stabilizer is filtered by
+translating the bag. Their results must equal what
 `compute_global_decomposition` and `compute_stabilizers` read off the
-cosets: the families, `bag_orbit`, `orbit_rep_bag`, `model_edges` and the
-stabilizers.
+cosets: the families, `bag_orbit`, `orbit_rep_bag`, `model_edges` and
+the stabilizers.
 """
 
 from __future__ import annotations
 
-from gdecomp.decomp import (_conjugate_in_ball, _eccentricity,
-                            _pairs_equivalent, _subgroup_key, _translators,
-                            translate_bag)
+from gdecomp.decomp import (_eccentricity, _pairs_equivalent, _subgroup_key,
+                            _translators, translate_bag)
 
 
 def closure_in_ball(ball, indices, size_cap=256):
@@ -38,6 +38,17 @@ def closure_in_ball(ball, indices, size_cap=256):
                             return None
         frontier = nxt
     return frozenset(have)
+
+
+def conjugate_in_ball(ball, idx_a, idx_b):
+    """Some ball vertex c has c·a·c⁻¹ ∈ B for every member a of A."""
+    if len(idx_a) != len(idx_b):
+        return False
+    for c in range(ball.vertex_count):
+        ci = ball.inverse(c)
+        if all(ball.product(c, a, ci) in idx_b for a in idx_a):
+            return True
+    return False
 
 
 def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
@@ -85,7 +96,7 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
                                   _subgroup_key(ball, subs[i])))
     reps = []
     for i in order:
-        if any(_conjugate_in_ball(ball, subs[i], subs[j]) for j in reps):
+        if any(conjugate_in_ball(ball, subs[i], subs[j]) for j in reps):
             continue
         reps.append(i)
     return [sorted(subs[i], key=lambda v: ball.elements[v].key()) for i in reps]

@@ -60,7 +60,7 @@ def test_conjugates_of_torsion_stay_elliptic(c2c3):
             act = classify_tree_automorphism(tree, gamma)
         except UncertifiedRegion:
             continue
-        assert act.kind in ("elliptic", "reflection")
+        assert act.kind == "elliptic"
 
 
 def test_c4c2c6_classification(c4c2c6):

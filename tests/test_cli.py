@@ -119,8 +119,41 @@ def test_nerve_command(capsys):
 
 
 def test_unknown_group_exits_3(capsys):
-    code, _ = run(capsys, "ball", "--group", "nosuch", "--radius", "2")
+    # a name too long for a path raised OSError from Path.exists
+    for name in ("nosuch", "x" * 300):
+        code = main(["ball", "--group", name, "--radius", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"gdecomp: no such group spec or fixture: {name}\n"
+
+
+_MATRIX = {"format": "gdecomp-group/1", "kind": "matrix",
+           "generators": {"S": [[0, -1], [1, 0]]}}
+_GOG = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
+        "vertices": [{"cyclic": 2}], "edges": []}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([], "group spec must be a JSON object, got []"),
+    (_MATRIX, "matrix group spec lacks 'dimension'"),
+    ({k: v for k, v in _GOG.items() if k != "edges"},
+     "graph-of-groups spec lacks 'edges'"),
+    ({**_GOG, "vertices": [{"cyclic": 2}] * 2, "edges": [{"u": 0}]},
+     "edge spec lacks 'v', 'group', 'into_u', 'into_v', 'tree'"),
+    ({**_GOG, "vertices": [{"cyclic": 0}]},
+     "cyclic group order must be >= 1, got 0"),
+    ({**_GOG, "generators": {"a": [["v", 0, 5]]}},
+     "bad sketch entry ['v', 0, 5]"),
+], ids=["list", "no-dimension", "no-edges", "edge-u-only",
+        "cyclic-0", "sketch-index"])
+def test_malformed_spec_exits_3(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["ball", "--group", str(path), "--radius", "1"])
+    captured = capsys.readouterr()
     assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"gdecomp: {message}\n"
 
 
 def test_cap_exits_2(capsys):
@@ -421,3 +454,21 @@ def test_amalgam_discover_digest_pinned(case):
     text = canonical_json([gog.to_json(), trace])
     assert hashlib.sha256(text.encode()).hexdigest() \
         == AMALGAM_DISCOVER_DIGESTS[case]
+
+
+# sha256 of `gdecomp report --group amalgam` and `gdecomp discover --group
+# amalgam`, whose r = 16 confirming doubling is most of the report's time.
+# Marked slow (deselected by default; run them with `pytest -m slow`)
+AMALGAM_DIGESTS = {
+    "report": "654cfdd8b939e5f543d2d35f2215f8e6958dfdd2de7ffbef5081a2ecd2a2a3cc",
+    "discover":
+        "94cfc100048132869fb8a7ba43709a7f1f3933048685ee366dd6a67385635ee2",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", sorted(AMALGAM_DIGESTS))
+def test_amalgam_digest_pinned(capsys, command):
+    code, out = run(capsys, command, "--group", "amalgam")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AMALGAM_DIGESTS[command]
