@@ -15,7 +15,6 @@ timings go to stderr only.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -55,21 +54,6 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _cache_get(key):
-    root = os.environ.get("GDECOMP_CACHE")
-    if not root:
-        return None, None
-    p = Path(root) / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
-    if p.exists():
-        return p.read_text(), p
-    return None, p
-
-
-def _cache_key(path, *params):
-    spec = Path(path).read_bytes()
-    return hashlib.sha256(spec).hexdigest() + ":" + ":".join(map(str, params))
-
-
 def _log(msg, t0):
     print(f"[{time.perf_counter() - t0:7.2f}s] {msg}", file=sys.stderr)
 
@@ -78,18 +62,10 @@ def _log(msg, t0):
 # subcommands
 
 def cmd_ball(args):
-    cached, slot = _cache_get(_cache_key(args.group_path, "ball", args.radius,
-                                         args.format, args.cap))
-    if cached is not None:
-        _emit(cached, args.out)
-        return 0
     t0 = time.perf_counter()
     ball = build_ball(args.group, args.radius, cap=args.cap)
     _log(f"ball: {ball.vertex_count} vertices", t0)
     text = ball.to_dot() if args.format == "dot" else canonical_json(ball.to_json())
-    if slot:
-        slot.parent.mkdir(parents=True, exist_ok=True)
-        slot.write_text(text)
     _emit(text, args.out)
     return 0
 
@@ -519,7 +495,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         if hasattr(args, "group") and args.command != "report":
-            args.group, args.group_path = _load_group_arg(args.group)
+            args.group, _ = _load_group_arg(args.group)
         return args.func(args)
     except CapExceeded as e:
         print(f"gdecomp: cap exceeded: {e}", file=sys.stderr)

@@ -12,14 +12,20 @@ translation, read off the cosets: x·F is the translate of F by x, and a
 coset determines its subgroup, so a bag's orbit is its family (all
 singletons form one orbit). Every γ with γ·min(A) ∈ B carries a coset
 bag A onto B, so a bag's stabilizer x·F·x⁻¹ is its translators onto
-itself. Adjacent bag pairs are compared by trying translations.
+itself. An edge orbit is read off the cosets too (`_pair_key`): the
+translations carrying x·F onto F are the f·x⁻¹ with f ∈ F, so
+(x·F, y·G) and (x′·F, y′·G) are translates exactly when the double
+cosets F·x⁻¹y·G and F·x′⁻¹y′·G agree, as the edges at F in the
+Bass–Serre tree are the double cosets F·g·G (Serre, *Trees*, §I.3–I.5).
+Read in the ball's table, with group arithmetic where a product leaves
+it, the key is exact for every pair.
 
 Discovery needs only the model graph of each doubling, and reads it at
 the identity: each family F is its own bag there, and every interior bag
 pair is a translate of a pair (F, B′) with B′ adjacent to F, so the
-edge orbits are the classes of those pairs (Serre, *Trees*, §I.3–I.5).
-The reading is exact when F and every bag adjacent to it are interior;
-where they are not, discovery builds the full decomposition instead.
+edge orbits are the keys of those pairs. The reading is exact when F and
+every bag adjacent to it are interior; where they are not, discovery
+builds the full decomposition instead.
 """
 
 from __future__ import annotations
@@ -173,7 +179,7 @@ def _conjugate_in_ball(ball, idx_a, idx_b, gens_a):
 class GlobalDecomposition:
     __slots__ = ("ball", "keys", "r", "families", "bags", "bag_family",
                  "boundary_flag", "vertex_bags", "interior_radius",
-                 "bag_orbit", "model_vertex_count", "model_vertex_sizes",
+                 "bag_orbit", "model_vertex_sizes",
                  "model_edges", "orbit_rep_bag", "adjacent_pairs",
                  "covering_report")
 
@@ -184,6 +190,10 @@ class GlobalDecomposition:
     @property
     def bag_count(self):
         return len(self.bags)
+
+    @property
+    def model_vertex_count(self):
+        return len(self.model_vertex_sizes)
 
     def interior_vertices(self):
         return [v for v in range(self.ball.vertex_count)
@@ -280,17 +290,47 @@ def _translators(ball, src, dst):
     return out
 
 
-def _pairs_equivalent(ball, p1, p2):
-    """Translation carrying the bag pair p1 onto p2 (either orientation)."""
-    (a1, b1), (a2, b2) = p1, p2
-    for x2, y2 in ((a2, b2), (b2, a2)):
-        if len(a1) != len(x2) or len(b1) != len(y2):
-            continue
-        for gamma in _translators(ball, a1, x2):
-            if translate_bag(ball, gamma, a1) == frozenset(x2) \
-                    and translate_bag(ball, gamma, b1) == frozenset(y2):
-                return gamma
-    return None
+def _joins_bags(at_u, at_v):
+    """Whether a ball edge, with `at_u` and `at_v` every bag holding each
+    end, makes those bags adjacent: when it lies in no bag and joins no
+    two meeting bags (a bag holding both ends meets itself)."""
+    for a in at_u:  # plain loops: this runs once per ball edge
+        for b in at_v:
+            if not a.isdisjoint(b):
+                return False
+    return True
+
+
+def _pair_key(ball, families, fa, a, fb, b):
+    """The translation class of the unordered pair of bags a = x·F and
+    b = y·G of the families fa <= fb (-1: a singleton): the double coset
+    F·x⁻¹y·G, read from both bags when fa = fb. Its points are ball
+    vertices, or elements outside the ball: products walk the ball's
+    table, and group arithmetic forms only those that leave it."""
+    if fa > fb:
+        return _pair_key(ball, families, fb, b, fa, a)
+
+    def mul(u, v):
+        w = ball.product(u, v) if type(u) is type(v) is int else None
+        if w is None:
+            g = multiply(*(ball.elements[t] if type(t) is int else t
+                           for t in (u, v)))
+            w = ball.index.get(g.data, g)
+        return w
+
+    def double_coset(F, x, y, G):
+        m, out = mul(ball.inverse(x), y), set()
+        for f in F:
+            z = mul(f, m)
+            if z not in out:  # the cosets f·m·G are equal or disjoint
+                out.update(mul(z, g) for g in G)
+        return frozenset(out)
+
+    F, G = ((families[i] if i >= 0 else (0,)) for i in (fa, fb))
+    side = double_coset(F, min(a), min(b), G)
+    if fa == fb:
+        side = frozenset((side, double_coset(G, min(b), min(a), F)))
+    return fa, fb, side
 
 
 def compute_global_decomposition(ball, r, families=None):
@@ -331,21 +371,17 @@ def compute_global_decomposition(ball, r, families=None):
             vertex_bags[v].append(i)
 
     # adjacency source 1: intersecting bag pairs
-    pair_ids = set()
+    adjacent_pairs = set()
     for bs in vertex_bags:
-        pair_ids.update(combinations(bs, 2))
-    # adjacency source 2: ball edges not covered by a bag and with no
-    # intersecting bag pair across them (the acyclic/singleton regime)
-    edge_pairs = set()
+        adjacent_pairs.update(combinations(bs, 2))
+    # adjacency source 2: ball edges that join bags (`_joins_bags`), as
+    # in the acyclic/singleton regime
+    held = [[bags[b] for b in bs] for bs in vertex_bags]
     for u, v in ball.edge_pairs():
-        if any(v in bags[b] for b in vertex_bags[u]):
-            continue
-        if any(bags[bu] & bags[bv]
-               for bu in vertex_bags[u] for bv in vertex_bags[v]):
-            continue
-        edge_pairs.update((min(bu, bv), max(bu, bv))
-                          for bu in vertex_bags[u] for bv in vertex_bags[v])
-    all_pairs = pair_ids | edge_pairs
+        if _joins_bags(held[u], held[v]):
+            adjacent_pairs.update((min(bu, bv), max(bu, bv))
+                                  for bu in vertex_bags[u]
+                                  for bv in vertex_bags[v])
 
     # a bag's orbit is its family, numbered by the family's first
     # interior bag; boundary bags belong to no orbit
@@ -359,36 +395,28 @@ def compute_global_decomposition(ball, r, families=None):
                  for fi, flag in zip(bag_family, boundary_flag)]
     model_vertex_sizes = [len(bags[rep]) for rep in orbit_rep_bag]
 
-    # edge orbits
-    interior_pairs = sorted(
-        (i, j) for i, j in all_pairs
-        if bag_orbit[i] is not None and bag_orbit[j] is not None)
-    model_edges = []
-    for i, j in interior_pairs:
-        pair = (bags[i], bags[j])
-        for e in model_edges:
-            ri, rj = e["rep_pair"]
-            if _pairs_equivalent(ball, (bags[ri], bags[rj]), pair) is not None:
-                break
-        else:
-            model_edges.append({
-                "u": min(bag_orbit[i], bag_orbit[j]),
-                "v": max(bag_orbit[i], bag_orbit[j]),
-                "rep_pair": (i, j),
-                "adhesion": sorted(bags[i] & bags[j]),
-                "adhesion_size": len(bags[i] & bags[j]),
-            })
-    model_edges.sort(key=lambda e: (e["u"], e["v"], e["adhesion_size"],
-                                    e["rep_pair"]))
+    # edge orbits: the first interior pair of each `_pair_key` class
+    rep_pairs = {}
+    for i, j in sorted(adjacent_pairs):
+        if bag_orbit[i] is not None and bag_orbit[j] is not None:
+            rep_pairs.setdefault(_pair_key(ball, families, bag_family[i],
+                                           bags[i], bag_family[j], bags[j]),
+                                 (i, j))
+    model_edges = sorted(
+        ({"u": min(bag_orbit[i], bag_orbit[j]),
+          "v": max(bag_orbit[i], bag_orbit[j]), "rep_pair": (i, j),
+          "adhesion": sorted(bags[i] & bags[j]),
+          "adhesion_size": len(bags[i] & bags[j])}
+         for i, j in rep_pairs.values()),
+        key=lambda e: (e["u"], e["v"], e["adhesion_size"], e["rep_pair"]))
 
     decomp = GlobalDecomposition(
         ball=ball, keys=keys, r=r, families=families, bags=bags,
         bag_family=bag_family, boundary_flag=boundary_flag,
         vertex_bags=vertex_bags, interior_radius=interior_radius,
-        bag_orbit=bag_orbit, model_vertex_count=len(orbit_rep_bag),
-        model_vertex_sizes=model_vertex_sizes, model_edges=model_edges,
-        orbit_rep_bag=orbit_rep_bag,
-        adjacent_pairs={(min(i, j), max(i, j)) for i, j in all_pairs},
+        bag_orbit=bag_orbit, model_vertex_sizes=model_vertex_sizes,
+        model_edges=model_edges, orbit_rep_bag=orbit_rep_bag,
+        adjacent_pairs=adjacent_pairs,
         covering_report=None)
     decomp.covering_report = decomp.verify_axioms()
     return decomp
@@ -606,6 +634,10 @@ def _read_at_identity(ball, families):
     F and every such B′ are interior: only then do these pairs stand for
     every interior pair. Every interior vertex v lies in v·F, so once
     there are families no interior bag is a singleton.
+
+    Edge orbits are `_pair_key` classes; with x = 1 the key of (F, B′)
+    is F·B′, as (F, B′) and (F, B″) are translates exactly when B″ is
+    some f·B′ with f ∈ F.
     """
     interior_radius = _interior_radius(ball, families)
     # without families every bag is a singleton, a coset of {1}
@@ -614,30 +646,29 @@ def _read_at_identity(ball, families):
     if any(_eccentricity(ball, f) > interior_radius for f in reps):
         return None
 
+    @cache
     def bags_at(v):
-        # (family, bag) of each bag holding v; for v in or next to an
+        # bag -> family of each bag holding v; for v in or next to an
         # interior F, every v·G lies in the ball
-        return [(gi, frozenset(ball.product(v, h) for h in g))
-                for gi, g in enumerate(families)]
+        return {frozenset(ball.product(v, h) for h in g): gi
+                for gi, g in enumerate(families)}
 
-    # a bag is adjacent to F if it meets F, or if an edge from F lies in
-    # no bag and joins no two meeting bags
-    pairs = []
+    # a bag is adjacent to F if it meets F, or if an edge from F joins
+    # them (`_joins_bags`); each key class keeps its first pair's fields
+    classes = {}
     for fi, rep in enumerate(reps):
         adjacent = {}
         for u in rep:
-            at_u = bags_at(u)
-            adjacent.update((b, gi) for gi, b in at_u if b != rep)
+            adjacent.update(bags_at(u))
             for w in ball.adj[u]:
-                if any(w in b for _, b in at_u):
-                    continue
-                at_w = bags_at(w)
-                if not any(a & b for _, a in at_u for _, b in at_w):
-                    adjacent.update((b, gi) for gi, b in at_w)
+                if _joins_bags(bags_at(u), bags_at(w)):
+                    adjacent.update(bags_at(w))
+        adjacent.pop(rep)
         for b, gi in adjacent.items():
             if _eccentricity(ball, b) > interior_radius:
                 return None
-            pairs.append((fi, gi, rep, b))
+            classes.setdefault(_pair_key(ball, families, fi, rep, gi, b),
+                               (fi, gi, len(rep & b)))
 
     # orbits are numbered by each family's first interior bag in the
     # scan's (size, sorted keys) order; only a tie in size needs keys
@@ -652,13 +683,10 @@ def _read_at_identity(ball, families):
     order = sorted(range(len(reps)), key=lambda fi: (
         sizes[fi], first_bag(fi) if sizes.count(sizes[fi]) > 1 else ()))
     orbit = {fi: o for o, fi in enumerate(order)}
-    classes = []
-    for fi, gi, a, b in pairs:
-        if all(_pairs_equivalent(ball, p, (a, b)) is None for p, _ in classes):
-            ou, ov = orbit[fi], orbit[gi]
-            classes.append(((a, b), (min(ou, ov), max(ou, ov), len(a & b))))
-    return _transcript_fields([sizes[fi] for fi in order],
-                              [e for _, e in classes])
+    return _transcript_fields(
+        [sizes[fi] for fi in order],
+        [(min(orbit[fi], orbit[gi]), max(orbit[fi], orbit[gi]), adhesion)
+         for fi, gi, adhesion in classes.values()])
 
 
 def _assemble_graph_of_groups(group, ball, decomp, stabs):

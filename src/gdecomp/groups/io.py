@@ -16,7 +16,9 @@ One versioned format ("gdecomp-group/1") covers both backends:
 
 Vertex/edge group tables may be given as {"cyclic": n}, {"trivial": true},
 {"mul": [[...]], "labels": [...]}, or {"permutations": [...], "degree": d}.
-A spec that is not of this shape raises SpecFormatError.
+A spec that is not of this shape, or holds a field of the wrong JSON
+type, a `mul` that is not a square table with identity 0 or a
+permutation not of its degree, raises SpecFormatError.
 """
 
 from __future__ import annotations
@@ -33,10 +35,28 @@ from .table import FiniteGroupTable
 FORMAT = "gdecomp-group/1"
 
 
+# the JSON types a field is checked for; "ints" is an array of integers
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer",
+               "ints": "an array of integers"}
+
+
+def _typed(value, kind, what):
+    """`value`, checked to be of the JSON type `kind`."""
+    if not (type(value) is list and all(type(x) is int for x in value)
+            if kind == "ints" else type(value) is kind):
+        raise SpecFormatError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _permutation(value, n, what):
+    """Check that `value` is a permutation of 0..n-1."""
+    if sorted(_typed(value, "ints", what)) != list(range(n)):
+        raise SpecFormatError(f"{what} {value!r} is not a permutation of 0..{n - 1}")
+
+
 def _fields(obj, what, *required):
     """Check that `obj` is a JSON object holding every `required` key."""
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{what} must be a JSON object, got {obj!r}")
+    _typed(obj, dict, what)
     missing = [k for k in required if k not in obj]
     if missing:
         raise SpecFormatError(f"{what} lacks {', '.join(map(repr, missing))}")
@@ -52,10 +72,21 @@ def table_from_spec(spec):
             raise SpecFormatError(f"cyclic group order must be >= 1, got {n!r}")
         return FiniteGroupTable.cyclic(n, spec.get("label"))
     if "mul" in spec:
-        return FiniteGroupTable(spec["mul"], spec.get("labels"))
+        mul = _typed(spec["mul"], list, "group table 'mul'")
+        # a group table's rows permute its elements, and 0 is its identity
+        for row in mul:
+            _permutation(row, len(mul), "group table row")
+        if not mul or mul[0] != list(range(len(mul))) \
+                or [row[0] for row in mul] != mul[0]:
+            raise SpecFormatError("group table 'mul' has no identity at 0")
+        return FiniteGroupTable(mul, spec.get("labels"))
     if "permutations" in spec:
         _fields(spec, "permutation table spec", "degree")
-        return FiniteGroupTable.from_permutations(spec["permutations"], spec["degree"])
+        degree = _typed(spec["degree"], int, "permutation table 'degree'")
+        perms = _typed(spec["permutations"], list, "permutation table 'permutations'")
+        for p in perms:
+            _permutation(p, degree, "permutation table entry")
+        return FiniteGroupTable.from_permutations(perms, degree)
     raise SpecFormatError(f"unrecognized group table spec: {sorted(spec)}")
 
 
@@ -76,10 +107,14 @@ def load_group(source):
     name = data.get("name", "group")
     if kind == "matrix":
         _fields(data, "matrix group spec", "dimension", "generators")
+        gens = _typed(data["generators"], dict, "matrix group 'generators'")
+        for gname, mat in gens.items():
+            for row in _typed(mat, list, f"generator {gname}"):
+                _typed(row, "ints", f"generator {gname} row")
         return MatrixGroup(
             name,
-            data["dimension"],
-            data["generators"],
+            _typed(data["dimension"], int, "matrix group 'dimension'"),
+            gens,
             modulus=data.get("modulus"),
             special_linear=data.get("special_linear", False),
             presentation=data.get("presentation"),
@@ -87,14 +122,20 @@ def load_group(source):
         )
     if kind == "graph-of-groups":
         _fields(data, "graph-of-groups spec", "vertices", "edges")
-        vertices = [table_from_spec(v) for v in data["vertices"]]
+        vertices = [table_from_spec(v) for v in
+                    _typed(data["vertices"], list, "graph-of-groups 'vertices'")]
         edges = []
-        for e in data["edges"]:
+        for e in _typed(data["edges"], list, "graph-of-groups 'edges'"):
             _fields(e, "edge spec", "u", "v", "group", "into_u", "into_v", "tree")
             edges.append(GogEdge(e["u"], e["v"], table_from_spec(e["group"]),
-                                 e["into_u"], e["into_v"], e["tree"]))
+                                 _typed(e["into_u"], "ints", "edge 'into_u'"),
+                                 _typed(e["into_v"], "ints", "edge 'into_v'"), e["tree"]))
         gog = GraphOfGroups(vertices, edges, data.get("vertex_names"), name=name)
-        group = GraphOfGroupsGroup(gog, data.get("generators", {}), name=name)
+        sketches = _typed(data.get("generators", {}), dict, "graph-of-groups 'generators'")
+        for gname, sketch in sketches.items():
+            for entry in _typed(sketch, list, f"generator {gname}"):
+                _typed(entry, list, f"generator {gname} entry")
+        group = GraphOfGroupsGroup(gog, sketches, name=name)
         group.companion_matrix = data.get("companion_matrix")
         return group
     raise SpecFormatError(f"unknown group kind {kind!r}")

@@ -6,16 +6,17 @@ pair is looked at again after each merge (its closure is kept by pair,
 since it depends on the pair alone), a bag's orbit is found by trying a
 translation onto each orbit representative so far, conjugacy is tested
 on every member of a subgroup, and a stabilizer is filtered by
-translating the bag. Their results must equal what
+translating the bag, and two bag pairs are compared by trying every
+translation of one bag onto another. Their results must equal what
 `compute_global_decomposition` and `compute_stabilizers` read off the
-cosets: the families, `bag_orbit`, `orbit_rep_bag`, `model_edges` and
-the stabilizers.
+cosets: the families, `bag_orbit`, `orbit_rep_bag`, `model_edges`, the
+pair keys and the stabilizers.
 """
 
 from __future__ import annotations
 
-from gdecomp.decomp import (_eccentricity, _pairs_equivalent, _subgroup_key,
-                            _translators, translate_bag)
+from gdecomp.decomp import (_eccentricity, _subgroup_key, _translators,
+                            translate_bag)
 
 
 def closure_in_ball(ball, indices, size_cap=256):
@@ -129,6 +130,20 @@ def bag_orbits(ball, bags, boundary_flag):
     return bag_orbit, orbit_rep_bag
 
 
+def pairs_equivalent(ball, p1, p2):
+    """A translation carrying the bag pair p1 onto p2, in either
+    orientation, or None."""
+    (a1, b1), (a2, b2) = p1, p2
+    for x2, y2 in ((a2, b2), (b2, a2)):
+        if len(a1) != len(x2) or len(b1) != len(y2):
+            continue
+        for gamma in _translators(ball, a1, x2):
+            if translate_bag(ball, gamma, a1) == frozenset(x2) \
+                    and translate_bag(ball, gamma, b1) == frozenset(y2):
+                return gamma
+    return None
+
+
 def model_edges(ball, bags, bag_orbit, adjacent_pairs):
     """One representative bag pair per translation class of interior pairs."""
     interior_pairs = sorted(
@@ -139,7 +154,7 @@ def model_edges(ball, bags, bag_orbit, adjacent_pairs):
         pair = (bags[i], bags[j])
         for e in edges:
             ri, rj = e["rep_pair"]
-            if _pairs_equivalent(ball, (bags[ri], bags[rj]), pair) is not None:
+            if pairs_equivalent(ball, (bags[ri], bags[rj]), pair) is not None:
                 break
         else:
             edges.append({

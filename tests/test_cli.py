@@ -144,8 +144,27 @@ _GOG = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
      "cyclic group order must be >= 1, got 0"),
     ({**_GOG, "generators": {"a": [["v", 0, 5]]}},
      "bad sketch entry ['v', 0, 5]"),
+    # wrong JSON types, and tables that are no group's
+    ({**_GOG, "edges": None},
+     "graph-of-groups 'edges' must be a JSON array, got None"),
+    ({**_GOG, "generators": {"a": [5]}},
+     "generator a entry must be a JSON array, got 5"),
+    ({**_MATRIX, "dimension": 2, "generators": None},
+     "matrix group 'generators' must be a JSON object, got None"),
+    ({**_GOG, "generators": [1]},
+     "graph-of-groups 'generators' must be a JSON object, got [1]"),
+    ({**_GOG, "vertices": [{"permutations": [[1, 0]], "degree": 3}]},
+     "permutation table entry [1, 0] is not a permutation of 0..2"),
+    ({**_GOG, "vertices": [{"mul": [[0, 1]]}]},
+     "group table row [0, 1] is not a permutation of 0..0"),
+    ({**_GOG, "vertices": [{"mul": [[0, 1], [1, 2]]}]},
+     "group table row [1, 2] is not a permutation of 0..1"),
+    ({**_GOG, "vertices": [{"mul": [[1, 0], [0, 1]]}]},
+     "group table 'mul' has no identity at 0"),
 ], ids=["list", "no-dimension", "no-edges", "edge-u-only",
-        "cyclic-0", "sketch-index"])
+        "cyclic-0", "sketch-index", "edges-null", "sketch-int",
+        "matrix-generators-null", "generators-list", "permutation-degree",
+        "mul-not-square", "mul-not-closed", "mul-no-identity"])
 def test_malformed_spec_exits_3(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -201,19 +220,6 @@ def test_emit_table1_empty_and_out_of_scope():
     assert emit_table1([]).startswith("Group")
     table = emit_table1(["sl3z"])
     assert "out of scope: not virtually free pipeline" in table
-
-
-def test_cache_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GDECOMP_CACHE", str(tmp_path))
-    _, out1 = run(capsys, "ball", "--group", "z5", "--radius", "2")
-    assert list(tmp_path.iterdir())  # artifact cached
-    _, out2 = run(capsys, "ball", "--group", "z5", "--radius", "2")
-    assert out1 == out2
-    # the cap is part of the key: a cached radius-2 ball does not hide
-    # that 2 vertices are too few for it
-    code, out3 = run(capsys, "ball", "--group", "z5", "--radius", "2",
-                     "--cap", "2")
-    assert code == 2 and out3 == ""
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

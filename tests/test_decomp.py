@@ -10,8 +10,9 @@ import decomp_oracle as oracle
 from gdecomp import (build_ball, build_nerve_complex, check_periodicity,
                      check_vtf_conditions, compute_global_decomposition,
                      compute_stabilizers, discover_graph_of_groups)
-from gdecomp.decomp import (_read_at_identity, _translators, bag_size_bound,
-                            edge_incidence_bound, maximal_finite_subgroups)
+from gdecomp.decomp import (_pair_key, _read_at_identity, _translators,
+                            bag_size_bound, edge_incidence_bound,
+                            maximal_finite_subgroups)
 from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_free_group)
@@ -252,6 +253,40 @@ def test_decomposition_matches_searches(case):
             rep = dec.bags[orbit_rep_bag[o]]
             assert _translators(ball, dec.bags[i], rep)[0] \
                 == oracle.bags_equivalent(ball, dec.bags[i], rep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_decomp_inputs(), st.randoms(use_true_random=False))
+def test_pair_key_matches_search(case, rnd):
+    # on every adjacent pair, boundary pairs included, two pairs have
+    # equal keys exactly when a translation carries one onto the other;
+    # the model edges only see interior pairs
+    group, radius, r = case
+    try:
+        ball = build_ball(group, radius, cap=2000)
+    except CapExceeded:
+        assume(False)
+    dec = compute_global_decomposition(ball, r)
+    pairs = sorted(dec.adjacent_pairs)
+    key = {(i, j): _pair_key(ball, dec.families, dec.bag_family[i],
+                             dec.bags[i], dec.bag_family[j], dec.bags[j])
+           for i, j in pairs}
+    by_key, by_families = {}, {}
+    for i, j in pairs:
+        by_key.setdefault(key[i, j], []).append((i, j))
+        by_families.setdefault(tuple(sorted(
+            (dec.bag_family[i], dec.bag_family[j]))), []).append((i, j))
+    # two pairs of one class, and two pairs of the same families, which
+    # the search must tell apart by translating
+    same = [c for c in by_key.values() if len(c) > 1]
+    alike = [c for c in by_families.values() if len(c) > 1]
+    checks = [rnd.sample(rnd.choice(same), 2) for _ in range(20) if same] \
+        + [rnd.sample(rnd.choice(alike), 2) for _ in range(20) if alike]
+    for p, q in checks:
+        found = oracle.pairs_equivalent(
+            ball, (dec.bags[p[0]], dec.bags[p[1]]),
+            (dec.bags[q[0]], dec.bags[q[1]]))
+        assert (key[p] == key[q]) == (found is not None)
 
 
 def _c4_c2_c4_free_c4():
