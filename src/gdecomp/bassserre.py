@@ -1,8 +1,11 @@
 """Finite portions of the coset tree of a splitting, and actions on them.
 
-Tree vertices are cosets of the based vertex subgroups; two cosets are
-adjacent when an edge-group coset connects them. Group elements act by
-left multiplication, without inversions (Serre, *Trees*, §I.5), and are
+Tree vertices are cosets of the based vertex subgroups. The edges at
+g·H_v are the left cosets of an edge group's image in G_v (Serre,
+*Trees*, §I.4–I.5), so the moves out of it are g·c·s^±1, for the edge's
+stable letter s and the coset representatives c that the normal form
+keeps (`GraphOfGroupsGroup.edge_coset_reps`). Group elements act by left
+multiplication, without inversions (Serre, *Trees*, §I.5), and are
 classified as elliptic or hyperbolic with explicit witnesses, declining
 to answer when the portion is too small.
 """
@@ -97,18 +100,6 @@ class BassSerreTreePortion:
         return "\n".join(lines) + "\n"
 
 
-def _coset_transversal(elements, image_data):
-    """Left coset representatives of a subgroup inside a listed group."""
-    reps, seen = [], set()
-    for h in elements:
-        key = frozenset(multiply(h, g).data for g in elements
-                        if g.data in image_data)
-        if key not in seen:
-            seen.add(key)
-            reps.append(h)
-    return reps
-
-
 def build_tree_portion(group, radius):
     """BFS the coset tree out to `radius` from the base vertex's coset,
     raising CapExceeded past TREE_VERTEX_CAP vertices."""
@@ -117,19 +108,15 @@ def build_tree_portion(group, radius):
     if radius < 0:
         raise ValueError("radius must be >= 0")
     gog = group.gog
-    subgroups = [group.based_vertex_subgroup(v) for v in range(len(gog.vertices))]
-
-    # per edge and side: coset transversal of the edge-group image
-    moves = [[] for _ in range(len(gog.vertices))]  # vertex -> (target, step)
+    # per vertex: (target vertex, step c * s^sign) for each edge end and
+    # each coset representative c of the edge group's image there
+    moves = [[] for _ in gog.vertices]
     for i, e in enumerate(gog.edges):
         s = group.stable_letter(i)
-        img_u = {group.based_vertex_element(e.u, c).data for c in e.into_u}
-        img_v = {multiply(multiply(s, group.based_vertex_element(e.u, c)),
-                          inverse(s)).data for c in e.into_u}
-        for t in _coset_transversal(subgroups[e.u], img_u):
-            moves[e.u].append((e.v, multiply(t, s)))
-        for t in _coset_transversal(subgroups[e.v], img_v):
-            moves[e.v].append((e.u, multiply(t, inverse(s))))
+        for sign, tail, head, t in ((1, e.u, e.v, s), (-1, e.v, e.u, inverse(s))):
+            for c in group.edge_coset_reps(i, sign):
+                step = multiply(group.based_vertex_element(tail, c), t)
+                moves[tail].append((head, step))
 
     orbit = [0]
     reps = [group.identity]

@@ -10,8 +10,11 @@ The ball is stored as its right-multiplication table, a partial coset
 table of the trivial subgroup: right[v][k] is the vertex of
 elements[v] * gen_k, or -1 outside the ball. Each of those products is
 computed once, while the ball is built; adjacency, edges and labels are
-read off the table, and products of ball vertices walk it (`product`,
-`inverse`). For a graph-of-groups group the products come from the
+read off the table. Every other product is formed by `mul`, on points:
+a point is a vertex, or an element that lies outside the ball. Two
+vertices walk the table; only a walk that leaves the ball, or a point
+outside it, uses group arithmetic. For a graph-of-groups group the
+table's products come from the
 group's memo of window products (`GraphOfGroupsGroup.right_multiplier`):
 right multiplication by a generator rewrites only a bounded suffix of a
 normal form.
@@ -87,21 +90,39 @@ class CayleyBall:
             x = right[x][inv[k]]
         return x
 
+    def point(self, g):
+        """The vertex of g, or g itself outside the ball."""
+        return self.index.get(g.data, g)
+
+    def mul(self, p, q):
+        """The point of p * q: two vertices walk q's stored word from p; a
+        walk that leaves the ball, or a point outside it, falls back to
+        group arithmetic, as the product may still land inside."""
+        if type(p) is int and type(q) is int:
+            right, x = self.right, p
+            for k in self.words[q]:
+                x = right[x][k]
+                if x < 0:
+                    break
+            else:
+                return x
+        return self.point(multiply(self.elements[p] if type(p) is int else p,
+                                   self.elements[q] if type(q) is int else q))
+
     def product(self, u, *vs):
         """Vertex of elements[u] * elements[v] * ... for ball vertices u, v,
         ..., or None outside the ball. Walks the stored words of the vs
-        from u; only a walk that leaves the ball falls back to group
-        arithmetic, since the product may still land inside."""
+        from u; a walk that leaves the ball is redone by `mul`."""
         right, words = self.right, self.words
         x = u
         for v in vs:
             for k in words[v]:
                 x = right[x][k]
                 if x < 0:
-                    acc = self.elements[u]
+                    p = u
                     for w in vs:
-                        acc = multiply(acc, self.elements[w])
-                    return self.locate(acc)
+                        p = self.mul(p, w)
+                    return p if type(p) is int else None
         return x
 
     def edge_pairs(self):

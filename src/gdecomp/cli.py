@@ -44,7 +44,7 @@ def _load_group_arg(value):
         # os.path.exists is False, not OSError, for an overlong name
         if not os.path.exists(path):
             raise SpecFormatError(f"no such group spec or fixture: {value}")
-    return load_group(path), path
+    return load_group(path)
 
 
 def _emit(text, out):
@@ -215,7 +215,6 @@ def cmd_nerve(args):
 
 @dataclass
 class RunConfig:
-    group_path: Path
     r: int = None
     radius: int = None
     depth: int = None
@@ -239,10 +238,10 @@ class RunConfig:
             self.depth = max(2, self.r // 2)
 
 
-def run_pipeline(config):
-    """ball -> cover -> decompose -> discover -> tree -> subgroup; returns
-    the report bundle and writes per-stage artifacts when out_dir is set."""
-    group = load_group(config.group_path)
+def run_pipeline(group, config):
+    """ball -> cover -> decompose -> discover -> tree -> subgroup on a
+    loaded group; returns the report bundle and writes per-stage artifacts
+    when out_dir is set."""
     config.resolve(group)
     bundle = {"schema_version": SCHEMA_VERSION, "group": group.name,
               "parameters": {"r": config.r, "radius": config.radius,
@@ -345,12 +344,11 @@ def emit_table1(specs, r=None, radius=None):
     """Aligned text table with one summary row per group spec."""
     rows = []
     for spec in specs:
-        group, path = _load_group_arg(str(spec))
+        group = _load_group_arg(str(spec))
         if _out_of_scope(group):
             rows.append((group.name, "out of scope: not virtually free pipeline", ""))
             continue
-        config = RunConfig(group_path=path, r=r, radius=radius)
-        row = run_pipeline(config)["summary"]
+        row = run_pipeline(group, RunConfig(r=r, radius=radius))["summary"]
         rows.append((row["group"], row["model_graph"], row["bag_sizes"]))
     header = ("Group", "Model graph", "Bag sizes")
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
@@ -371,15 +369,15 @@ def cmd_report(args):
         return 0
     if len(args.groups) != 1:
         raise SpecFormatError("json report takes exactly one --group")
-    group, path = _load_group_arg(args.groups[0])
+    group = _load_group_arg(args.groups[0])
     if _out_of_scope(group):
         raise VerificationFailure(f"{group.name}: out of scope, not virtually free")
-    config = RunConfig(group_path=path, r=args.r, radius=args.radius,
+    config = RunConfig(r=args.r, radius=args.radius,
                        depth=args.depth, max_doublings=args.max_doublings,
                        seed=args.seed,
                        out_dir=args.out if args.out and Path(args.out).suffix == ""
                        else None)
-    bundle = run_pipeline(config)
+    bundle = run_pipeline(group, config)
     if config.out_dir is None:
         _emit(canonical_json(bundle), args.out)
     return 0
@@ -495,7 +493,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         if hasattr(args, "group") and args.command != "report":
-            args.group, _ = _load_group_arg(args.group)
+            args.group = _load_group_arg(args.group)
         return args.func(args)
     except CapExceeded as e:
         print(f"gdecomp: cap exceeded: {e}", file=sys.stderr)

@@ -37,8 +37,7 @@ from itertools import combinations
 
 from .cayley import build_ball
 from .graphs import UnionFind
-from .groups import (FiniteGroupTable, GogEdge, GraphOfGroups, element_order,
-                     inverse, multiply)
+from .groups import FiniteGroupTable, GogEdge, GraphOfGroups, inverse, multiply
 
 # the largest order of a cyclic subgroup that maximal_finite_subgroups keeps
 CYCLIC_ORDER_CAP = 64
@@ -263,14 +262,12 @@ class GlobalDecomposition:
 
 def translate_bag(ball, gamma, bag):
     """Left-translate a bag of vertex indices by a group element; None if
-    it leaves the ball. A gamma inside the ball is applied by walking the
-    ball's table."""
-    g = ball.locate(gamma)
+    it leaves the ball. Products are the ball's (`CayleyBall.mul`)."""
+    g = ball.point(gamma)
     out = set()
     for v in bag:
-        i = (ball.product(g, v) if g is not None
-             else ball.locate(multiply(gamma, ball.elements[v])))
-        if i is None:
+        i = ball.mul(g, v)
+        if type(i) is not int:
             return None
         out.add(i)
     return frozenset(out)
@@ -282,11 +279,8 @@ def _translators(ball, src, dst):
     i0 = ball.inverse(min(src))
     out = []
     for w in sorted(dst):
-        g = ball.product(w, i0)
-        # a candidate outside the ball has no vertex: group arithmetic
-        # builds it, and translate_bag then applies it the same way
-        out.append(ball.elements[g] if g is not None
-                   else multiply(ball.elements[w], ball.elements[i0]))
+        g = ball.mul(w, i0)
+        out.append(ball.elements[g] if type(g) is int else g)
     return out
 
 
@@ -304,26 +298,17 @@ def _joins_bags(at_u, at_v):
 def _pair_key(ball, families, fa, a, fb, b):
     """The translation class of the unordered pair of bags a = x·F and
     b = y·G of the families fa <= fb (-1: a singleton): the double coset
-    F·x⁻¹y·G, read from both bags when fa = fb. Its points are ball
-    vertices, or elements outside the ball: products walk the ball's
-    table, and group arithmetic forms only those that leave it."""
+    F·x⁻¹y·G, read from both bags when fa = fb, as a set of the ball's
+    points (`CayleyBall.mul`)."""
     if fa > fb:
         return _pair_key(ball, families, fb, b, fa, a)
 
-    def mul(u, v):
-        w = ball.product(u, v) if type(u) is type(v) is int else None
-        if w is None:
-            g = multiply(*(ball.elements[t] if type(t) is int else t
-                           for t in (u, v)))
-            w = ball.index.get(g.data, g)
-        return w
-
     def double_coset(F, x, y, G):
-        m, out = mul(ball.inverse(x), y), set()
+        m, out = ball.mul(ball.inverse(x), y), set()
         for f in F:
-            z = mul(f, m)
+            z = ball.mul(f, m)
             if z not in out:  # the cosets f·m·G are equal or disjoint
-                out.update(mul(z, g) for g in G)
+                out.update(ball.mul(z, g) for g in G)
         return frozenset(out)
 
     F, G = ((families[i] if i >= 0 else (0,)) for i in (fa, fb))
@@ -489,18 +474,16 @@ def bag_size_bound(M, K, component_sizes):
 def cyclic_subgroup_in_ball(ball, g):
     """(k, vertices of ⟨g⟩) for g of order k <= TORSION_ORDER_CAP; k is
     None past the cap, and the vertices None when a power of g lies
-    outside the ball."""
-    k = element_order(g, TORSION_ORDER_CAP)
-    if k is None:
-        return None, None
-    cyc, power = set(), ball.group.identity
-    for _ in range(k):
-        i = ball.locate(power)
-        if i is None:
-            return k, None
-        cyc.add(i)
-        power = multiply(power, g)
-    return k, cyc
+    outside the ball. The powers are the ball's points (`CayleyBall.mul`);
+    the identity is vertex 0."""
+    g = ball.point(g)
+    cyc, power = {0}, g
+    for k in range(1, TORSION_ORDER_CAP + 1):
+        if power == 0:
+            return k, (cyc if all(type(i) is int for i in cyc) else None)
+        cyc.add(power)
+        power = ball.mul(power, g)
+    return None, None
 
 
 def check_vtf_conditions(decomp, stabilizers, torsion_sample):

@@ -229,8 +229,10 @@ class GraphOfGroupsGroup:
         items = [("v", 0, 0)]
         cur = 0
         for entry in sketch:
-            # a sketch entry is a path-word item of the graph's alphabet
-            if tuple(entry) not in self._item_reprs:
+            # a sketch entry is a path-word item of the graph's alphabet;
+            # its parts are checked first, as a nested array is unhashable
+            if not all(isinstance(x, (str, int)) for x in entry) \
+                    or tuple(entry) not in self._item_reprs:
                 raise SpecFormatError(f"bad sketch entry {entry!r}")
             if entry[0] == "v":
                 _, vtx, idx = entry
@@ -449,6 +451,12 @@ class GraphOfGroupsGroup:
         share a key.
         """
         return self.coset_word(vertex, *factors)[:-1]
+
+    def edge_coset_reps(self, edge_index, sign):
+        """The lowest-index representatives, in index order, of the left
+        cosets of the edge group's image in the tail vertex group of the
+        edge traversed with `sign`: the ones the normal form uses."""
+        return sorted(set(self._dir[(edge_index, sign)]["rep"]))
 
     def stable_letter(self, edge_index):
         """Based loop traversing the edge once (trivial for tree edges)."""

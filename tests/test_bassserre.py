@@ -13,7 +13,9 @@ from gdecomp.bassserre import (DecompositionTree, is_non_elementary,
 from gdecomp.errors import UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.graphs import bfs
-from gdecomp.groups import inverse, multiply, normal_form
+from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
+                            GraphOfGroupsGroup, inverse, multiply, normal_form)
+from tree_oracle import tree_portion as reference_tree_portion
 
 
 def test_c2c3_tree_shape(c2c3):
@@ -204,6 +206,51 @@ def test_degenerate_edge_is_one_tree_edge():
     assert tree.orbit == [0, 1] and tree.adj == [[1], [0]]
     x = group.generators["x"]
     assert [tree.action(x, v) for v in (0, 1)] == [0, 1]
+
+
+# Tree moves from the normal form's coset representatives against the
+# reference transversal search, on amalgams and HNN extensions of C_n and
+# S3 whose associated subgroups are drawn: cyclic embeddings twisted by an
+# automorphism, and any of S3's three C2s or its C3 on either end, so an
+# HNN extension of S3 may associate two distinct C2s.
+
+_VERTEX_TABLES = [FiniteGroupTable.cyclic(n) for n in range(1, 7)] + [
+    FiniteGroupTable.from_permutations([(1, 0, 2), (1, 2, 0)], 3)]
+
+
+def _embeddings(table, c):
+    """Every embedding of C_c into the table: the powers of an element of
+    order c, as a list of element indices."""
+    out = []
+    for g in range(table.order):
+        if table.element_order(g) == c:
+            powers = [0]
+            while len(powers) < c:
+                powers.append(table.mul[powers[-1]][g])
+            out.append(powers)
+    return out
+
+
+@st.composite
+def _splittings(draw):
+    hnn = draw(st.booleans())
+    u = draw(st.sampled_from(_VERTEX_TABLES))
+    v = u if hnn else draw(st.sampled_from(_VERTEX_TABLES))
+    orders = sorted({u.element_order(g) for g in range(u.order)}
+                    & {v.element_order(g) for g in range(v.order)})
+    c = draw(st.sampled_from(orders))
+    edge = GogEdge(0, 0 if hnn else 1, FiniteGroupTable.cyclic(c),
+                   draw(st.sampled_from(_embeddings(u, c))),
+                   draw(st.sampled_from(_embeddings(v, c))), tree=not hnn)
+    return GraphOfGroupsGroup(GraphOfGroups([u] if hnn else [u, v], [edge]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_splittings(), st.integers(0, 4))
+def test_tree_moves_match_transversal_search(group, radius):
+    tree = build_tree_portion(group, radius)
+    assert (tree.orbit, [g.data for g in tree.reps], tree.words, tree.adj,
+            tree.dist) == reference_tree_portion(group, radius)
 
 
 # Pinned tree actions: sha256 of the canonical JSON of each output, computed

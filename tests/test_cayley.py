@@ -1,4 +1,4 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -151,6 +151,17 @@ def test_table_products_match_arithmetic(ball, data):
     assert ball.product(u, v) == ball.locate(multiply(x, y))
     assert ball.product(u, v, w) == ball.locate(multiply(multiply(x, y), z))
     assert ball.inverse(v) == ball.locate(inverse(y))
+    # points: vertices, or elements of words up to twice the radius + 2,
+    # which mostly lie outside the ball
+    gens = [g for _, g in ball.generators]
+    word = st.lists(st.sampled_from(gens), max_size=2 * ball.radius + 2)
+    for _ in range(3):
+        x, y = (reduce(multiply, data.draw(word), ball.group.identity)
+                for _ in range(2))
+        p, q = ball.index.get(x.data, x), ball.index.get(y.data, y)
+        xy = multiply(x, y)
+        assert ball.mul(p, q) == ball.index.get(xy.data, xy)
+        assert ball.mul(u, q) == ball.point(multiply(ball.elements[u], y))
 
 
 @settings(max_examples=60, deadline=None)

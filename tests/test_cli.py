@@ -5,9 +5,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from gdecomp import cli
 from gdecomp.cli import canonical_json, emit_table1, main
 from gdecomp.decomp import discover_graph_of_groups
 from gdecomp.fixtures import make_cyclic_amalgam
+from gdecomp.groups import load_group
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
@@ -149,6 +151,8 @@ _GOG = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
      "graph-of-groups 'edges' must be a JSON array, got None"),
     ({**_GOG, "generators": {"a": [5]}},
      "generator a entry must be a JSON array, got 5"),
+    ({**_GOG, "generators": {"a": [["v", [0], 0]]}},
+     "bad sketch entry ['v', [0], 0]"),
     ({**_MATRIX, "dimension": 2, "generators": None},
      "matrix group 'generators' must be a JSON object, got None"),
     ({**_GOG, "generators": [1]},
@@ -162,7 +166,7 @@ _GOG = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
     ({**_GOG, "vertices": [{"mul": [[1, 0], [0, 1]]}]},
      "group table 'mul' has no identity at 0"),
 ], ids=["list", "no-dimension", "no-edges", "edge-u-only",
-        "cyclic-0", "sketch-index", "edges-null", "sketch-int",
+        "cyclic-0", "sketch-index", "edges-null", "sketch-int", "sketch-nested",
         "matrix-generators-null", "generators-list", "permutation-degree",
         "mul-not-square", "mul-not-closed", "mul-no-identity"])
 def test_malformed_spec_exits_3(tmp_path, capsys, spec, message):
@@ -208,8 +212,26 @@ def test_report_artifact_dir(tmp_path, capsys):
     jsonschema.validate(bundle, SCHEMA)
 
 
-def test_emit_table1_rows():
+def _count_loads(monkeypatch):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return load_group(path)
+    monkeypatch.setattr(cli, "load_group", counting)
+    return calls
+
+
+def test_report_loads_spec_once(capsys, monkeypatch):
+    calls = _count_loads(monkeypatch)
+    code, _ = run(capsys, "report", "--group", "c4*c2*c6")
+    assert code == 0 and len(calls) == 1
+
+
+def test_emit_table1_rows(monkeypatch):
+    calls = _count_loads(monkeypatch)
     table = emit_table1(["f2", "c2*c3"])
+    assert len(calls) == 2
     lines = table.strip().splitlines()
     assert lines[0].split() == ["Group", "Model", "graph", "Bag", "sizes"]
     assert "rose with 2 loops" in table and "1" in table

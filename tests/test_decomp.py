@@ -10,9 +10,9 @@ import decomp_oracle as oracle
 from gdecomp import (build_ball, build_nerve_complex, check_periodicity,
                      check_vtf_conditions, compute_global_decomposition,
                      compute_stabilizers, discover_graph_of_groups)
-from gdecomp.decomp import (_pair_key, _read_at_identity, _translators,
-                            bag_size_bound, edge_incidence_bound,
-                            maximal_finite_subgroups)
+from gdecomp.decomp import (GlobalDecomposition, _pair_key,
+                            _read_at_identity, _translators, bag_size_bound,
+                            edge_incidence_bound, maximal_finite_subgroups)
 from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_free_group)
@@ -34,6 +34,44 @@ def test_sl2z_decomposition_frozen(sl2z_decomp):
 def test_sl2z_axioms(sl2z_decomp):
     report = sl2z_decomp.verify_axioms()
     assert report["h1_pass"] and report["h2_pass"]
+
+
+def _with(dec, **fields):
+    return GlobalDecomposition(**{k: fields.get(k, getattr(dec, k))
+                                  for k in dec.__slots__})
+
+
+def test_verify_axioms_failures(sl2z_decomp, f2):
+    """H1 and H2 hold by construction on a decomposition as built.
+    Adjacency source 2 adds the bag pairs of exactly the ball edges that
+    fail H1's first two tests (no bag holds both ends, no bag at one end
+    meets one at the other), so every edge passes H1's third test; and
+    `vertex_bags[v]` lists only bags that hold v, so all of v's bags
+    share v. The failure paths are reached on copies that break one of
+    these facts. H1 is broken on F2, whose singleton bags make every ball
+    edge a source-2 edge; the sl2z decomposition has no interior one,
+    since each of its interior edges lies in a bag or joins two meeting
+    bags."""
+    dec = compute_global_decomposition(build_ball(f2, 5), 3)
+    interior = set(dec.interior_vertices())
+    u, v = next((u, v) for u, v in dec.ball.edge_pairs()
+                if u in interior and v in interior)
+    (bu,), (bv,) = dec.vertex_bags[u], dec.vertex_bags[v]
+    pair = (min(bu, bv), max(bu, bv))
+    assert pair in dec.adjacent_pairs and not dec.bags[bu] & dec.bags[bv]
+    report = _with(dec, adjacent_pairs=dec.adjacent_pairs - {pair}) \
+        .verify_axioms()
+    assert not report["h1_pass"] and report["h1_uncovered_edges"] == [(u, v)]
+    assert report["h2_pass"]
+
+    dec = sl2z_decomp
+    v = dec.interior_vertices()[-1]
+    foreign = next(i for i, b in enumerate(dec.bags) if v not in b)
+    vertex_bags = list(dec.vertex_bags)
+    vertex_bags[v] = vertex_bags[v] + [foreign]
+    report = _with(dec, vertex_bags=vertex_bags).verify_axioms()
+    assert not report["h2_pass"] and report["h2_disconnected_vertices"] == [v]
+    assert report["h1_pass"]
 
 
 def test_sl2z_stabilizers(sl2z_decomp):
