@@ -8,6 +8,18 @@ keeps (`GraphOfGroupsGroup.edge_coset_reps`). Group elements act by left
 multiplication, without inversions (Serre, *Trees*, §I.5), and are
 classified as elliptic or hyperbolic with explicit witnesses, declining
 to answer when the portion is too small.
+
+Classification reads the root's images. With no inversion, every γ
+either fixes a subtree Fix(γ) or translates an axis by ℓ(γ) ≥ 1, and
+d(x, γx) = ℓ(γ) + 2·d(x, A) for A the fixed set or the axis (Serre,
+*Trees*, ch. I §6.4; Culler–Morgan 1987). So with y = γ·root at depth d,
+γ is elliptic exactly when d is even and γ fixes the midpoint of
+[root, y], the nearest point of Fix(γ) to the root. Otherwise γ·root and
+γ⁻¹·root branch off the axis at the root's projection p, whose depth h
+is d − d(γ·root, γ⁻¹·root)/2, and ℓ = d − 2h. Portion vertices are
+numbered in BFS order, so these nearest points are the least-index
+vertices that a scan of every vertex's displacement would pick. Where
+γ·root or γ⁻¹·root lies outside the portion, that scan is run instead.
 """
 
 from __future__ import annotations
@@ -66,21 +78,29 @@ class BassSerreTreePortion:
         return self.key_index.get(
             self.group.translate_word(gamma, self.words[x])[:-1])
 
-    def distance(self, x, y):
-        """Path length from x to y in `adj`; None when y is not reached."""
+    def _tree_links(self):
+        """Parent links and depths of one BFS over `adj` from the root."""
         if self._links is None:
             depth = bfs(self.adj.__getitem__, self.root)
             parent = {z: next(p for p in self.adj[z] if depth.get(p) == d - 1)
                       for z, d in depth.items() if d}
             self._links = parent, depth
-        parent, depth = self._links
+        return self._links
+
+    def ancestor(self, x, depth):
+        """The vertex at `depth` on the path from the root to x."""
+        parent, depths = self._tree_links()
+        while depths[x] > depth:
+            x = parent[x]
+        return x
+
+    def distance(self, x, y):
+        """Path length from x to y in `adj`; None when y is not reached."""
+        parent, depth = self._tree_links()
         if x not in depth or y not in depth:
             return None
         d = depth[x] + depth[y]
-        while depth[x] > depth[y]:
-            x = parent[x]
-        while depth[y] > depth[x]:
-            y = parent[y]
+        x, y = self.ancestor(x, depth[y]), self.ancestor(y, depth[x])
         while x != y:
             x, y = parent[x], parent[y]
         return d - 2 * depth[x]
@@ -167,9 +187,47 @@ class ElementAction:
 def classify_tree_automorphism(tree, gamma):
     """Tits type of gamma on the portion, with a witness.
 
-    Hyperbolic is only declared when the minimum displacement is attained
-    on two adjacent vertices (an axis segment); otherwise the portion is
-    reported too small.
+    Read from the root's images (module docstring): with y = gamma·root
+    at even depth d, gamma is elliptic when it fixes y's ancestor m at
+    depth d/2, and m is the witness. Otherwise gamma is hyperbolic, and
+    the witness is the root's projection p onto the axis, at the depth h
+    of the lowest common ancestor of y and gamma⁻¹·root, with the
+    smaller-index of p's two axis neighbours (the ancestors of the two
+    images at depth h + 1) whose image lies in the portion at
+    displacement d − 2h. When an image of the root lies outside the
+    portion, or neither neighbour qualifies, `_classify_by_scan` decides
+    instead; it is the only path that raises UncertifiedRegion.
+    """
+    root = tree.root
+    y = tree.action(gamma, root)
+    if y is None:
+        return _classify_by_scan(tree, gamma)
+    d = tree.distance(root, y)
+    if d % 2 == 0:
+        m = tree.ancestor(y, d // 2)
+        if tree.action(gamma, m) == m:
+            return ElementAction("elliptic", m)
+    y_inv = tree.action(inverse(gamma), root)
+    if y_inv is None:
+        return _classify_by_scan(tree, gamma)
+    h = d - tree.distance(y, y_inv) // 2
+    length = d - 2 * h
+    p = tree.ancestor(y, h)
+    for x in sorted((tree.ancestor(y, h + 1), tree.ancestor(y_inv, h + 1))):
+        z = tree.action(gamma, x)
+        if z is not None and tree.distance(x, z) == length:
+            return ElementAction("hyperbolic", (p, x),
+                                 translation_length=length)
+    return _classify_by_scan(tree, gamma)
+
+
+def _classify_by_scan(tree, gamma):
+    """The displacement of every vertex whose image lies in the portion.
+
+    Elliptic at the least-index fixed vertex; hyperbolic only when the
+    minimum displacement is attained on two adjacent vertices (an axis
+    segment), at the least such vertex and its least such neighbour;
+    otherwise the portion is reported too small.
     """
     displacements = []
     for x in range(tree.vertex_count):

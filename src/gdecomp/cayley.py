@@ -32,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import CapExceeded, VerificationFailure
-from .graphs import bfs
 from .groups import GraphOfGroupsGroup, inverse, multiply
 
 DEFAULT_CAP = 2 * 10**6
@@ -267,34 +266,6 @@ def _restriction(ball, radius, cap):
                       {g.data: i for i, g in enumerate(elements)},
                       ball.word_length[:n], ball.words[:n], right,
                       ball.adj[:first])
-
-
-def coset_subgraph(ball, subgroup_elements, coset_rep):
-    """Ball vertices in coset_rep * subgroup, plus an out-of-ball flag.
-
-    Returns (vertex index list, complete) where complete is False when
-    part of the coset falls outside the ball (partial result).
-    """
-    inside, complete = [], True
-    for h in subgroup_elements:
-        i = ball.locate(multiply(coset_rep, h))
-        if i is None:
-            complete = False
-        else:
-            inside.append(i)
-    return sorted(set(inside)), complete
-
-
-def subgraph_diameter(ball, vertices):
-    """Diameter of the induced subgraph on `vertices` (None if disconnected)."""
-    vs = set(vertices)
-    best = 0
-    for s in vs:
-        dist = bfs(lambda u: (w for w in ball.adj[u] if w in vs), s)
-        if len(dist) < len(vs):
-            return None
-        best = max(best, max(dist.values()))
-    return best
 
 
 def verify_short_cycle_cosets(ball, r, candidate_subgroups):

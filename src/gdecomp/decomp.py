@@ -424,12 +424,13 @@ class StabilizerRecord:
 def compute_stabilizers(decomp):
     """Setwise stabilizer of one representative bag per model vertex: the
     bag's translators onto itself, x·F·x⁻¹ for the coset x·F."""
+    ball = decomp.ball
     records = []
     for orbit, rep in enumerate(decomp.orbit_rep_bag):
         bag = decomp.bags[rep]
-        stab = _translators(decomp.ball, bag, bag)
-        data = {g.data for g in stab}
-        closed = all(multiply(a, b).data in data for a in stab for b in stab)
+        stab = _translators(ball, bag, bag)
+        points = {ball.point(g) for g in stab}
+        closed = all(ball.mul(a, b) in points for a in points for b in points)
         stab.sort(key=lambda g: g.key())
         records.append(StabilizerRecord(orbit, sorted(bag), stab, closed))
     return records

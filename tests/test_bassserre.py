@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from gdecomp import (build_tree_portion, classify_tree_automorphism,
                      locate_torsion, verify_equivariant_isomorphism)
-from gdecomp.bassserre import (DecompositionTree, is_non_elementary,
-                               perturb_tree_portion, small_index_threshold)
+from gdecomp.bassserre import (BassSerreTreePortion, DecompositionTree,
+                               is_non_elementary, perturb_tree_portion,
+                               small_index_threshold)
 from gdecomp.errors import UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.graphs import bfs
 from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
                             GraphOfGroupsGroup, inverse, multiply, normal_form)
-from tree_oracle import tree_portion as reference_tree_portion
+from tree_oracle import classify_by_scan, tree_portion as reference_tree_portion
 
 
 def test_c2c3_tree_shape(c2c3):
@@ -336,3 +337,60 @@ def test_distance_matches_bfs(case):
             ref = bfs(tree.adj.__getitem__, x)
             assert [tree.distance(x, y) for y in range(n)] \
                 == [ref.get(y) for y in range(n)]
+
+
+# The root-path classification against the whole-portion scan. Radii 0
+# and 1 draw the words whose root image leaves the portion, where the scan
+# decides, and the uncertified ones. On the amalgams' trees every
+# displacement is even; z, an HNN extension, draws odd ones.
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["c2*c3", "c4*c2*c6", "amalgam", "z"]),
+       st.integers(0, 8),
+       st.randoms(use_true_random=False))
+def test_classify_matches_scan(name, radius, rng):
+    tree = _portion(name, radius)
+    if rng.random() < 0.3:  # a conjugate of a generator: often elliptic
+        w = _random_element(tree.group, rng, 4)
+        g = rng.choice([g for _, g in tree.group.gen_symbols()])
+        gamma = multiply(multiply(w, g), inverse(w))
+    else:
+        gamma = _random_element(tree.group, rng, 10)
+    try:
+        expected = classify_by_scan(tree, gamma)
+    except UncertifiedRegion as exc:
+        with pytest.raises(UncertifiedRegion) as got:
+            classify_tree_automorphism(tree, gamma)
+        assert str(got.value) == str(exc)
+        return
+    act = classify_tree_automorphism(tree, gamma)
+    assert (act.kind, act.translation_length, act.witness) == expected
+
+
+def test_classify_reads_the_root_path(c2c3, zgroup, monkeypatch):
+    calls = []
+    action = BassSerreTreePortion.action
+
+    def counted(tree, gamma, x):
+        calls.append(x)
+        return action(tree, gamma, x)
+
+    monkeypatch.setattr(BassSerreTreePortion, "action", counted)
+    tree = build_tree_portion(c2c3, 12)
+    a, b = c2c3.generators["a"], c2c3.generators["b"]
+    ab = multiply(a, b)
+    w = multiply(multiply(b, a), b)
+    for gamma, kind in ((ab, "hyperbolic"),
+                        (multiply(multiply(ab, ab), multiply(ab, ab)),
+                         "hyperbolic"),
+                        (multiply(multiply(w, a), inverse(w)), "elliptic")):
+        calls.clear()
+        assert classify_tree_automorphism(tree, gamma).kind == kind
+        assert len(calls) <= 5  # the scan makes one per vertex: 379 here
+    # an odd displacement needs no midpoint image: the root's two images
+    # and one axis neighbour's
+    calls.clear()
+    act = classify_tree_automorphism(build_tree_portion(zgroup, 12),
+                                     zgroup.generators["t"])
+    assert (act.kind, act.translation_length) == ("hyperbolic", 1)
+    assert len(calls) == 3

@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from cycle_oracle import simple_cycles
 from gdecomp import (build_ball, enumerate_short_cycles,
                      verify_short_cycle_cosets)
-from gdecomp.cayley import (coset_subgraph, subgraph_diameter,
-                            torsion_length_bound)
+from gdecomp.cayley import torsion_length_bound
 from gdecomp.cycles import Cycle
 from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_free_group)
+from gdecomp.graphs import bfs
 from gdecomp.groups import inverse, multiply
 
 
@@ -59,18 +59,29 @@ def test_locate_and_edge_labels(sl2z, sl2z_ball10):
 
 
 def test_coset_subgraphs(sl2z, sl2z_ball10):
-    S = sl2z.generators["S"]
-    T = sl2z.generators["T"]
-    s_coset, complete = coset_subgraph(sl2z_ball10, powers(sl2z, S, 4),
-                                       sl2z.identity)
-    assert complete and len(s_coset) == 4
-    assert subgraph_diameter(sl2z_ball10, s_coset) == 2
-    st_coset, complete = coset_subgraph(sl2z_ball10,
-                                        powers(sl2z, multiply(S, T), 6),
-                                        sl2z.identity)
-    assert complete and len(st_coset) == 6
+    ball = sl2z_ball10
+    S = ball.point(sl2z.generators["S"])
+    ST = ball.mul(S, ball.point(sl2z.generators["T"]))
+
+    def coset_at_identity(g, n):
+        # the powers 1, g, ..., g^(n-1): all ball vertices here
+        powers = [0]
+        for _ in range(n - 1):
+            powers.append(ball.mul(powers[-1], g))
+        assert all(type(p) is int for p in powers)
+        return set(powers)
+
+    s_coset = coset_at_identity(S, 4)
+    assert len(s_coset) == 4
+    # the <S> coset's induced subgraph is connected, of diameter 2
+    dists = [bfs(lambda u: (w for w in ball.adj[u] if w in s_coset), v)
+             for v in s_coset]
+    assert all(len(d) == 4 for d in dists)
+    assert max(max(d.values()) for d in dists) == 2
+    st_coset = coset_at_identity(ST, 6)
+    assert len(st_coset) == 6
     # <ST> cosets span no Cayley edges: no generator is a power of ST
-    assert subgraph_diameter(sl2z_ball10, st_coset) is None
+    assert not any(w in st_coset for v in st_coset for w in ball.adj[v])
 
 
 def test_short_cycle_cosets_r4(sl2z, sl2z_ball8):

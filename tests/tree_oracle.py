@@ -8,12 +8,16 @@ u -> v with stable letter s, the image on the v side is s⁻¹·α_u(E)·s
 (the edge relation s⁻¹·α_u(c)·s = α_v(c)). Tree vertices are keyed by
 their vertex and their coset as a set of elements, not by normal path
 words.
+
+`classify_by_scan` is the reference classification: the displacement of
+every portion vertex whose image lies in the portion.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from gdecomp.errors import UncertifiedRegion
 from gdecomp.groups import inverse, multiply
 
 
@@ -78,3 +82,31 @@ def tree_portion(group, radius):
     words = [group.coset_word(v, g) for v, g in zip(orbit, reps)]
     return (orbit, [g.data for g in reps], words, [sorted(a) for a in adj],
             dist)
+
+
+def classify_by_scan(tree, gamma):
+    """(kind, translation length, witness) of gamma on the portion:
+    elliptic at the least-index fixed vertex, hyperbolic at the least
+    vertex of least displacement with a neighbour of the same
+    displacement, and UncertifiedRegion otherwise."""
+    displacements = []
+    for x in range(tree.vertex_count):
+        y = tree.action(gamma, x)
+        if y is None:
+            continue
+        d = tree.distance(x, y)
+        if d is not None:
+            displacements.append((d, x, y))
+    if not displacements:
+        raise UncertifiedRegion("no vertex image computable on the portion")
+    dmin = min(d for d, _, _ in displacements)
+    if dmin == 0:
+        return "elliptic", None, min(x for d, x, _ in displacements if d == 0)
+    attaining = {x for d, x, _ in displacements if d == dmin}
+    for x in sorted(attaining):
+        for y in tree.adj[x]:
+            if y in attaining:
+                return "hyperbolic", dmin, (x, y)
+    raise UncertifiedRegion(
+        f"min displacement {dmin} not certified on an axis segment; "
+        "build a larger portion")
