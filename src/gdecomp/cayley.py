@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+from .cycles import enumerate_short_cycles
 from .errors import CapExceeded, VerificationFailure
 from .groups import GraphOfGroupsGroup, inverse, multiply
 
@@ -107,22 +108,6 @@ class CayleyBall:
                 return x
         return self.point(multiply(self.elements[p] if type(p) is int else p,
                                    self.elements[q] if type(q) is int else q))
-
-    def product(self, u, *vs):
-        """Vertex of elements[u] * elements[v] * ... for ball vertices u, v,
-        ..., or None outside the ball. Walks the stored words of the vs
-        from u; a walk that leaves the ball is redone by `mul`."""
-        right, words = self.right, self.words
-        x = u
-        for v in vs:
-            for k in words[v]:
-                x = right[x][k]
-                if x < 0:
-                    p = u
-                    for w in vs:
-                        p = self.mul(p, w)
-                    return p if type(p) is int else None
-        return x
 
     def edge_pairs(self):
         """The adjacent pairs (u, v) with u < v, in sorted order."""
@@ -278,15 +263,13 @@ def verify_short_cycle_cosets(ball, r, candidate_subgroups):
     inside the ball, where they all lie once its radius is >= r/2.
     Returns a report dict with the offending cycles.
     """
-    from .cycles import enumerate_short_cycles  # local: avoids import cycle
-
     subs = [frozenset(i for i in map(ball.locate, hs) if i is not None)
             for hs in candidate_subgroups]
     cycles = enumerate_short_cycles(ball, r)
     violations = []
     for cyc in cycles:
         base_inv = ball.inverse(cyc.vertices[0])
-        quotients = {ball.product(base_inv, y) for y in cyc.vertices}
+        quotients = {ball.mul(base_inv, y) for y in cyc.vertices}
         if not any(quotients <= h for h in subs):
             violations.append(cyc)
     return {

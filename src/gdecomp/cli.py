@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import bassserre, cover, decomp, subgroups
@@ -340,15 +340,17 @@ def _out_of_scope(group):
     return isinstance(group, MatrixGroup) and group.dimension > 2
 
 
-def emit_table1(specs, r=None, radius=None):
-    """Aligned text table with one summary row per group spec."""
+def emit_table1(specs, config):
+    """Aligned text table with one summary row per group spec. Each group
+    runs on a fresh copy of `config`, since `resolve` fills in its
+    defaults per group."""
     rows = []
     for spec in specs:
         group = _load_group_arg(str(spec))
         if _out_of_scope(group):
             rows.append((group.name, "out of scope: not virtually free pipeline", ""))
             continue
-        row = run_pipeline(group, RunConfig(r=r, radius=radius))["summary"]
+        row = run_pipeline(group, replace(config))["summary"]
         rows.append((row["group"], row["model_graph"], row["bag_sizes"]))
     header = ("Group", "Model graph", "Bag sizes")
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
@@ -364,19 +366,18 @@ def cmd_report(args):
     # discovery is the fourth stage; check its parameter before the first
     if args.max_doublings < 1:
         raise ValueError("max_doublings must be >= 1")
+    config = RunConfig(r=args.r, radius=args.radius, depth=args.depth,
+                       max_doublings=args.max_doublings, seed=args.seed)
     if args.format == "text-table":
-        _emit(emit_table1(args.groups, r=args.r, radius=args.radius), args.out)
+        _emit(emit_table1(args.groups, config), args.out)
         return 0
     if len(args.groups) != 1:
         raise SpecFormatError("json report takes exactly one --group")
     group = _load_group_arg(args.groups[0])
     if _out_of_scope(group):
         raise VerificationFailure(f"{group.name}: out of scope, not virtually free")
-    config = RunConfig(r=args.r, radius=args.radius,
-                       depth=args.depth, max_doublings=args.max_doublings,
-                       seed=args.seed,
-                       out_dir=args.out if args.out and Path(args.out).suffix == ""
-                       else None)
+    if args.out and Path(args.out).suffix == "":
+        config.out_dir = args.out
     bundle = run_pipeline(group, config)
     if config.out_dir is None:
         _emit(canonical_json(bundle), args.out)

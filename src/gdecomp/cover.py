@@ -1,21 +1,34 @@
 """Finite truncations of the cover that unrolls everything except short cycles.
 
+The cover covers the Cayley graph, so it is a partial coset table over
+the ball's generators, read like `CayleyBall.right`: right[x][k] is the
+node reached from x by generator k, or -1, and projection[x] is x's base
+vertex.
+
 Construction: breadth-first walk classes from the ball's center, with
-immediate backtrack folding (adjacency is keyed by base vertex, and each
-new edge is installed in both directions). Identification beyond that is
-forced, never guessed. The cycles of length <= r are the translates of
-the simple closed words at the identity (`cycles.closed_words`). The
-cover is a coset enumeration of the group presented by those words,
-scanned from a deduction queue (Todd-Coxeter): a node is scanned when it
-is created by a layer's expansion or survives a merge, since only then
-can a walk through it newly complete. A scan walks the words from the
-node's base vertex through the ball's table and the cover together, as
-one prefix trie so that shared prefixes are walked once; when a lift
-fails to close, its endpoints are merged and the merge is propagated by
-Stallings folding, which queues the merged nodes in turn. The result
-quotients the walk tree exactly by closures of short cycles, so
-identifications are sound; completeness holds wherever every relevant
-short cycle is visible, which is what the certified depth records.
+immediate backtrack folding (each new edge is installed as k and as
+`ball.inv_gen[k]` back). Identification beyond that is forced, never
+guessed. The cycles of length <= r are the translates of the simple
+closed words at the identity (`cycles.closed_words`). The cover is a
+coset enumeration of the group presented by those words, scanned from a
+deduction queue (Todd-Coxeter): a node is scanned when it is created by
+a layer's expansion or survives a merge, since only then can a walk
+through it newly complete. A scan walks the words through the cover's
+rows as one prefix trie, so that shared prefixes are walked once; when a
+lift fails to close, its endpoints are merged and the merge is
+propagated label by label by Stallings folding, which queues the merged
+nodes in turn. The result quotients the walk tree exactly by closures of
+short cycles, so identifications are sound; completeness holds wherever
+every relevant short cycle is visible, which is what the certified depth
+records.
+
+Each layer's nodes are expanded in id order, each creating its children
+in the order of the base vertices they reach (`ball.adj`), not in
+generator order; artifacts depend on this numbering. A deck
+transformation acts on the left and labels on the right, gamma * (x * s)
+= (gamma * x) * s, so it maps the edge labelled k at x to the edge
+labelled k at x's image (`lift_element_action`), with no product in the
+ball.
 """
 
 from __future__ import annotations
@@ -30,18 +43,22 @@ from .graphs import UnionFind, bfs
 from .groups import multiply
 
 DEFAULT_NODE_CAP = 500_000
+# the most iterations DeckLift.order_on_region composes
+DECK_ORDER_CAP = 64
 
 
 class TruncatedCover:
-    __slots__ = ("base", "r", "depth", "projection", "adj", "node_depth",
+    __slots__ = ("base", "r", "depth", "projection", "right", "node_depth",
                  "certified_depth", "root")
 
-    def __init__(self, base, r, depth, projection, adj, node_depth, certified_depth):
+    def __init__(self, base, r, depth, projection, right, node_depth,
+                 certified_depth):
         self.base = base
         self.r = r
         self.depth = depth
         self.projection = projection  # cover vertex -> base vertex index
-        self.adj = adj  # cover vertex -> {base neighbor index: cover neighbor}
+        # cover vertex -> [node reached by generator k, or -1], as base.right
+        self.right = right
         self.node_depth = node_depth
         self.certified_depth = certified_depth
         self.root = 0
@@ -54,12 +71,16 @@ class TruncatedCover:
         return [i for i, d in enumerate(self.node_depth)
                 if d <= self.certified_depth]
 
+    def neighbors(self, x):
+        return [y for y in self.right[x] if y >= 0]
+
     def walk(self, start, base_path):
         """Follow base vertices from a cover node; None if an edge is absent."""
         node = start
         for bv in base_path:
-            node = self.adj[node].get(bv)
-            if node is None:
+            row = self.base.right[self.projection[node]]
+            node = self.right[node][row.index(bv)] if bv in row else -1
+            if node < 0:
                 return None
         return node
 
@@ -72,7 +93,7 @@ class TruncatedCover:
             "projection": [self.base.elements[p].key() for p in self.projection],
             "edges": sorted(
                 [u, v] for u in range(self.vertex_count)
-                for v in self.adj[u].values() if u < v
+                for v in self.right[u] if u < v
             ),
         }
 
@@ -102,10 +123,11 @@ class DeckLift:
                 mapping[x] = z
         return DeckLift(self.cover, gamma, mapping)
 
-    def order_on_region(self, cap=64):
-        """Iterate until the lift acts as the identity on its whole domain."""
+    def order_on_region(self):
+        """Iterate until the lift acts as the identity on its whole domain;
+        None past DECK_ORDER_CAP iterations."""
         current = self
-        for k in range(1, cap + 1):
+        for k in range(1, DECK_ORDER_CAP + 1):
             if all(current.mapping.get(x) == x for x in current.mapping) \
                     and current.mapping:
                 return k
@@ -130,25 +152,25 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     if depth > ball.radius:
         raise ValueError("depth must be <= ball radius")
     trie = _word_trie(ball, closed_words(ball, r))
-    right = ball.right
+    inv_gen = ball.inv_gen
     expand_depth = depth + r
 
     uf = UnionFind()
     find, parent = uf.find, uf.parent
     base_of = []
-    adj = []  # per node (rep-owned): {base vertex: node}
+    rows = []  # per node (rep-owned): [node reached by generator k, or -1]
     queue = []  # nodes to scan: new children and the roots of merges
 
     def new_node(bv):
         if len(base_of) >= node_cap:
             raise CapExceeded("cover node cap exceeded", reached=node_cap)
         base_of.append(bv)
-        adj.append({})
+        rows.append([-1] * len(inv_gen))
         return uf.add()
 
     def fold(a, b):
         """Union two nodes (always over one base vertex) and propagate the
-        merge through shared base neighbors, Stallings-style."""
+        merge through edges of one label, Stallings-style."""
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
@@ -156,30 +178,31 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
             if gone is None:
                 continue
             queue.append(keep)
-            merged = adj[keep]
-            for bv, node in adj[gone].items():
+            merged = rows[keep]
+            for k, node in enumerate(rows[gone]):
+                if node < 0:
+                    continue
                 node = find(node)
-                cur = merged.get(bv)
-                if cur is not None and find(cur) != node:
+                cur = merged[k]
+                if cur >= 0 and find(cur) != node:
                     stack.append((find(cur), node))
                 else:
-                    merged[bv] = node
-            adj[gone] = {}
+                    merged[k] = node
+            rows[gone] = None
             # neighbors' back-edges must point at the surviving node
-            bkey = base_of[keep]
-            for bv, node in list(merged.items()):
-                node = find(node)
-                merged[bv] = node
-                adj[node][bkey] = keep
+            for k, node in enumerate(merged):
+                if node >= 0:
+                    node = find(node)
+                    merged[k] = node
+                    rows[node][inv_gen[k]] = keep
 
     def scan(x):
         """Walk the word trie from x and fold x with the end of every
-        complete walk that does not close. A walk stops at a step that
-        leaves the ball (no cover edge is keyed -1) or has no cover edge
-        yet. Where one stops partway round a cycle and the walk from x the
-        other way round gets as far (`_word_trie`), the two make up a
-        complete walk through x that starts elsewhere, and their ends are
-        folded.
+        complete walk that does not close. A walk stops at a step with no
+        cover edge, which includes every step that leaves the ball. Where
+        one stops partway round a cycle and the walk from x the other way
+        round gets as far (`_word_trie`), the two make up a complete walk
+        through x that starts elsewhere, and their ends are folded.
 
         A fold during the scan can absorb nodes held on the stack, so
         each is re-found when popped. The fold queues its surviving root,
@@ -187,25 +210,23 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
         """
         reached = {}  # trie node id -> cover node
         stopped = []  # (meets, cover node) where a walk stopped
-        stack = [(trie, x, base_of[x])]
+        stack = [(trie, x)]
         while stack:
-            (tid, branches), cur, bv = stack.pop()
+            (tid, branches), cur = stack.pop()
             if parent[cur] != cur:
                 cur = find(cur)
             reached[tid] = cur
-            out, row = adj[cur], right[bv]
+            row = rows[cur]
             for k, sub, meets in branches:
-                bw = row[k]
-                nxt = out.get(bw)
-                if nxt is None:
+                nxt = row[k]
+                if nxt < 0:
                     if meets:
                         stopped.append((meets, cur))
                 elif sub is not None:
-                    stack.append((sub, nxt, bw))
+                    stack.append((sub, nxt))
                 elif nxt != x and find(nxt) != find(x):
                     fold(x, nxt)
-                    cur = find(cur)
-                    out = adj[cur]
+                    row = rows[find(cur)]
         for meets, cur in stopped:
             for tid in reached.keys() & meets:
                 fold(reached[tid], cur)
@@ -213,7 +234,7 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     root = new_node(0)
 
     def depths():
-        return bfs(lambda x: (find(y) for y in adj[x].values()), root)
+        return bfs(lambda x: (find(y) for y in rows[x] if y >= 0), root)
 
     # Expand layer by layer and drain the queue before the next layer. A
     # walk that a new edge completes starts or ends at the new child, as a
@@ -221,22 +242,22 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     # runs through the merged root, which `scan` checks both ways round.
     # So the queue reaches every fold that rescanning all nodes would, and
     # each layer ends at the least fixpoint, one partition whatever the
-    # scan order (UnionFind keeps the least member). The numbering also
-    # follows the order of the adjacency dicts, which a merge extends only
-    # at unexpanded nodes; tests/cover_oracle.py holds the full rescan it
-    # is checked against.
+    # scan order (UnionFind keeps the least member). The numbering follows
+    # the expansion (module docstring); tests/cover_oracle.py holds the
+    # full rescan it is checked against.
     for layer in range(expand_depth):
         d = depths()
-        frontier = [x for x, dx in d.items() if dx == layer]
+        frontier = sorted(x for x, dx in d.items() if dx == layer)
         if not frontier:
             break
         for x in frontier:
-            x = find(x)
-            for bw in ball.adj[base_of[x]]:
-                if bw not in adj[x]:
+            bv = base_of[x]
+            for bw in ball.adj[bv]:
+                k = ball.right[bv].index(bw)
+                if rows[x][k] < 0:
                     child = new_node(bw)
-                    adj[x][bw] = child
-                    adj[child][base_of[x]] = x
+                    rows[x][k] = child
+                    rows[child][inv_gen[k]] = x
                     queue.append(child)
         for x in queue:  # grows while it is scanned
             if find(x) == x:
@@ -249,17 +270,11 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     relabel = {x: i for i, (_, x) in enumerate(kept)}
     projection = [base_of[x] for _, x in kept]
     node_depth = [dx for dx, _ in kept]
-    new_adj = []
-    for _, x in kept:
-        row = {}
-        for bv, y in adj[x].items():
-            y = find(y)
-            if y in relabel:
-                row[bv] = relabel[y]
-        new_adj.append(row)
+    right = [[relabel.get(find(y), -1) if y >= 0 else -1 for y in rows[x]]
+             for _, x in kept]
 
     certified = depth if _is_closed(ball) else min(depth, max(0, ball.radius - r))
-    return TruncatedCover(ball, r, depth, projection, new_adj, node_depth, certified)
+    return TruncatedCover(ball, r, depth, projection, right, node_depth, certified)
 
 
 def _word_trie(ball, words):
@@ -321,8 +336,7 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
         pool = sorted(rng.sample(pool, samples))
     witnesses = []
     for x in pool:
-        cov_verts, cov_edges = _ball_subgraph(lambda y: cover.adj[y].values(),
-                                              x, radius)
+        cov_verts, cov_edges = _ball_subgraph(cover.neighbors, x, radius)
         base_verts, base_edges = _ball_subgraph(cover.base.adj.__getitem__,
                                                 cover.projection[x], radius)
         image = {cover.projection[y] for y in cov_verts}
@@ -361,39 +375,25 @@ def classify_cycle_lift(cover, cycle):
 
 
 def lift_element_action(cover, gamma):
-    """Extend gamma's deck transformation edge-by-edge from the root lift.
-
-    The image of the root is the lift of gamma reached by walking gamma's
-    shortest base word from the root; extension then follows cover edges,
-    checking commutation with the projection at every step.
-    """
+    """Extend gamma's deck transformation label by label from the root's
+    image, the end of gamma's stored word walked from the root; a node
+    reached twice must get one image."""
     ball = cover.base
     gi = ball.locate(gamma)
     if gi is None:
         raise VerificationFailure("gamma lies outside the base ball")
-    # base path from center to gamma, as successive base vertices
-    path, x = [], 0
+    image = cover.root
     for k in ball.words[gi]:
-        x = ball.right[x][k]
-        path.append(x)
-    base_point_lift = cover.walk(cover.root, path)
-    if base_point_lift is None:
-        raise UncertifiedRegion("no lift of gamma within the truncation")
+        image = cover.right[image][k]
+        if image < 0:
+            raise UncertifiedRegion("no lift of gamma within the truncation")
 
-    image_base = {}  # base vertex -> base vertex under left mult by gamma
-    mapping = {cover.root: base_point_lift}
+    mapping = {cover.root: image}
     queue = deque([cover.root])
     while queue:
         x = queue.popleft()
-        y = mapping[x]
-        for bv, xc in cover.adj[x].items():
-            if bv not in image_base:
-                image_base[bv] = ball.product(gi, bv)
-            tb = image_base[bv]
-            if tb is None:
-                continue
-            yc = cover.adj[y].get(tb)
-            if yc is None:
+        for xc, yc in zip(cover.right[x], cover.right[mapping[x]]):
+            if xc < 0 or yc < 0:
                 continue
             if xc in mapping:
                 if mapping[xc] != yc:
@@ -422,7 +422,7 @@ def estimate_displacement(cover):
         if len(verts) < 2:
             continue
         for s in verts:
-            dist = bfs(lambda u: cover.adj[u].values(), s)
+            dist = bfs(cover.neighbors, s)
             for t in verts:
                 if t != s and t in dist and (best is None or dist[t] < best):
                     best = dist[t]

@@ -68,8 +68,8 @@ def _closure_in_ball(ball, gens, r):
     queue = [0]
     for x in queue:
         for g in gens:
-            y = ball.product(x, g)
-            if y is None or ball.word_length[y] > r:
+            y = ball.mul(x, g)
+            if type(y) is not int or ball.word_length[y] > r:
                 return None
             if y not in have:
                 if len(have) >= CLOSURE_SIZE_CAP:
@@ -112,11 +112,11 @@ def maximal_finite_subgroups(ball, r):
         # the ball or distance r, or its order would exceed CYCLIC_ORDER_CAP
         idxs, p = [0], i
         while p != 0:
-            if p is None or ball.word_length[p] > r \
+            if type(p) is not int or ball.word_length[p] > r \
                     or len(idxs) >= CYCLIC_ORDER_CAP:
                 break
             idxs.append(p)
-            p = ball.product(p, i)
+            p = ball.mul(p, i)
         else:
             gens.setdefault(frozenset(idxs), (i,))
     key = cache(lambda s: _subgroup_key(ball, s))
@@ -167,7 +167,7 @@ def _conjugate_in_ball(ball, idx_a, idx_b, gens_a):
         return False
     for c in range(ball.vertex_count):
         ci = ball.inverse(c)
-        if all(ball.product(c, a, ci) in idx_b for a in gens_a):
+        if all(ball.mul(ball.mul(c, a), ci) in idx_b for a in gens_a):
             return True
     return False
 
@@ -331,8 +331,8 @@ def compute_global_decomposition(ball, r, families=None):
         for fi, fam in enumerate(families):
             coset = set()
             for h in fam:
-                i = ball.product(x, h)
-                if i is None:
+                i = ball.mul(x, h)
+                if type(i) is not int:
                     coset = None
                     break
                 coset.add(i)
@@ -634,7 +634,7 @@ def _read_at_identity(ball, families):
     def bags_at(v):
         # bag -> family of each bag holding v; for v in or next to an
         # interior F, every v·G lies in the ball
-        return {frozenset(ball.product(v, h) for h in g): gi
+        return {frozenset(ball.mul(v, h) for h in g): gi
                 for gi, g in enumerate(families)}
 
     # a bag is adjacent to F if it meets F, or if an edge from F joins
@@ -659,7 +659,7 @@ def _read_at_identity(ball, families):
     sizes = [len(f) for f in reps]
 
     def first_bag(fi):
-        cosets = ([ball.product(x, h) for h in families[fi]]
+        cosets = ([ball.mul(x, h) for h in families[fi]]
                   for x in ball.interior(interior_radius))
         return min(sorted(ball.elements[v].key() for v in c) for c in cosets
                    if _eccentricity(ball, c) <= interior_radius)

@@ -1,16 +1,25 @@
-"""Reference truncated-cover construction, for checking the queued one.
+"""Reference truncated-cover construction and deck lift, for checking the
+queued, generator-keyed ones.
 
 After each layer is expanded, every node that is not yet saturated is
 rescanned against every closed word, one word at a time, and the pass
-repeats until no scan folds. The result must equal
-`gdecomp.cover.build_truncated_cover` byte for byte in `to_json()`.
+repeats until no scan folds. Its adjacency is keyed by base vertex, and
+its frontier is taken in BFS order; only the result is turned into
+generator-keyed rows. It must equal `gdecomp.cover.build_truncated_cover`
+byte for byte in `to_json()`.
+
+`lift_element_action` maps cover edges by base vertex, forming the ball
+product gamma * v for each base vertex v, and must agree with
+`gdecomp.cover.lift_element_action`, which maps them by label.
 """
 
 from __future__ import annotations
 
-from gdecomp.cover import TruncatedCover, _is_closed
+from collections import deque
+
+from gdecomp.cover import DeckLift, TruncatedCover, _is_closed
 from gdecomp.cycles import closed_words
-from gdecomp.errors import CapExceeded
+from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from gdecomp.graphs import UnionFind, bfs
 
 
@@ -122,14 +131,52 @@ def build_truncated_cover(ball, r, depth, node_cap=500_000):
     relabel = {x: i for i, (_, x) in enumerate(kept)}
     projection = [base_of[x] for _, x in kept]
     node_depth = [dx for dx, _ in kept]
-    new_adj = []
-    for _, x in kept:
-        row = {}
-        for bv, y in adj[x].items():
-            y = uf.find(y)
-            if y in relabel:
-                row[bv] = relabel[y]
-        new_adj.append(row)
+    # the dicts keyed by base vertex become rows keyed by generator
+    rows = [[relabel.get(uf.find(adj[x][bw]), -1) if bw in adj[x] else -1
+             for bw in right[base_of[x]]]
+            for _, x in kept]
 
     certified = depth if _is_closed(ball) else min(depth, max(0, ball.radius - r))
-    return TruncatedCover(ball, r, depth, projection, new_adj, node_depth, certified)
+    return TruncatedCover(ball, r, depth, projection, rows, node_depth, certified)
+
+
+def lift_element_action(cover, gamma):
+    """gamma's deck transformation, extended from the root lift over the
+    base vertices of the cover's edges."""
+    ball = cover.base
+    gi = ball.locate(gamma)
+    if gi is None:
+        raise VerificationFailure("gamma lies outside the base ball")
+    adj = [{cover.projection[y]: y for y in cover.neighbors(x)}
+           for x in range(cover.vertex_count)]
+    # base path from center to gamma, as successive base vertices
+    path, x = [], 0
+    for k in ball.words[gi]:
+        x = ball.right[x][k]
+        path.append(x)
+    base_point_lift = cover.root
+    for bv in path:
+        base_point_lift = adj[base_point_lift].get(bv)
+        if base_point_lift is None:
+            raise UncertifiedRegion("no lift of gamma within the truncation")
+
+    image_base = {}  # base vertex -> base vertex under left mult by gamma
+    mapping = {cover.root: base_point_lift}
+    queue = deque([cover.root])
+    while queue:
+        x = queue.popleft()
+        y = mapping[x]
+        for bv, xc in adj[x].items():
+            if bv not in image_base:
+                image_base[bv] = ball.mul(gi, bv)
+            yc = adj[y].get(image_base[bv])
+            if yc is None:
+                continue
+            if xc in mapping:
+                if mapping[xc] != yc:
+                    raise VerificationFailure(
+                        f"deck lift inconsistent at cover vertex {xc}")
+                continue
+            mapping[xc] = yc
+            queue.append(xc)
+    return DeckLift(cover, gamma, mapping)

@@ -29,8 +29,8 @@ def closure_in_ball(ball, indices, size_cap=256):
         for i in frontier:
             for j in list(have):
                 for a, b in ((i, j), (j, i)):
-                    k = ball.product(a, b)
-                    if k is None:
+                    k = ball.mul(a, b)
+                    if type(k) is not int:
                         return None
                     if k not in have:
                         have.add(k)
@@ -47,7 +47,7 @@ def conjugate_in_ball(ball, idx_a, idx_b):
         return False
     for c in range(ball.vertex_count):
         ci = ball.inverse(c)
-        if all(ball.product(c, a, ci) in idx_b for a in idx_a):
+        if all(ball.mul(ball.mul(c, a), ci) in idx_b for a in idx_a):
             return True
     return False
 
@@ -59,10 +59,10 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
             continue
         idxs, p = [0], i
         while p != 0:
-            if p is None or len(idxs) >= order_cap:
+            if type(p) is not int or len(idxs) >= order_cap:
                 break
             idxs.append(p)
-            p = ball.product(p, i)
+            p = ball.mul(p, i)
         else:
             if _eccentricity(ball, idxs) <= r:
                 cyclic[frozenset(idxs)] = True

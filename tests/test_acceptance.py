@@ -169,7 +169,7 @@ def test_criterion_06_tits_classification(c2c3, c4c2c6, z5, zgroup):
 def test_criterion_07_cover_invariants(z5, sl2z_ball10, c2c3, c4c2c6):
     ball = build_ball(z5, 8)
     cov = build_truncated_cover(ball, 4, 8)
-    degrees = sorted(len(cov.adj[x]) for x in range(cov.vertex_count))
+    degrees = sorted(len(cov.neighbors(x)) for x in range(cov.vertex_count))
     is_path = degrees[:2] == [1, 1] and all(d == 2 for d in degrees[2:])
     disp = estimate_displacement(cov)
     bp2 = verify_ball_preservation(cov, radius=2)

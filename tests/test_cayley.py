@@ -159,8 +159,8 @@ def test_table_products_match_arithmetic(ball, data):
     vertex = st.integers(0, ball.vertex_count - 1)
     u, v, w = data.draw(vertex), data.draw(vertex), data.draw(vertex)
     x, y, z = (ball.elements[i] for i in (u, v, w))
-    assert ball.product(u, v) == ball.locate(multiply(x, y))
-    assert ball.product(u, v, w) == ball.locate(multiply(multiply(x, y), z))
+    assert ball.mul(u, v) == ball.point(multiply(x, y))
+    assert ball.mul(ball.mul(u, v), w) == ball.point(multiply(multiply(x, y), z))
     assert ball.inverse(v) == ball.locate(inverse(y))
     # points: vertices, or elements of words up to twice the radius + 2,
     # which mostly lie outside the ball

@@ -230,7 +230,7 @@ def test_report_loads_spec_once(capsys, monkeypatch):
 
 def test_emit_table1_rows(monkeypatch):
     calls = _count_loads(monkeypatch)
-    table = emit_table1(["f2", "c2*c3"])
+    table = emit_table1(["f2", "c2*c3"], cli.RunConfig())
     assert len(calls) == 2
     lines = table.strip().splitlines()
     assert lines[0].split() == ["Group", "Model", "graph", "Bag", "sizes"]
@@ -239,9 +239,27 @@ def test_emit_table1_rows(monkeypatch):
 
 
 def test_emit_table1_empty_and_out_of_scope():
-    assert emit_table1([]).startswith("Group")
-    table = emit_table1(["sl3z"])
+    assert emit_table1([], cli.RunConfig()).startswith("Group")
+    table = emit_table1(["sl3z"], cli.RunConfig())
     assert "out of scope: not virtually free pipeline" in table
+
+
+def test_text_table_runs_with_report_options(capsys, monkeypatch):
+    # every group of the table gets its own copy of the report's options
+    seen = []
+    pipeline = cli.run_pipeline
+
+    def recording(group, config):
+        seen.append(config)
+        return pipeline(group, config)
+    monkeypatch.setattr(cli, "run_pipeline", recording)
+    code, out = run(capsys, "report", "--group", "c2*c3", "--group", "f2",
+                    "--format", "text-table", "--max-doublings", "2",
+                    "--depth", "3", "--seed", "4")
+    assert code == 0 and "single edge" in out
+    assert len(seen) == 2 and seen[0] is not seen[1]
+    assert all((c.max_doublings, c.depth, c.seed, c.out_dir) == (2, 3, 4, None)
+               for c in seen)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

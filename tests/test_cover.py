@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gdecomp import (build_ball, build_truncated_cover, classify_cycle_lift,
                      enumerate_short_cycles, estimate_displacement,
                      lift_element_action, order_threshold,
                      verify_ball_preservation)
-from gdecomp.errors import CapExceeded
+from gdecomp.cycles import closed_words
+from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
 from gdecomp.groups import multiply, normal_form
 
 from cover_oracle import build_truncated_cover as oracle_cover
+from cover_oracle import lift_element_action as oracle_lift
 
 
 def test_z5_cover_is_path(z5):
@@ -20,7 +22,7 @@ def test_z5_cover_is_path(z5):
     # the 5-cycle is not locally generated at r=4, so the cover unrolls
     # into a line segment
     assert cov.vertex_count == 17
-    degrees = sorted(len(cov.adj[x]) for x in range(cov.vertex_count))
+    degrees = sorted(len(cov.neighbors(x)) for x in range(cov.vertex_count))
     assert degrees == [1, 1] + [2] * 15
     assert cov.certified_depth == 8
 
@@ -169,8 +171,32 @@ def _cover_inputs(draw):
     return make_cyclic_amalgam(a, c, b), draw(st.integers(3, longest + 1))
 
 
+def _assert_coset_table(cov):
+    """Edges follow the base table and come in inverse pairs, and every
+    closed word walked from a node that completes returns to it."""
+    ball = cov.base
+    for x, row in enumerate(cov.right):
+        for k, y in enumerate(row):
+            if y >= 0:
+                assert cov.projection[y] == ball.right[cov.projection[x]][k]
+                assert cov.right[y][ball.inv_gen[k]] == x
+    words = closed_words(ball, cov.r)
+    for x in range(cov.vertex_count):
+        for word in words:
+            node = x
+            for k in word:
+                node = cov.right[node][k]
+                if node < 0:
+                    break
+            else:
+                assert node == x
+
+
 @settings(max_examples=60, deadline=None)
 @given(_cover_inputs(), st.integers(1, 4), st.integers(0, 3))
+# a layer expanded in BFS order, or children created in generator order,
+# number this cover differently
+@example((make_cyclic_amalgam(2, 1, 4), 3), 3, 0)
 def test_cover_matches_full_rescan(group_r, depth, slack):
     # the queued build must give the same cover, numbering included, as
     # rescanning every unsaturated node until nothing folds; a small slack
@@ -180,5 +206,29 @@ def test_cover_matches_full_rescan(group_r, depth, slack):
         ball = build_ball(group, max(depth, r // 2) + slack, cap=1500)
     except CapExceeded:
         assume(False)
-    assert build_truncated_cover(ball, r, depth).to_json() \
-        == oracle_cover(ball, r, depth).to_json()
+    cov = build_truncated_cover(ball, r, depth)
+    assert cov.to_json() == oracle_cover(ball, r, depth).to_json()
+    _assert_coset_table(cov)
+
+
+def _lift_or_error(lift, cov, gamma):
+    try:
+        return lift(cov, gamma).mapping
+    except (UncertifiedRegion, VerificationFailure) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cover_inputs(), st.integers(1, 4), st.integers(0, 3), st.data())
+def test_deck_lift_matches_base_vertex_lift(group_r, depth, slack, data):
+    # following labels gives the lift, or the error, that mapping each
+    # edge by the ball product gamma * v of its base vertex v gives
+    group, r = group_r
+    try:
+        ball = build_ball(group, max(depth, r // 2) + slack, cap=1500)
+    except CapExceeded:
+        assume(False)
+    cov = build_truncated_cover(ball, r, depth)
+    gamma = ball.elements[data.draw(st.integers(0, ball.vertex_count - 1))]
+    assert _lift_or_error(lift_element_action, cov, gamma) \
+        == _lift_or_error(oracle_lift, cov, gamma)
