@@ -22,6 +22,23 @@ short cycles, so identifications are sound; completeness holds wherever
 every relevant short cycle is visible, which is what the certified depth
 records.
 
+When the cover is the ball: the cover is the Cayley graph of
+Γ_r = <S | closed words of length <= r>, and every fold is forced, so a
+word whose walk closes at the root of a partial cover is trivial in Γ_r.
+Take a presentation of Γ (`subgroups.presentation_from_group`) and spell
+each symbol as the ball's stored word of its element. If every relator
+closes, the spelling is a homomorphism Γ -> Γ_r, which the projection
+Γ_r -> Γ undoes, so it is one-to-one. If each generator s of Γ also
+closes against the spelling of its symbol word, it is onto. Then
+Γ_r = Γ, and the cover truncated at depth D is B(D) in ball order. The
+generator walks are needed: Z generated by t^2 and t^3 has no relator,
+yet its cover below r = 5 is not the ball. The walks are taken at the
+root before each layer, once the expansion reaches half the longest;
+the enumeration runs on to depth + r only while some walk stays open
+(a proper cover, Γ_r != Γ), where Γ has no presentation (a table group,
+a matrix spec without one, a graph of groups with a non-cyclic vertex
+group), or where a symbol's element lies outside the ball.
+
 Each layer's nodes are expanded in id order, each creating its children
 in the order of the base vertices they reach (`ball.adj`), not in
 generator order; artifacts depend on this numbering. A deck
@@ -33,14 +50,17 @@ ball.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 import random
 
 from .cycles import closed_words
-from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
+from .errors import (CapExceeded, SpecFormatError, UncertifiedRegion,
+                     VerificationFailure)
 from .graphs import UnionFind, bfs
 from .groups import multiply
+from .subgroups import invert_word, presentation_from_group
 
 DEFAULT_NODE_CAP = 500_000
 # the most iterations DeckLift.order_on_region composes
@@ -142,6 +162,10 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
 
     Expansion runs out to depth + r so every cycle relevant to a kept
     vertex is lifted in full; the returned cover is the depth-truncation.
+    Once all the presentation's walks (`_presentation_walks`) close at
+    the root, Γ_r = Γ (module docstring) and the cover is read from the
+    ball instead: projection range(|B(depth)|), the ball's rows with the
+    entries that leave B(depth) set to -1, and the ball's word lengths.
     With a node cap, CapExceeded(reached=node_cap) is raised before node
     node_cap + 1 is added.
     """
@@ -154,6 +178,9 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     trie = _word_trie(ball, closed_words(ball, r))
     inv_gen = ball.inv_gen
     expand_depth = depth + r
+    certified = depth if _is_closed(ball) else min(depth, max(0, ball.radius - r))
+    walks = _presentation_walks(ball)
+    walk_depth = max(((len(w) + 1) // 2 for w in walks or ()), default=0)
 
     uf = UnionFind()
     find, parent = uf.find, uf.parent
@@ -233,6 +260,15 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
 
     root = new_node(0)
 
+    def closes(word):
+        x = root
+        for k in word:
+            x = rows[x][k]
+            if x < 0:
+                return False
+            x = find(x)
+        return x == root
+
     def depths():
         return bfs(lambda x: (find(y) for y in rows[x] if y >= 0), root)
 
@@ -244,8 +280,15 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     # each layer ends at the least fixpoint, one partition whatever the
     # scan order (UnionFind keeps the least member). The numbering follows
     # the expansion (module docstring); tests/cover_oracle.py holds the
-    # full rescan it is checked against.
+    # full rescan it is checked against. Once the expansion reaches the
+    # presentation's walks, the cover is B(depth) if they all close.
     for layer in range(expand_depth):
+        if walks is not None and layer >= walk_depth \
+                and all(map(closes, walks)):
+            n = bisect_right(ball.word_length, depth)
+            right = [[j if j < n else -1 for j in row] for row in ball.right[:n]]
+            return TruncatedCover(ball, r, depth, list(range(n)), right,
+                                  ball.word_length[:n], certified)
         d = depths()
         frontier = sorted(x for x, dx in d.items() if dx == layer)
         if not frontier:
@@ -273,8 +316,50 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     right = [[relabel.get(find(y), -1) if y >= 0 else -1 for y in rows[x]]
              for _, x in kept]
 
-    certified = depth if _is_closed(ball) else min(depth, max(0, ball.radius - r))
     return TruncatedCover(ball, r, depth, projection, right, node_depth, certified)
+
+
+def _presentation_walks(ball):
+    """Closed words over the ball's generators that settle Γ_r = Γ when
+    they all close at the cover's root: each relator of Γ's presentation,
+    and each generator of Γ followed by its symbol word inverted, with
+    every symbol spelled as the ball's stored word of its element, freely
+    reduced, the empty ones dropped.
+
+    None where there is no presentation: `presentation_from_group` raises
+    SpecFormatError for a table group, a matrix spec without one or a
+    non-cyclic vertex group, and VerificationFailure for a matrix spec
+    whose torsion words are not torsion, which the cover does not read.
+    None also where a symbol's element lies outside the ball.
+    """
+    try:
+        pres = presentation_from_group(ball.group)
+    except (SpecFormatError, VerificationFailure):
+        return None
+    words = ball.words
+    spelled = {}  # (symbol, +1 or -1) -> generator indices
+    for s, g in pres.elements.items():
+        v = ball.locate(g)
+        if v is None:
+            return None
+        spelled[s, 1] = words[v]
+        spelled[s, -1] = tuple(ball.inv_gen[k] for k in reversed(words[v]))
+
+    def spell(head, word):
+        out = list(head)
+        for letter in word:
+            for k in spelled[letter]:
+                if out and out[-1] == ball.inv_gen[k]:
+                    out.pop()
+                else:
+                    out.append(k)
+        return tuple(out)
+
+    gens = ball.group.generators
+    walks = [spell((), w) for w in pres.relators]
+    walks += [spell(words[ball.locate(gens[name])], invert_word(w))
+              for name, w in pres.generator_words.items()]
+    return [w for w in walks if w]
 
 
 def _word_trie(ball, words):

@@ -66,16 +66,26 @@ def render_word(word):
 
 class Presentation:
     """Symbols, relators, and the finite-subgroup words used for
-    injectivity and torsion checks."""
+    injectivity and torsion checks.
 
-    __slots__ = ("symbols", "relators", "subgroup_words", "torsion_words")
+    `elements` maps each symbol to the group element it stands for, and
+    `generator_words` maps each name in the group's `generators` to a
+    symbol word equal to it; together they carry words between the
+    presentation and the group's generators (the truncated cover reads
+    both). Both are empty for a presentation given without a group."""
 
-    def __init__(self, symbols, relators, subgroup_words, torsion_words):
+    __slots__ = ("symbols", "relators", "subgroup_words", "torsion_words",
+                 "elements", "generator_words")
+
+    def __init__(self, symbols, relators, subgroup_words, torsion_words,
+                 elements=(), generator_words=()):
         self.symbols = list(symbols)
         self.relators = [free_reduce(r) for r in relators]
         # per finite subgroup: (generator word, order)
         self.subgroup_words = list(subgroup_words)
         self.torsion_words = list(torsion_words)
+        self.elements = dict(elements)
+        self.generator_words = dict(generator_words)
 
 
 def presentation_from_group(group):
@@ -91,7 +101,9 @@ def presentation_from_group(group):
             subs.append((w, order))
             for k in range(1, order):
                 torsion.append(free_reduce(w * k))
-        return Presentation(symbols, relators, subs, torsion)
+        return Presentation(symbols, relators, subs, torsion,
+                            group.generators,
+                            {s: ((s, 1),) for s in symbols})
     if isinstance(group, GraphOfGroupsGroup):
         return _presentation_from_gog(group)
     raise SpecFormatError("unsupported group backend for presentations")
@@ -111,9 +123,12 @@ def _matrix_word_order(group, word):
 
 def _presentation_from_gog(group):
     """One generator per nontrivial cyclic vertex group plus one stable
-    letter per non-tree edge; relators encode orders and edge gluing."""
+    letter per non-tree edge; relators encode orders and edge gluing.
+    The symbol x{v} stands for the based copy of its vertex generator,
+    t{i} for the based loop over edge i, and a generator's symbol word is
+    read off its normal form (`_normal_form_word`)."""
     gog = group.gog
-    symbols, vgen, relators = [], {}, []
+    symbols, vgen, relators, elements = [], {}, [], {}
     subs, torsion = [], []
     for v, table in enumerate(gog.vertices):
         if table.order == 1:
@@ -124,6 +139,7 @@ def _presentation_from_gog(group):
         sym = f"x{v}"
         symbols.append(sym)
         vgen[v] = (sym, gen[0], table)
+        elements[sym] = group.based_vertex_element(v, gen[0])
         relators.append(tuple([(sym, 1)] * table.order))
         subs.append((((sym, 1),), table.order))
         for k in range(1, table.order):
@@ -134,6 +150,7 @@ def _presentation_from_gog(group):
             sym = f"t{i}"
             symbols.append(sym)
             stable[i] = sym
+            elements[sym] = group.stable_letter(i)
         for c in range(e.table.order):
             wu = _power_word(vgen, e.u, e.into_u[c])
             wv = _power_word(vgen, e.v, e.into_v[c])
@@ -144,7 +161,22 @@ def _presentation_from_gog(group):
             rel = free_reduce(rel)
             if rel:
                 relators.append(rel)
-    return Presentation(symbols, relators, subs, torsion)
+    words = {name: _normal_form_word(vgen, stable, g.data)
+             for name, g in group.generators.items()}
+    return Presentation(symbols, relators, subs, torsion, elements, words)
+
+
+def _normal_form_word(vgen, stable, data):
+    """The symbol word of a normal form: each vertex item as a power of
+    its vertex's generator, each traversal of a non-tree edge as its
+    stable letter; a tree edge is trivial in the fundamental group."""
+    word = ()
+    for item in data:
+        if item[0] == "v":
+            word += _power_word(vgen, item[1], item[2])
+        elif item[1] in stable:
+            word += ((stable[item[1]], item[2]),)
+    return free_reduce(word)
 
 
 def _power_word(vgen, v, idx):

@@ -7,13 +7,16 @@ from gdecomp import (build_ball, build_truncated_cover, classify_cycle_lift,
                      enumerate_short_cycles, estimate_displacement,
                      lift_element_action, order_threshold,
                      verify_ball_preservation)
+from gdecomp.cover import TruncatedCover
 from gdecomp.cycles import closed_words
 from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
-from gdecomp.fixtures import make_cyclic_amalgam, make_free_group
-from gdecomp.groups import multiply, normal_form
+from gdecomp.fixtures import load_fixture, make_cyclic_amalgam, make_free_group
+from gdecomp.groups import GraphOfGroupsGroup, multiply, normal_form
 
 from cover_oracle import build_truncated_cover as oracle_cover
 from cover_oracle import lift_element_action as oracle_lift
+
+SL2Z = load_fixture("sl2z")
 
 
 def test_z5_cover_is_path(z5):
@@ -117,6 +120,58 @@ def test_node_cap_reached_is_cap(z5):
         assert exc.value.reached == cap
 
 
+@pytest.mark.parametrize("group, r, depth, size", [
+    # relators of lengths 6, 10 and 8; expanding to depth + r = 15 passes
+    # every node cap up to 20,000
+    (make_cyclic_amalgam(6, 2, 10), 10, 5, 326),
+    # T is x0*x1*x0*x0, and x1 is spelled with two letters; expanding to
+    # depth + r passes 1,393 nodes here and for SL(2, Z)
+    (load_fixture("c4*c2*c6"), 6, 3, 36),
+    (SL2Z, 6, 3, 36),
+])
+def test_cover_read_from_ball_within_node_cap(group, r, depth, size):
+    # the presentation's walks close in the cover expanded to half the
+    # longest, so the cover is B(depth) in ball order
+    ball = build_ball(group, 10)
+    cov = build_truncated_cover(ball, r, depth, node_cap=500)
+    assert cov.projection == ball.interior(depth) == list(range(size))
+    assert cov.node_depth == ball.word_length[:size]
+    assert cov.certified_depth == min(depth, 10 - r)
+    _assert_coset_table(cov)
+
+
+def test_generators_off_the_presentation_keep_the_enumeration():
+    # Z generated by a = t^2 and b = t^3 has no relator, but the cover is
+    # a tree below r = 5 (a^3 b^-2); the walks a t^-2 and b t^-3 stay open
+    # there, so the enumeration runs, and once they close it is the ball
+    f1 = make_free_group(1)
+    group = GraphOfGroupsGroup(
+        f1.gog, {"a": [("e", 0, 1)] * 2, "b": [("e", 0, 1)] * 3}, name="z23")
+    ball = build_ball(group, 6)
+    counts = []
+    for r in (3, 4, 5):
+        cov = build_truncated_cover(ball, r, 3)
+        assert cov.to_json() == oracle_cover(ball, r, 3).to_json()
+        counts.append(cov.vertex_count)
+    assert counts == [53, 25, len(ball.interior(3))]
+
+
+def test_deck_lift_inconsistent():
+    # a hand-built table over the C5 ball: the path 0 -g-> 1 -g-> 2 -g-> 3
+    # with 0 -g'-> 2 as well; lifting g sends the root to 1, so 1 -> 2 and
+    # 2 -> 0 from the root, and then node 2 gets 0 and 3 from node 1
+    ball = build_ball(load_fixture("z5"), 2)
+    g, gi = ball.generators[0][1], ball.inv_gen[0]
+    right = [[-1, -1] for _ in range(4)]
+    for x, y in ((0, 1), (1, 2), (2, 3)):
+        right[x][0], right[y][gi] = y, x
+    right[0][gi] = 2
+    cov = TruncatedCover(ball, 3, 2, [0, 1, 3, 4], right, [0, 1, 2, 2], 2)
+    with pytest.raises(VerificationFailure,
+                       match="deck lift inconsistent at cover vertex 2"):
+        lift_element_action(cov, g)
+
+
 def test_every_short_cycle_lifts_closed_all_fixtures(sl2z_ball10, c2c3, c4c2c6):
     cases = [(sl2z_ball10, 6), (build_ball(c2c3, 8), 4),
              (build_ball(c4c2c6, 8), 6)]
@@ -158,11 +213,15 @@ def test_cover_is_cayley_graph_past_longest_relator(group_r, depth):
 
 @st.composite
 def _cover_inputs(draw):
-    """C_a *_{C_c} C_b with a, b <= 8, or F_1..F_3, with r drawn both
-    below and at or above the longest defining relator, so that unrolled
-    covers are compared as well as Cayley graphs."""
-    if draw(st.integers(0, 3)) == 0:
+    """C_a *_{C_c} C_b with a, b <= 8, F_1..F_3, or SL(2, Z) in its matrix
+    backend, with r drawn both below and at or above the longest defining
+    relator, so that unrolled covers are compared as well as the Cayley
+    graphs that are read from the ball once the relators close."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
         return make_free_group(draw(st.integers(1, 3))), draw(st.integers(3, 5))
+    if kind == 1:
+        return SL2Z, draw(st.integers(3, 8))
     c = draw(st.integers(1, 4))
     order = st.integers(1, 8 // c).map(lambda i: c * i).filter(
         lambda n: n >= 2)
@@ -197,6 +256,12 @@ def _assert_coset_table(cov):
 # a layer expanded in BFS order, or children created in generator order,
 # number this cover differently
 @example((make_cyclic_amalgam(2, 1, 4), 3), 3, 0)
+# proper covers: r is below the longest relator, so the enumeration runs
+@example((make_cyclic_amalgam(4, 2, 6), 3), 3, 1)
+@example((make_cyclic_amalgam(4, 2, 6), 4), 2, 2)
+@example((SL2Z, 4), 3, 1)
+# no presentation (the sl3z spec has none), so the enumeration runs
+@example((load_fixture("sl3z"), 3), 1, 0)
 def test_cover_matches_full_rescan(group_r, depth, slack):
     # the queued build must give the same cover, numbering included, as
     # rescanning every unsaturated node until nothing folds; a small slack

@@ -40,6 +40,27 @@ def test_presentation_extraction(sl2z, c2c3):
     assert [render_word(r) for r in pres2.relators] == ["x0*x0", "x1*x1*x1"]
 
 
+@pytest.mark.parametrize("name", ["sl2z", "c2*c3", "c4*c2*c6", "amalgam",
+                                  "z5", "z", "f2"])
+def test_presentation_symbols_name_elements(name):
+    # each relator is trivial on the symbols' elements, and each generator
+    # equals its symbol word: c4*c2*c6's T is x0*x1*x0*x0
+    group = load_fixture(name)
+    pres = presentation_from_group(group)
+    assert sorted(pres.elements) == sorted(pres.symbols)
+
+    def value(word):
+        acc = group.identity
+        for s, e in word:
+            g = pres.elements[s]
+            acc = group.op(acc, g if e > 0 else group.inv(g))
+        return acc
+    assert all(value(r) == group.identity for r in pres.relators)
+    assert sorted(pres.generator_words) == sorted(group.generators)
+    for gname, word in pres.generator_words.items():
+        assert value(word) == group.generators[gname]
+
+
 def test_c2c3_certificate(c2c3):
     pres, cert = build_cert(c2c3)
     assert cert.hom.detail == {"degree": 3}
