@@ -61,7 +61,7 @@ class BassSerreTreePortion:
         self.words = words  # per tree vertex: normal path word of its coset
         self.adj = adj
         self.dist = dist  # from the base vertex
-        self.key_index = key_index  # vertex_coset_key -> tree vertex
+        self.key_index = key_index  # coset_word(...)[:-1] -> tree vertex
         self.root = 0
         self._links = None
 

@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 
 from .cycles import enumerate_short_cycles
 from .errors import CapExceeded, VerificationFailure
-from .groups import GraphOfGroupsGroup, inverse, multiply
+from .groups import GraphOfGroupsGroup, multiply
 
 DEFAULT_CAP = 2 * 10**6
 
@@ -283,19 +283,16 @@ def torsion_length_bound(group):
     """Max word-metric diameter over vertex-group cosets.
 
     Left-invariance of the word metric reduces this to the diameters of
-    the based vertex subgroups themselves; the ball is grown, by doubling
-    its radius up to TORSION_RADIUS_CAP, until every pairwise quotient
-    inside each subgroup has a known word length.
+    the based vertex subgroups themselves, and the quotients a^-1 b within
+    a subgroup are its elements: the bound is the longest word length of
+    an element of a based vertex subgroup. The ball is grown, by doubling
+    its radius up to TORSION_RADIUS_CAP, until each of them has a known
+    word length.
     """
     if not isinstance(group, GraphOfGroupsGroup):
         raise VerificationFailure("torsion_length_bound needs a graph-of-groups backend")
-    needed = set()
-    for v in range(len(group.gog.vertices)):
-        elems = group.based_vertex_subgroup(v)
-        for a in elems:
-            ai = inverse(a)
-            for b in elems:
-                needed.add(multiply(ai, b).data)
+    needed = {g.data for v in range(len(group.gog.vertices))
+              for g in group.based_vertex_subgroup(v)}
     radius, ball = 1, None
     while radius <= TORSION_RADIUS_CAP:
         ball = build_ball(group, radius, ball=ball)

@@ -441,7 +441,8 @@ def build_parser():
     p = sub.add_parser("classify", help="Tits type of an element on the tree")
     _add_group(p)
     p.add_argument("--element", required=True,
-                   help="generator word, e.g. \"S*T\" or \"a*b'\"")
+                   help="generator names joined by *, X' or X^-1 for the "
+                        "inverse of X, e.g. \"a*b'\" or \"a*b^-1\"")
     p.add_argument("--radius", type=int, default=4)
     _add_common(p, ["json", "dot"])
     p.set_defaults(func=cmd_classify)

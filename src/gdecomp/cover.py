@@ -59,8 +59,8 @@ from .cycles import closed_words
 from .errors import (CapExceeded, SpecFormatError, UncertifiedRegion,
                      VerificationFailure)
 from .graphs import UnionFind, bfs
-from .groups import multiply
-from .subgroups import invert_word, presentation_from_group
+from .groups import invert_word, multiply
+from .subgroups import presentation_from_group
 
 DEFAULT_NODE_CAP = 500_000
 # the most iterations DeckLift.order_on_region composes
@@ -93,16 +93,6 @@ class TruncatedCover:
 
     def neighbors(self, x):
         return [y for y in self.right[x] if y >= 0]
-
-    def walk(self, start, base_path):
-        """Follow base vertices from a cover node; None if an edge is absent."""
-        node = start
-        for bv in base_path:
-            row = self.base.right[self.projection[node]]
-            node = self.right[node][row.index(bv)] if bv in row else -1
-            if node < 0:
-                return None
-        return node
 
     def to_json(self):
         return {
@@ -445,17 +435,22 @@ def _ball_subgraph(neighbors, start, radius):
 
 
 def classify_cycle_lift(cover, cycle):
-    """"lifts-closed" iff the cycle's lifted walk returns to its start."""
+    """"lifts-closed" iff the cycle's labels, walked from a lift of its
+    first vertex, return there. A label names one generator column:
+    `gen_symbols` labels each element once, so no two labels of a row
+    reach one neighbour."""
     start_base = cycle.vertices[0]
     candidates = [x for x in cover.certified_vertices()
                   if cover.projection[x] == start_base]
     if not candidates:
         raise UncertifiedRegion("cycle basepoint has no certified lift")
     start = min(candidates, key=lambda x: cover.node_depth[x])
-    path = list(cycle.vertices[1:]) + [start_base]
-    end = cover.walk(start, path)
-    if end is None:
-        raise UncertifiedRegion("cycle lift exits the truncated region")
+    column = {sym: k for k, (sym, _) in enumerate(cover.base.generators)}
+    end = start
+    for label in cycle.labels:
+        end = cover.right[end][column[label]]
+        if end < 0:
+            raise UncertifiedRegion("cycle lift exits the truncated region")
     return "lifts-closed" if end == start else "lifts-open"
 
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import warnings
 
+from .groups.element import invert_word, parse_word, render_letter
+
 BACKEND = "python"  # the kernel in use, recorded with benchmark results
-
-
-def invert_symbol(sym):
-    return sym[:-1] if sym.endswith("'") else sym + "'"
 
 
 class Cycle:
@@ -58,7 +56,7 @@ def _least_rotation(word):
 
 def _canonical_word(labels):
     """Least rotation of the smaller of the word and its reversed inverse."""
-    rev_inv = tuple(invert_symbol(s) for s in reversed(labels))
+    rev_inv = tuple(map(render_letter, invert_word(parse_word(labels))))
     return min(_least_rotation(tuple(labels)), _least_rotation(rev_inv))
 
 

@@ -4,6 +4,11 @@ An element is immutable data (a nested tuple) plus a pointer to its
 owning group, which supplies the arithmetic. Equality and hashing use
 the canonical data only, so elements work as dict keys in balls and
 coset tables.
+
+Words share one vocabulary across the layers (conventions as in
+Lyndon-Schupp, Combinatorial Group Theory, ch. I): a word is a tuple of
+letters (generator name, +1 or -1). As text, the letters of a generator
+X are X and, for its inverse, X' or X^-1; `render_word` writes X'.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ def inverse(a):
 
 def gen_symbols(group):
     """Symmetric closure as (label, element) pairs; inverses labeled X'.
+    Each element gets one label, so no two labels name one neighbour.
 
     Shared as the `gen_symbols` method of the matrix and graph-of-groups
     backends."""
@@ -65,9 +71,58 @@ def gen_symbols(group):
     for name, g in list(group.generators.items()):
         gi = group.inv(g)
         if gi.data not in seen:
-            out.append((name + "'", gi))
+            out.append((render_letter((name, -1)), gi))
             seen.add(gi.data)
     return out
+
+
+def parse_word(symbols):
+    """The word of a sequence of symbols, each X, X' or X^-1."""
+    word = []
+    for s in symbols:
+        if s.endswith("^-1"):
+            word.append((s[:-3], -1))
+        elif s.endswith("'"):
+            word.append((s[:-1], -1))
+        else:
+            word.append((s, 1))
+    return tuple(word)
+
+
+def invert_word(word):
+    return tuple((s, -e) for s, e in reversed(word))
+
+
+def free_reduce(word):
+    out = []
+    for s, e in word:
+        if out and out[-1][0] == s and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((s, e))
+    return tuple(out)
+
+
+def render_letter(letter):
+    name, e = letter
+    return name if e > 0 else name + "'"
+
+
+def render_word(word):
+    if not word:
+        return "1"
+    return "*".join(map(render_letter, word))
+
+
+def evaluate(group, word):
+    """The product of a word over `group.generators`."""
+    gens = group.generators
+    acc = group.identity
+    for name, e in word:
+        if name not in gens:
+            raise UnknownGenerator(f"unknown generator symbol {name!r}")
+        acc = group.op(acc, gens[name] if e > 0 else group.inv(gens[name]))
+    return acc
 
 
 def element_order(g, cap):
@@ -83,25 +138,6 @@ def element_order(g, cap):
     return None
 
 
-def normal_form(group, word):
-    """Evaluate a generator-symbol sequence to a canonical element.
-
-    Symbols are generator names, optionally suffixed with ' for the
-    inverse (e.g. "S'" or "S^-1").
-    """
-    acc = group.identity
-    gens = group.generators
-    for sym in word:
-        invert = False
-        name = sym
-        if name.endswith("^-1"):
-            name, invert = name[:-3], True
-        elif name.endswith("'") or name.endswith("-"):
-            name, invert = name[:-1], True
-        if name not in gens:
-            raise UnknownGenerator(f"unknown generator symbol {sym!r}")
-        g = gens[name]
-        if invert:
-            g = group.inv(g)
-        acc = group.op(acc, g)
-    return acc
+def normal_form(group, symbols):
+    """The element of a sequence of generator symbols (`parse_word`)."""
+    return evaluate(group, parse_word(symbols))

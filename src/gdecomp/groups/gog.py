@@ -158,7 +158,7 @@ class GraphOfGroupsGroup:
 
     def _prepare_edge_data(self):
         # per (edge, sign): tail vertex, head vertex, tail/head embeddings,
-        # image sets and preimage dicts, and lowest-index coset reps.
+        # preimage dicts, and lowest-index coset reps.
         self._dir = {}
         for ei, e in enumerate(self.gog.edges):
             for sign in (+1, -1):
@@ -166,14 +166,13 @@ class GraphOfGroupsGroup:
                 emb_tail = e.into_u if sign == 1 else e.into_v
                 emb_head = e.into_v if sign == 1 else e.into_u
                 tail_tbl = self.gog.vertices[tail]
-                image_tail = frozenset(emb_tail)
                 pre_tail = {img: c for c, img in enumerate(emb_tail)}
                 pre_head = {img: c for c, img in enumerate(emb_head)}
-                # lowest-index representative of each left coset g * image_tail
+                # lowest-index representative of each left coset g * emb_tail
                 rep = [None] * tail_tbl.order
                 for g in range(tail_tbl.order):
                     if rep[g] is None:
-                        coset = sorted(tail_tbl.mul[g][h] for h in image_tail)
+                        coset = sorted(tail_tbl.mul[g][h] for h in emb_tail)
                         r = coset[0]
                         for x in coset:
                             rep[x] = r
@@ -182,8 +181,6 @@ class GraphOfGroupsGroup:
                     "head": head,
                     "emb_tail": emb_tail,
                     "emb_head": emb_head,
-                    "image_tail": image_tail,
-                    "image_head": frozenset(emb_head),
                     "pre_tail": pre_tail,
                     "pre_head": pre_head,
                     "rep": rep,
@@ -426,7 +423,15 @@ class GraphOfGroupsGroup:
         """The normal path word of (f1 * ... * fk) * p, where p is the
         spanning-tree path from the base to the vertex: `_join` folded
         over the factors' words and p. Normal forms are unique, so the
-        order of the joins does not change the word."""
+        order of the joins does not change the word.
+
+        Without its last item the word keys the left coset
+        (f1 * ... * fk) * H_v of the based vertex subgroup H_v = p G_v p^-1:
+        right multiplication by G_v changes only the last vertex-group
+        item of the normal form, so the keys are equal exactly when the
+        cosets are. The key ends with the edge into v (or is empty for the
+        base coset), so cosets of different vertex subgroups never share
+        a key."""
         if any(f.group is not self for f in factors):
             raise BackendMismatch("coset word factors must belong to this group")
         return reduce(self._join, [f.data for f in factors[1:]]
@@ -438,19 +443,6 @@ class GraphOfGroupsGroup:
         if gamma.group is not self:
             raise BackendMismatch("translating element must belong to this group")
         return self._join(gamma.data, word)
-
-    def vertex_coset_key(self, vertex, *factors):
-        """Key of the left coset (f1 * ... * fk) * H_v of the based vertex
-        subgroup H_v = p G_v p^-1, where p is the spanning-tree path from
-        the base to v: the `coset_word` without its last item.
-
-        Right multiplication by G_v changes only the last vertex-group
-        item of the unique normal form, so keys are equal exactly when the
-        cosets are equal. The key ends with the edge into v (or is empty
-        for the base coset), so cosets of different vertex subgroups never
-        share a key.
-        """
-        return self.coset_word(vertex, *factors)[:-1]
 
     def edge_coset_reps(self, edge_index, sign):
         """The lowest-index representatives, in index order, of the left

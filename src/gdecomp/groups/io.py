@@ -16,9 +16,12 @@ One versioned format ("gdecomp-group/1") covers both backends:
 
 Vertex/edge group tables may be given as {"cyclic": n}, {"trivial": true},
 {"mul": [[...]], "labels": [...]}, or {"permutations": [...], "degree": d}.
-A spec that is not of this shape, or holds a field of the wrong JSON
-type, a `mul` that is not a square table with identity 0 or a
-permutation not of its degree, raises SpecFormatError.
+A matrix spec's relators and torsion words are words of symbols X, X'
+or X^-1 over its generator names (`parse_word`), and its optional
+`modulus` is an integer >= 2. A spec that is not of this shape, or holds
+a field of the wrong JSON type, a word naming no generator, a `mul` that
+is not a square table with identity 0 or a permutation not of its
+degree, raises SpecFormatError.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import os
 from pathlib import Path
 
 from ..errors import SpecFormatError
+from .element import parse_word
 from .gog import GogEdge, GraphOfGroups, GraphOfGroupsGroup
 from .matrix import MatrixGroup
 from .table import FiniteGroupTable
@@ -35,17 +39,29 @@ from .table import FiniteGroupTable
 FORMAT = "gdecomp-group/1"
 
 
-# the JSON types a field is checked for; "ints" is an array of integers
+# the JSON types a field is checked for; "ints" and "strs" are arrays of
+# integers and of strings
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer",
-               "ints": "an array of integers"}
+               "ints": "an array of integers", "strs": "an array of strings"}
+_ITEM_TYPES = {"ints": int, "strs": str}
 
 
 def _typed(value, kind, what):
     """`value`, checked to be of the JSON type `kind`."""
-    if not (type(value) is list and all(type(x) is int for x in value)
-            if kind == "ints" else type(value) is kind):
+    item = _ITEM_TYPES.get(kind)
+    if not (type(value) is list and all(type(x) is item for x in value)
+            if item else type(value) is kind):
         raise SpecFormatError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _words(value, gens, what):
+    """Check that `value` is an array of words over the names `gens`."""
+    for word in _typed(value, list, what):
+        for name, _ in parse_word(_typed(word, "strs", f"{what} word")):
+            if name not in gens:
+                raise SpecFormatError(f"{what} word {word!r} names no "
+                                      f"generator {name!r}")
 
 
 def _permutation(value, n, what):
@@ -111,14 +127,25 @@ def load_group(source):
         for gname, mat in gens.items():
             for row in _typed(mat, list, f"generator {gname}"):
                 _typed(row, "ints", f"generator {gname} row")
+        # a null optional field reads as an absent one
+        modulus = data.get("modulus")
+        if modulus is not None and _typed(modulus, int, "matrix group 'modulus'") < 2:
+            raise SpecFormatError(f"matrix group 'modulus' must be >= 2, got {modulus}")
+        presentation = data.get("presentation")
+        if presentation is not None:
+            _fields(presentation, "matrix group 'presentation'", "relators")
+            _words(presentation["relators"], gens, "presentation 'relators'")
+        torsion_words = data.get("torsion_words")
+        if torsion_words is not None:
+            _words(torsion_words, gens, "matrix group 'torsion_words'")
         return MatrixGroup(
             name,
             _typed(data["dimension"], int, "matrix group 'dimension'"),
             gens,
-            modulus=data.get("modulus"),
+            modulus=modulus,
             special_linear=data.get("special_linear", False),
-            presentation=data.get("presentation"),
-            torsion_words=data.get("torsion_words"),
+            presentation=presentation,
+            torsion_words=torsion_words,
         )
     if kind == "graph-of-groups":
         _fields(data, "graph-of-groups spec", "vertices", "edges")

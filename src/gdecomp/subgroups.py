@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from .decomp import TORSION_ORDER_CAP
 from .errors import CapExceeded, SpecFormatError, VerificationFailure
-from .groups import GraphOfGroupsGroup, MatrixGroup, element_order
+from .groups import (GraphOfGroupsGroup, MatrixGroup, element_order, evaluate,
+                     free_reduce, invert_word, parse_word, render_word)
 from .groups.matrix import mat_identity, mat_mul, mat_reduce
-
-# words are tuples of (symbol, +1|-1)
 
 # the largest image group a finite quotient enumerates
 QUOTIENT_CAP = 200_000
@@ -30,38 +29,6 @@ QUOTIENT_CAP = 200_000
 DEGREE_CAP = 12
 # the largest order of a subgroup word's image that a quotient computes
 WORD_ORDER_CAP = 10_000
-
-
-def parse_word(symbols):
-    word = []
-    for s in symbols:
-        if s.endswith("^-1"):
-            word.append((s[:-3], -1))
-        elif s.endswith("'"):
-            word.append((s[:-1], -1))
-        else:
-            word.append((s, 1))
-    return tuple(word)
-
-
-def invert_word(word):
-    return tuple((s, -e) for s, e in reversed(word))
-
-
-def free_reduce(word):
-    out = []
-    for s, e in word:
-        if out and out[-1][0] == s and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((s, e))
-    return tuple(out)
-
-
-def render_word(word):
-    if not word:
-        return "1"
-    return "*".join(s if e > 0 else s + "'" for s, e in word)
 
 
 class Presentation:
@@ -97,7 +64,9 @@ def presentation_from_group(group):
         subs, torsion = [], []
         for wsyms in group.torsion_words or []:
             w = parse_word(wsyms)
-            order = _matrix_word_order(group, w)
+            order = element_order(evaluate(group, w), TORSION_ORDER_CAP)
+            if order is None:
+                raise VerificationFailure(f"word {render_word(w)} is not torsion")
             subs.append((w, order))
             for k in range(1, order):
                 torsion.append(free_reduce(w * k))
@@ -107,18 +76,6 @@ def presentation_from_group(group):
     if isinstance(group, GraphOfGroupsGroup):
         return _presentation_from_gog(group)
     raise SpecFormatError("unsupported group backend for presentations")
-
-
-def _matrix_word_order(group, word):
-    gens = dict(group.gen_symbols())
-    acc = group.identity
-    for s, e in word:
-        g = gens[s] if e > 0 else group.inv(gens[s])
-        acc = group.op(acc, g)
-    order = element_order(acc, TORSION_ORDER_CAP)
-    if order is None:
-        raise VerificationFailure(f"word {render_word(word)} is not torsion")
-    return order
 
 
 def _presentation_from_gog(group):

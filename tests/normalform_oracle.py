@@ -4,9 +4,10 @@ one that starts at a join.
 `normalize(group, items)` is the full normalization that
 `GraphOfGroupsGroup._normalize` did before it took a start position and
 a suffix length: the pinch scan runs over the whole word and the
-coset-representative sweep over every edge. `op_data`, `coset_word_data`
-and `coset_key_data` join words the way `op`, `coset_word` and
-`vertex_coset_key` do and normalize the whole result.
+coset-representative sweep over every edge. `op_data` and
+`coset_word_data` join words the way `op` and `coset_word` do and
+normalize the whole result; `coset_key_data` is the coset word without
+its last item, the key of the vertex subgroup's coset.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from gdecomp.decomp import discover_graph_of_groups
 from gdecomp.fixtures import make_cyclic_amalgam
 from gdecomp.groups import load_group
 
+FIXTURES = Path(__file__).resolve().parents[1] / "src/gdecomp/fixtures"
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
      / "src/gdecomp/schema/report.schema.json").read_text())
@@ -74,6 +75,19 @@ def test_classify_command(capsys):
     data = json.loads(out)
     assert data["kind"] == "hyperbolic"
     assert data["translation_length"] == 2
+
+
+def test_classify_element_syntax(capsys):
+    # an inverse is X' or X^-1; "a-" names no generator
+    outs = [run(capsys, "classify", "--group", "c2*c3", "--element", word,
+                "--radius", "5") for word in ("a'*b", "a^-1*b")]
+    assert [code for code, _ in outs] == [0, 0]
+    assert json.loads(outs[0][1])["kind"] == json.loads(outs[1][1])["kind"]
+    code = main(["classify", "--group", "c2*c3", "--element", "a-",
+                 "--radius", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "gdecomp: unknown generator symbol 'a-'\n"
 
 
 def test_classify_rejects_matrix_backend(capsys):
@@ -177,6 +191,47 @@ def test_malformed_spec_exits_3(tmp_path, capsys, spec, message):
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"gdecomp: {message}\n"
+
+
+def _sl2z_with(**fields):
+    spec = json.loads((FIXTURES / "sl2z.json").read_text())
+    spec.update(fields)
+    return spec
+
+
+_RELATORS = [["S", "S", "S", "S"]]
+
+
+@pytest.mark.parametrize("command", [
+    ["subgroup"], ["cover", "--radius", "4", "--r", "4", "--depth", "2"],
+    ["report"]], ids=["subgroup", "cover", "report"])
+@pytest.mark.parametrize("spec, message", [
+    (_sl2z_with(presentation={"relators": [["S", "Q"]]}),
+     "presentation 'relators' word ['S', 'Q'] names no generator 'Q'"),
+    (_sl2z_with(torsion_words=[["S", "Q"]]),
+     "matrix group 'torsion_words' word ['S', 'Q'] names no generator 'Q'"),
+    (_sl2z_with(torsion_words=[["S", 1]]),
+     "matrix group 'torsion_words' word must be an array of strings, "
+     "got ['S', 1]"),
+    (_sl2z_with(presentation=_RELATORS),
+     f"matrix group 'presentation' must be a JSON object, got {_RELATORS}"),
+    (_sl2z_with(modulus="5"),
+     "matrix group 'modulus' must be an integer, got '5'"),
+    (_sl2z_with(presentation={"relators": "SSSS"}),
+     "presentation 'relators' must be a JSON array, got 'SSSS'"),
+], ids=["relator-unknown", "torsion-unknown", "symbol-int",
+        "presentation-list", "modulus-string", "relators-string"])
+def test_malformed_matrix_spec_exits_3(tmp_path, capsys, command, spec,
+                                       message):
+    # these reached the pipeline unchecked: a KeyError, AttributeError or
+    # TypeError traceback, or relators read letter by letter
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main([command[0], "--group", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.endswith(f"gdecomp: {message}\n")
 
 
 def test_cap_exits_2(capsys):

@@ -1,3 +1,4 @@
+import json
 from functools import cache
 from math import gcd
 
@@ -6,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import normalform_oracle as oracle
 from gdecomp import subgroups
-from gdecomp.errors import CapExceeded, VerificationFailure
-from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
+from gdecomp.errors import (CapExceeded, SpecFormatError, UnknownGenerator,
+                            VerificationFailure)
+from gdecomp.fixtures import (fixture_path, load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
 from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
                             GraphOfGroupsGroup, GroupElement, element_order,
-                            inverse, multiply, normal_form)
+                            inverse, load_group, multiply, normal_form)
 from gdecomp.groups.matrix import mat_det, mat_inv, mat_mul
 
 
@@ -80,6 +82,30 @@ def test_normal_form_words(sl2z):
     w = normal_form(sl2z, ["S", "T", "S'", "T'"])
     back = normal_form(sl2z, ["T", "S", "T'", "S'"])
     assert multiply(w, back) == sl2z.identity
+
+
+def test_inverse_symbols(sl2z):
+    # an inverse is written X' or X^-1, and no other way
+    S, T = sl2z.generators["S"], sl2z.generators["T"]
+    assert normal_form(sl2z, ["S'", "T^-1"]) \
+        == multiply(inverse(S), inverse(T))
+    for sym in ("S-", "S^1", "S''", "S^-1'", "s"):
+        with pytest.raises(UnknownGenerator, match="unknown generator symbol"):
+            normal_form(sl2z, [sym])
+
+
+def test_spec_words_take_inverse_symbols():
+    # a spec's relators and torsion words are read by the same parser
+    spec = json.loads(fixture_path("sl2z").read_text())
+    primed = subgroups.presentation_from_group(load_group(spec))
+    spec["presentation"]["relators"] = [
+        [s.replace("'", "^-1") for s in r]
+        for r in spec["presentation"]["relators"]]
+    assert subgroups.presentation_from_group(load_group(spec)).relators \
+        == primed.relators
+    spec["torsion_words"] = [["S-"]]
+    with pytest.raises(SpecFormatError, match="names no generator 'S-'"):
+        load_group(spec)
 
 
 def test_gog_relations(c2c3):
@@ -181,9 +207,9 @@ def test_normalization_from_join_matches_full(case):
     group, a, b = case
     assert group.op(a, b).data == oracle.op_data(group, a, b)
     for v in range(len(group.gog.vertices)):
-        assert group.vertex_coset_key(v, a, b) \
+        assert group.coset_word(v, a, b)[:-1] \
             == oracle.coset_key_data(group, v, a, b)
-        assert group.vertex_coset_key(v, a) \
+        assert group.coset_word(v, a)[:-1] \
             == oracle.coset_key_data(group, v, a)
         # a translate of a coset's normal path word, as a tree action
         # normalizes it
