@@ -13,11 +13,11 @@ computed once, while the ball is built; adjacency, edges and labels are
 read off the table. Every other product is formed by `mul`, on points:
 a point is a vertex, or an element that lies outside the ball. Two
 vertices walk the table; only a walk that leaves the ball, or a point
-outside it, uses group arithmetic. For a graph-of-groups group the
-table's products come from the
-group's memo of window products (`GraphOfGroupsGroup.right_multiplier`):
-right multiplication by a generator rewrites only a bounded suffix of a
-normal form.
+outside it, uses group arithmetic. The table's products come from the
+map x -> x * s that every backend supplies as `right_multiplier(s)`: a
+graph-of-groups group reads it from its memo of window products, as right
+multiplication by a generator rewrites only a bounded suffix of a normal
+form; a matrix group multiplies by the generator's columns, formed once.
 
 Vertex keys (`elements[v].key()`) are not cached: each reader keys only
 the vertices it reads.
@@ -198,7 +198,7 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         start = bisect_left(word_length, ball.radius)
         right = ball.right[:start] + [row[:] for row in ball.right[start:]]
         adj = ball.adj[:start]
-    times = _right_multipliers(group, pairs)
+    times = [group.right_multiplier(g) for _, g in pairs]
     # vertices are appended in BFS order, so when vertex i is expanded every
     # vertex at distance <= word_length[i] + 1 is either known or new here;
     # only the -1 entries of its row are computed
@@ -226,14 +226,6 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         i += 1
     return CayleyBall(group, radius, pairs, elements, index, word_length,
                       words, right, adj)
-
-
-def _right_multipliers(group, pairs):
-    """x -> x * gen_k for each generator: from the normal forms' window
-    memo where the group has one, else by group arithmetic."""
-    if isinstance(group, GraphOfGroupsGroup):
-        return [group.right_multiplier(g) for _, g in pairs]
-    return [lambda x, g=g: multiply(x, g) for _, g in pairs]
 
 
 def _restriction(ball, radius, cap):

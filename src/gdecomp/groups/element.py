@@ -1,7 +1,8 @@
 """Backend-tagged group elements and the element-level operations.
 
-An element is immutable data (a nested tuple) plus a pointer to its
-owning group, which supplies the arithmetic. Equality and hashing use
+An element is immutable data (a nested tuple of a matrix, or a normal
+form packed into a str) plus a pointer to its owning group, which
+supplies the arithmetic. Equality and hashing use
 the canonical data only, so elements work as dict keys in balls and
 coset tables.
 

@@ -26,10 +26,19 @@ and the sweep stops inside the suffix once it carries the identity. A
 translate gamma * w of a normal path word w from the base (a coset's word
 in the Bass-Serre tree) is normalized the same way.
 
+Items come from a finite alphabet (Serre, Trees, I.5.2): the vertex
+items ("v", v, i), then the edge items ("e", ei, +1 or -1), numbered in
+that order. An element's data packs its normal form into a str, the k-th
+item of the alphabet as the character chr(k), so slices, joins and hashes
+work on one flat string, and a str caches its hash. `_normalize`, `_join`
+and `_vmul` work on characters, through tables keyed by them, and `items`
+decodes packed data into item tuples. `key` joins the memoized reprs of
+the items into the repr of the item tuple, so keys do not depend on the
+packing.
+
 Right multiplication by a generator g rewrites at most the last
 len(g.data) items of a normal form, so `right_multiplier` reads x * g off
-a memo of those windows. Items come from a finite alphabet, and `key`
-joins their memoized reprs into repr(data).
+a memo of those windows.
 """
 
 from __future__ import annotations
@@ -138,18 +147,23 @@ class GraphOfGroupsGroup:
     def __init__(self, gog, generator_sketches=None, name=None):
         self.gog = gog
         self.name = name or gog.name
+        # the finite item alphabet, packed one character per item: vertex
+        # items, then edge items, the k-th item as chr(k)
+        alphabet = [("v", v, i) for v, t in enumerate(gog.vertices)
+                    for i in range(t.order)] \
+            + [("e", ei, sign) for ei in range(len(gog.edges))
+               for sign in (1, -1)]
+        chars = list(map(chr, range(len(alphabet))))
+        self._char_item = dict(zip(chars, alphabet))
+        self._item_char = dict(zip(alphabet, chars))
+        self._item_reprs = dict(zip(chars, map(repr, alphabet)))
         self._prepare_edge_data()
         self._prepare_tree_paths()
-        # the finite item alphabet, each item with its repr, and the memo of
-        # window products per generator (see `right_multiplier`)
-        self._item_reprs = {
-            item: repr(item)
-            for item in [("v", v, i) for v, t in enumerate(gog.vertices)
-                         for i in range(t.order)]
-            + [("e", ei, sign) for ei in range(len(gog.edges))
-               for sign in (1, -1)]}
+        self._prepare_char_tables()
+        # the memo of window products per generator (see `right_multiplier`)
         self._window_products = {}
-        self.identity = GroupElement("normal-form", (("v", 0, 0),), self)
+        self.identity = GroupElement("normal-form", self._item_char[("v", 0, 0)],
+                                     self)
         self.generators = {}
         for gname, sketch in (generator_sketches or {}).items():
             self.generators[gname] = self.loop_from_sketch(sketch)
@@ -210,10 +224,47 @@ class GraphOfGroupsGroup:
         self._tree_path = path
         # the tree path as a normal path word: it has no backtracking, and
         # the identity is the lowest-index representative of every coset
-        self._tree_word = [(("v", 0, 0),) + tuple(self._route(0, v))
+        self._tree_word = [self._item_char[("v", 0, 0)] + self._route(0, v)
                            for v in range(n)]
 
+    def _prepare_char_tables(self):
+        # what `_normalize`, `_vmul` and `inv` read, keyed by character:
+        # each vertex item's first code at its vertex and its row of the
+        # vertex group's table, each item's inverse, and for each edge item
+        # its reversal, its pinches and its steps of the coset sweep
+        char = self._item_char.__getitem__
+        self._vrow, self._inverse, self._pinch, self._sweep = {}, {}, {}, {}
+        vchars = []  # per vertex, the characters of its items by index
+        for v, tbl in enumerate(self.gog.vertices):
+            base = ord(char(("v", v, 0)))
+            chars = [chr(base + i) for i in range(tbl.order)]
+            vchars.append(chars)
+            self._vrow.update(zip(chars, [(base, row) for row in tbl.mul]))
+            self._inverse.update(zip(range(base, base + tbl.order),
+                                     map(chars.__getitem__, tbl.inv)))
+        for (ei, sign), info in self._dir.items():
+            d = char(("e", ei, sign))
+            self._inverse[ord(d)] = reverse = char(("e", ei, -sign))
+            tail, head = vchars[info["tail"]], vchars[info["head"]]
+            emb_tail, emb_head = info["emb_tail"], info["emb_head"]
+            # (d, g, reverse) is a pinch when g is the image of an edge-group
+            # element c on the head side; c's tail image carries left
+            self._pinch[d] = (reverse, {head[g]: tail[emb_tail[c]]
+                                        for g, c in info["pre_head"].items()})
+            # the vertex item g before d is r * h with r its coset
+            # representative and h the tail image of c: r stays and the head
+            # image of c carries right. Representatives (c = 0) are absent.
+            mul, sweep = self.gog.vertices[info["tail"]].mul, {}
+            for r in set(info["rep"]):
+                for c in range(1, len(emb_tail)):
+                    sweep[tail[mul[r][emb_tail[c]]]] = (tail[r], head[emb_head[c]])
+            self._sweep[d] = sweep
+
     # -- word assembly --------------------------------------------------
+
+    def items(self, data):
+        """The path-word items of an element's packed data, as tuples."""
+        return tuple(map(self._char_item.__getitem__, data))
 
     def loop_from_sketch(self, sketch):
         """Build a based loop from a sketch of vertex elements / edge letters.
@@ -223,33 +274,33 @@ class GraphOfGroupsGroup:
         sign] traverses the edge from its tail (reached along the tree).
         The loop is closed back to the base along the tree and normalized.
         """
-        items = [("v", 0, 0)]
+        items = [self._item_char[("v", 0, 0)]]
         cur = 0
         for entry in sketch:
             # a sketch entry is a path-word item of the graph's alphabet;
             # its parts are checked first, as a nested array is unhashable
             if not all(isinstance(x, (str, int)) for x in entry) \
-                    or tuple(entry) not in self._item_reprs:
+                    or tuple(entry) not in self._item_char:
                 raise SpecFormatError(f"bad sketch entry {entry!r}")
+            ch = self._item_char[tuple(entry)]
             if entry[0] == "v":
-                _, vtx, idx = entry
+                vtx = entry[1]
                 items += self._route(cur, vtx)
                 cur = vtx
-                items[-1] = self._vmul(items[-1], ("v", vtx, idx))
+                items[-1] = self._vmul(items[-1], ch)
             else:
                 _, ei, sign = entry
-                tail = self._dir[(ei, sign)]["tail"]
-                items += self._route(cur, tail)
-                items.append(("e", ei, sign))
+                items += self._route(cur, self._dir[(ei, sign)]["tail"])
                 cur = self._dir[(ei, sign)]["head"]
-                items.append(("v", cur, 0))
+                items += ch + self._item_char[("v", cur, 0)]
         items += self._route(cur, 0)
-        return GroupElement("normal-form", self._normalize(tuple(items)), self)
+        return GroupElement("normal-form", self._normalize(items), self)
 
     def _route(self, a, b):
-        """Tree traversal items from a to b (empty v-item removed at start)."""
+        """Tree traversal items from a to b (empty v-item removed at start),
+        packed."""
         if a == b:
-            return []
+            return ""
         back = [(ei, -sign) for (_, ei, sign) in reversed(self._tree_path[a])]
         fwd = [(ei, sign) for (_, ei, sign) in self._tree_path[b]]
         # cancel the common prefix of (reversed a-path) and b-path at the root
@@ -257,18 +308,15 @@ class GraphOfGroupsGroup:
             back.pop()
             fwd.pop(0)
         items = []
-        cur = a
         for ei, sign in back + fwd:
             items.append(("e", ei, sign))
-            cur = self._dir[(ei, sign)]["head"]
-            items.append(("v", cur, 0))
-        return items
+            items.append(("v", self._dir[(ei, sign)]["head"], 0))
+        return "".join(map(self._item_char.__getitem__, items))
 
-    def _vmul(self, item_a, item_b):
-        _, vtx, a = item_a
-        _, vtx2, b = item_b
-        assert vtx == vtx2
-        return ("v", vtx, self.gog.vertices[vtx].mul[a][b])
+    def _vmul(self, a, b):
+        """The product of two vertex items at one vertex, as characters."""
+        base, row = self._vrow[a]
+        return chr(base + row[ord(b) - base])
 
     # -- normalization --------------------------------------------------
 
@@ -289,8 +337,12 @@ class GraphOfGroupsGroup:
         so once the sweep is inside the suffix and carries the identity
         of the edge group, nothing after changes and the sweep stops.
         With start 0 and tail 0 this is the full normalization.
+
+        The word is packed (or a list of its characters); the result is
+        packed.
         """
         items = list(items)
+        vmul, pinches, sweeps = self._vmul, self._pinch, self._sweep
         # Britton pinch removal to a fixpoint. Edge items sit at odd
         # positions; a pinch is (d, g, d-reversed) with g in the edge-group
         # image on d's head side.
@@ -299,35 +351,29 @@ class GraphOfGroupsGroup:
         # the last triple, or the first whose middle is in the suffix
         end = len(items) - (tail or 1)
         while i + 1 < end:
-            d, g, d2 = items[i], items[i + 1], items[i + 2]
-            if d2[1] == d[1] and d2[2] == -d[2]:
-                info = self._dir[(d[1], d[2])]
-                if g[2] in info["pre_head"]:
-                    c = info["pre_head"][g[2]]
-                    carried = ("v", info["tail"], info["emb_tail"][c])
-                    merged = self._vmul(self._vmul(items[i - 1], carried), items[i + 3])
-                    items[i - 1 : i + 4] = [merged]
-                    changed = min(changed, i - 1)
-                    tail = min(tail, len(items) - i)
-                    end = len(items) - (tail or 1)
-                    i = max(1, i - 2)
-                    continue
+            reverse, pinch = pinches[items[i]]
+            if items[i + 2] == reverse and items[i + 1] in pinch:
+                carried = pinch[items[i + 1]]
+                items[i - 1 : i + 4] = [
+                    vmul(vmul(items[i - 1], carried), items[i + 3])]
+                changed = min(changed, i - 1)
+                tail = min(tail, len(items) - i)
+                end = len(items) - (tail or 1)
+                i = max(1, i - 2)
+                continue
             i += 2
         # Left-to-right sweep into lowest-index coset representatives.
         suffix = len(items) - tail
         for i in range(changed + 1, len(items), 2):
-            d = items[i]
-            info = self._dir[(d[1], d[2])]
-            g_prev = items[i - 1]
-            r = info["rep"][g_prev[2]]
-            tbl = self.gog.vertices[info["tail"]]
-            h = tbl.mul[tbl.inv[r]][g_prev[2]]  # r * h = g_prev, h in tail image
-            c = info["pre_tail"][h]
-            if c == 0 and i >= suffix:
-                break
-            items[i - 1] = ("v", info["tail"], r)
-            items[i + 1] = self._vmul(("v", info["head"], info["emb_head"][c]), items[i + 1])
-        return tuple(items)
+            step = sweeps[items[i]].get(items[i - 1])
+            if step is None:
+                # a representative: the identity carries past the edge
+                if i >= suffix:
+                    break
+                continue
+            items[i - 1], carried = step
+            items[i + 1] = vmul(carried, items[i + 1])
+        return "".join(items)
 
     # -- group operations -----------------------------------------------
 
@@ -379,27 +425,24 @@ class GraphOfGroupsGroup:
         return GroupElement("normal-form", self._join(a.data, b.data), self)
 
     def inv(self, a):
-        out = []
-        for item in reversed(a.data):
-            if item[0] == "v":
-                _, vtx, idx = item
-                out.append(("v", vtx, self.gog.vertices[vtx].inv[idx]))
-            else:
-                _, ei, sign = item
-                out.append(("e", ei, -sign))
-        return GroupElement("normal-form", self._normalize(tuple(out)), self)
+        """The reversed word with each item inverted, normalized."""
+        return GroupElement(
+            "normal-form",
+            self._normalize(a.data[::-1].translate(self._inverse)), self)
 
     def key(self, g):
-        """`repr(g.data)`, joined from the memoized reprs of its items."""
+        """`repr` of g's item tuple, joined from the memoized reprs of its
+        items."""
         body = ", ".join(map(self._item_reprs.__getitem__, g.data))
         return "(" + body + ("," if len(g.data) == 1 else "") + ")"
 
     def render(self, g):
+        items = self.items(g.data)
         parts = []
-        for item in g.data:
+        for item in items:
             if item[0] == "v":
                 _, vtx, idx = item
-                if idx != 0 or len(g.data) == 1:
+                if idx != 0 or len(items) == 1:
                     parts.append(self.gog.vertices[vtx].labels[idx])
             else:
                 _, ei, sign = item

@@ -18,10 +18,12 @@ Vertex/edge group tables may be given as {"cyclic": n}, {"trivial": true},
 {"mul": [[...]], "labels": [...]}, or {"permutations": [...], "degree": d}.
 A matrix spec's relators and torsion words are words of symbols X, X'
 or X^-1 over its generator names (`parse_word`), and its optional
-`modulus` is an integer >= 2. A spec that is not of this shape, or holds
-a field of the wrong JSON type, a word naming no generator, a `mul` that
-is not a square table with identity 0 or a permutation not of its
-degree, raises SpecFormatError.
+`modulus` is an integer >= 2. An edge's `tree` and a matrix spec's
+`special_linear` are JSON booleans, and `vertex_names`, if given, is an
+array of strings with one name per vertex. A spec that is not of this
+shape, or holds a field of the wrong JSON type, a word naming no
+generator, a `mul` that is not a square table with identity 0 or a
+permutation not of its degree, raises SpecFormatError.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ FORMAT = "gdecomp-group/1"
 # the JSON types a field is checked for; "ints" and "strs" are arrays of
 # integers and of strings
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", int: "an integer",
-               "ints": "an array of integers", "strs": "an array of strings"}
+               bool: "a JSON boolean", "ints": "an array of integers",
+               "strs": "an array of strings"}
 _ITEM_TYPES = {"ints": int, "strs": str}
 
 
@@ -138,12 +141,15 @@ def load_group(source):
         torsion_words = data.get("torsion_words")
         if torsion_words is not None:
             _words(torsion_words, gens, "matrix group 'torsion_words'")
+        special_linear = data.get("special_linear")
+        if special_linear is not None:
+            _typed(special_linear, bool, "matrix group 'special_linear'")
         return MatrixGroup(
             name,
             _typed(data["dimension"], int, "matrix group 'dimension'"),
             gens,
             modulus=modulus,
-            special_linear=data.get("special_linear", False),
+            special_linear=bool(special_linear),
             presentation=presentation,
             torsion_words=torsion_words,
         )
@@ -156,8 +162,14 @@ def load_group(source):
             _fields(e, "edge spec", "u", "v", "group", "into_u", "into_v", "tree")
             edges.append(GogEdge(e["u"], e["v"], table_from_spec(e["group"]),
                                  _typed(e["into_u"], "ints", "edge 'into_u'"),
-                                 _typed(e["into_v"], "ints", "edge 'into_v'"), e["tree"]))
-        gog = GraphOfGroups(vertices, edges, data.get("vertex_names"), name=name)
+                                 _typed(e["into_v"], "ints", "edge 'into_v'"),
+                                 _typed(e["tree"], bool, "edge 'tree'")))
+        names = data.get("vertex_names")
+        if names is not None and len(_typed(
+                names, "strs", "graph-of-groups 'vertex_names'")) != len(vertices):
+            raise SpecFormatError(f"graph-of-groups 'vertex_names' must name "
+                                  f"each of {len(vertices)} vertices, got {names!r}")
+        gog = GraphOfGroups(vertices, edges, names, name=name)
         sketches = _typed(data.get("generators", {}), dict, "graph-of-groups 'generators'")
         for gname, sketch in sketches.items():
             for entry in _typed(sketch, list, f"generator {gname}"):

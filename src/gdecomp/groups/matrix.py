@@ -7,20 +7,24 @@ same machinery into a finite congruence quotient.
 
 from __future__ import annotations
 
+from operator import mul
+
 from ..errors import SpecFormatError, VerificationFailure
 from .element import GroupElement, gen_symbols
 
 
 def mat_mul(a, b, modulus=None):
-    n = len(a)
+    return _by_columns(a, tuple(zip(*b)), modulus)
+
+
+def _by_columns(a, cols, modulus):
+    """The product of a with the matrix whose columns are `cols`: each row
+    of a times each column."""
     if modulus is None:
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-        )
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % modulus for j in range(n))
-        for i in range(n)
-    )
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                      for row in a])
+    return tuple([tuple([sum(map(mul, row, col)) % modulus for col in cols])
+                  for row in a])
 
 
 def mat_det(a):
@@ -106,6 +110,15 @@ class MatrixGroup:
 
     def op(self, a, b):
         return GroupElement("matrix", mat_mul(a.data, b.data, self.modulus), self)
+
+    def right_multiplier(self, g):
+        """The map x -> x * g on elements, with g's columns formed once."""
+        cols, modulus = tuple(zip(*g.data)), self.modulus
+
+        def times(x):
+            return GroupElement("matrix", _by_columns(x.data, cols, modulus),
+                                self)
+        return times
 
     def inv(self, a):
         return GroupElement("matrix", mat_inv(a.data, self.modulus), self)

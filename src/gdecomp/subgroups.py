@@ -118,17 +118,17 @@ def _presentation_from_gog(group):
             rel = free_reduce(rel)
             if rel:
                 relators.append(rel)
-    words = {name: _normal_form_word(vgen, stable, g.data)
+    words = {name: _normal_form_word(vgen, stable, group.items(g.data))
              for name, g in group.generators.items()}
     return Presentation(symbols, relators, subs, torsion, elements, words)
 
 
-def _normal_form_word(vgen, stable, data):
-    """The symbol word of a normal form: each vertex item as a power of
-    its vertex's generator, each traversal of a non-tree edge as its
-    stable letter; a tree edge is trivial in the fundamental group."""
+def _normal_form_word(vgen, stable, items):
+    """The symbol word of a normal form's items: each vertex item as a
+    power of its vertex's generator, each traversal of a non-tree edge as
+    its stable letter; a tree edge is trivial in the fundamental group."""
     word = ()
-    for item in data:
+    for item in items:
         if item[0] == "v":
             word += _power_word(vgen, item[1], item[2])
         elif item[1] in stable:

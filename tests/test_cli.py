@@ -149,6 +149,13 @@ _GOG = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
         "vertices": [{"cyclic": 2}], "edges": []}
 
 
+def _c2c3_with(tree=True, **fields):
+    spec = json.loads((FIXTURES / "c2_c3.json").read_text())
+    spec.update(fields)
+    spec["edges"][0]["tree"] = tree
+    return spec
+
+
 @pytest.mark.parametrize("spec, message", [
     ([], "group spec must be a JSON object, got []"),
     (_MATRIX, "matrix group spec lacks 'dimension'"),
@@ -179,10 +186,23 @@ _GOG = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
      "group table row [1, 2] is not a permutation of 0..1"),
     ({**_GOG, "vertices": [{"mul": [[1, 0], [0, 1]]}]},
      "group table 'mul' has no identity at 0"),
+    # these ended in a TypeError traceback, or were read by truthiness
+    (_c2c3_with(vertex_names=5),
+     "graph-of-groups 'vertex_names' must be an array of strings, got 5"),
+    (_c2c3_with(vertex_names=["a"]),
+     "graph-of-groups 'vertex_names' must name each of 2 vertices, "
+     "got ['a']"),
+    (_c2c3_with(vertex_names=["a", 2]),
+     "graph-of-groups 'vertex_names' must be an array of strings, "
+     "got ['a', 2]"),
+    (_c2c3_with(tree="no"), "edge 'tree' must be a JSON boolean, got 'no'"),
+    (_c2c3_with(tree=1), "edge 'tree' must be a JSON boolean, got 1"),
 ], ids=["list", "no-dimension", "no-edges", "edge-u-only",
         "cyclic-0", "sketch-index", "edges-null", "sketch-int", "sketch-nested",
         "matrix-generators-null", "generators-list", "permutation-degree",
-        "mul-not-square", "mul-not-closed", "mul-no-identity"])
+        "mul-not-square", "mul-not-closed", "mul-no-identity",
+        "vertex-names-int", "vertex-names-short", "vertex-names-mixed",
+        "tree-string", "tree-int"])
 def test_malformed_spec_exits_3(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -219,8 +239,11 @@ _RELATORS = [["S", "S", "S", "S"]]
      "matrix group 'modulus' must be an integer, got '5'"),
     (_sl2z_with(presentation={"relators": "SSSS"}),
      "presentation 'relators' must be a JSON array, got 'SSSS'"),
+    (_sl2z_with(special_linear="no"),
+     "matrix group 'special_linear' must be a JSON boolean, got 'no'"),
 ], ids=["relator-unknown", "torsion-unknown", "symbol-int",
-        "presentation-list", "modulus-string", "relators-string"])
+        "presentation-list", "modulus-string", "relators-string",
+        "special-linear-string"])
 def test_malformed_matrix_spec_exits_3(tmp_path, capsys, command, spec,
                                        message):
     # these reached the pipeline unchecked: a KeyError, AttributeError or
@@ -232,6 +255,15 @@ def test_malformed_matrix_spec_exits_3(tmp_path, capsys, command, spec,
     assert code == 3
     assert captured.out == ""
     assert captured.err.endswith(f"gdecomp: {message}\n")
+
+
+def test_null_optional_fields_read_as_absent(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    for spec, fixture in [(_c2c3_with(vertex_names=None), "c2*c3"),
+                          (_sl2z_with(special_linear=None), "sl2z")]:
+        path.write_text(json.dumps(spec))
+        assert run(capsys, "ball", "--group", str(path), "--radius", "2") \
+            == run(capsys, "ball", "--group", fixture, "--radius", "2")
 
 
 def test_cap_exits_2(capsys):

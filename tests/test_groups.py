@@ -1,9 +1,9 @@
 import json
-from functools import cache
+from functools import cache, reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import normalform_oracle as oracle
 from gdecomp import subgroups
@@ -12,8 +12,9 @@ from gdecomp.errors import (CapExceeded, SpecFormatError, UnknownGenerator,
 from gdecomp.fixtures import (fixture_path, load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
 from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
-                            GraphOfGroupsGroup, GroupElement, element_order,
-                            inverse, load_group, multiply, normal_form)
+                            GraphOfGroupsGroup, GroupElement, MatrixGroup,
+                            element_order, inverse, load_group, multiply,
+                            normal_form)
 from gdecomp.groups.matrix import mat_det, mat_inv, mat_mul
 
 
@@ -153,7 +154,14 @@ def test_gog_inverse_involution(word):
 
 # Normalization from the join against the full normalization of the
 # joined words: f2 has loop edges, c4*c2*c6 and the amalgams nontrivial
-# edge groups.
+# edge groups. The reference works on item tuples; an element's packed
+# data is decoded by `group.items`, and `_element` packs items.
+
+def _element(group, items):
+    return GroupElement("normal-form",
+                        "".join(map(group._item_char.__getitem__, items)),
+                        group)
+
 
 @cache
 def _normal_form_group(spec):
@@ -187,15 +195,13 @@ def _normal_form_cases(draw):
     def word(max_len):
         acc = group.identity
         for g in draw(st.lists(st.sampled_from(gens), max_size=max_len)):
-            acc = GroupElement("normal-form", oracle.op_data(group, acc, g),
-                               group)
+            acc = _element(group, oracle.op_data(group, acc, g))
         return acc
 
     a = word(12)
     shape = draw(st.sampled_from(["cancel", "short", "long"]))
     if shape == "cancel":
-        b = GroupElement("normal-form",
-                         oracle.op_data(group, inverse(a), word(3)), group)
+        b = _element(group, oracle.op_data(group, inverse(a), word(3)))
     else:
         b = word(12 if shape == "short" else 40)
     return group, a, b
@@ -205,17 +211,19 @@ def _normal_form_cases(draw):
 @given(_normal_form_cases())
 def test_normalization_from_join_matches_full(case):
     group, a, b = case
-    assert group.op(a, b).data == oracle.op_data(group, a, b)
+    items = group.items
+    assert items(group.op(a, b).data) == oracle.op_data(group, a, b)
     for v in range(len(group.gog.vertices)):
-        assert group.coset_word(v, a, b)[:-1] \
+        assert items(group.coset_word(v, a, b)[:-1]) \
             == oracle.coset_key_data(group, v, a, b)
-        assert group.coset_word(v, a)[:-1] \
+        assert items(group.coset_word(v, a)[:-1]) \
             == oracle.coset_key_data(group, v, a)
         # a translate of a coset's normal path word, as a tree action
         # normalizes it
         word = oracle.coset_word_data(group, v, b)
-        assert group.coset_word(v, b) == word
-        assert group.translate_word(a, word) \
+        assert items(group.coset_word(v, b)) == word
+        packed = _element(group, word).data
+        assert items(group.translate_word(a, packed)) \
             == oracle.coset_word_data(group, v, a, b)
 
 
@@ -259,8 +267,7 @@ def _long_normal_forms(draw):
         for step in steps:
             y = x
             for g in step:
-                y = GroupElement("normal-form", oracle.op_data(group, y, g),
-                                 group)
+                y = _element(group, oracle.op_data(group, y, g))
             if len(y.data) > len(x.data):
                 longer.append(y)
         x = draw(st.sampled_from(longer))
@@ -271,14 +278,110 @@ def _long_normal_forms(draw):
 @given(_long_normal_forms())
 def test_window_products_match_full_normalization(case):
     group, x = case
+    items = group.items
     for _, g in group.gen_symbols():
         times = group.right_multiplier(g)
         # the first call may fill the memo, the second reads it
-        assert times(x).data == oracle.op_data(group, x, g)
-        assert times(x).data == oracle.op_data(group, x, g)
-        assert times(x).key() == repr(times(x).data)
-    assert x.key() == repr(x.data)
+        assert items(times(x).data) == oracle.op_data(group, x, g)
+        assert items(times(x).data) == oracle.op_data(group, x, g)
+        assert times(x).key() == repr(items(times(x).data))
+    assert x.key() == repr(items(x.data))
     # one-item data keep the trailing comma of a 1-tuple's repr
     for i in range(group.gog.vertices[0].order):
-        y = GroupElement("normal-form", (("v", 0, i),), group)
-        assert y.key() == repr(y.data)
+        y = _element(group, (("v", 0, i),))
+        assert y.key() == repr(items(y.data)) == repr((("v", 0, i),))
+
+
+# An item alphabet past 256 items: C300 * C2 and C300 *_{C3} C6 (where the
+# coset sweep carries) pack items into characters past chr(255).
+
+@cache
+def _wide_amalgam(c, b):
+    group = make_cyclic_amalgam(300, c, b)
+    assert len(group._char_item) > 256
+    return group
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(1, 2), (3, 6)]),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(1, 299)),
+                max_size=6),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(1, 299)),
+                max_size=6))
+@example((1, 2), [(0, 299), (1, 1), (0, 256)], [(0, 44), (1, 1)])
+def test_wide_alphabet_matches_reference(cb, word_a, word_b):
+    group = _wide_amalgam(*cb)
+    items = group.items
+
+    def element(word):
+        # each letter a based vertex-group element, its index taken modulo
+        # the vertex group's order
+        acc = group.identity
+        for v, k in word:
+            g = group.based_vertex_element(v, k % group.gog.vertices[v].order)
+            acc = _element(group, oracle.op_data(group, acc, g))
+        return acc
+
+    a, b = element(word_a), element(word_b)
+    assert items(group.op(a, b).data) == oracle.op_data(group, a, b)
+    assert items(inverse(a).data) == oracle.inv_data(group, a)
+    for x in (a, b, group.op(a, b), inverse(a)):
+        assert x.key() == repr(items(x.data))
+    for _, g in group.gen_symbols():
+        assert items(group.right_multiplier(g)(a).data) \
+            == oracle.op_data(group, a, g)
+
+
+# Matrix products by columns against the triple loop, on words of SL(2, Z),
+# SL(3, Z) and AGL(1, 5) mod 5, and on arbitrary integer matrices.
+
+def _triple_loop(a, b, modulus=None):
+    n = len(a)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += a[i][k] * b[k][j]
+            if modulus is not None:
+                out[i][j] %= modulus
+    return tuple(tuple(row) for row in out)
+
+
+@cache
+def _matrix_group(name):
+    if name == "agl15":
+        return MatrixGroup("agl15", 2, {"a": [[1, 1], [0, 1]],
+                                        "b": [[2, 0], [0, 1]]}, modulus=5)
+    return load_fixture(name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["sl2z", "sl3z", "agl15"]), st.data())
+def test_matrix_products_match_triple_loop(name, data):
+    group = _matrix_group(name)
+    gens = [g for _, g in group.gen_symbols()]
+
+    def word():
+        return reduce(
+            lambda x, g: GroupElement(
+                "matrix", _triple_loop(x.data, g.data, group.modulus), group),
+            data.draw(st.lists(st.sampled_from(gens), max_size=12)),
+            group.identity)
+
+    x, y = word(), word()
+    expected = _triple_loop(x.data, y.data, group.modulus)
+    assert mat_mul(x.data, y.data, group.modulus) == expected
+    assert group.op(x, y).data == expected
+    for g in gens:
+        assert group.right_multiplier(g)(x).data \
+            == _triple_loop(x.data, g.data, group.modulus)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+           min_size=2 * n, max_size=2 * n)),
+       st.sampled_from([None, 2, 7]))
+def test_mat_mul_matches_triple_loop(rows, modulus):
+    n = len(rows) // 2
+    a, b = tuple(map(tuple, rows[:n])), tuple(map(tuple, rows[n:]))
+    assert mat_mul(a, b, modulus) == _triple_loop(a, b, modulus)
