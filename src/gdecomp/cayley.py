@@ -8,9 +8,10 @@ every label.
 
 The ball is stored as its right-multiplication table, a partial coset
 table of the trivial subgroup: right[v][k] is the vertex of
-elements[v] * gen_k, or -1 outside the ball. Each of those products is
-computed once, while the ball is built; adjacency, edges and labels are
-read off the table. Every other product is formed by `mul`, on points:
+elements[v] * gen_k, or -1 outside the ball. Each edge's product is
+formed once while the ball is built, from its earlier end, and its
+reverse entry is filled from it; adjacency, edges and labels are read
+off the table. Every other product is formed by `mul`, on points:
 a point is a vertex, or an element that lies outside the ball. Two
 vertices walk the table; only a walk that leaves the ball, or a point
 outside it, uses group arithmetic. The table's products come from the
@@ -33,7 +34,7 @@ from bisect import bisect_left, bisect_right
 
 from .cycles import enumerate_short_cycles
 from .errors import CapExceeded, VerificationFailure
-from .groups import GraphOfGroupsGroup, multiply
+from .groups import GraphOfGroupsGroup, inverse, multiply
 
 DEFAULT_CAP = 2 * 10**6
 
@@ -48,7 +49,7 @@ class CayleyBall:
                  "word_length", "words", "right", "adj", "inv_gen")
 
     def __init__(self, group, radius, generators, elements, index,
-                 word_length, words, right, adj=()):
+                 word_length, words, right, inv_gen, adj=()):
         self.group = group
         self.radius = radius
         self.generators = generators  # list of (symbol, element), symmetric
@@ -61,10 +62,7 @@ class CayleyBall:
         self.adj = list(adj) + [sorted(set(row) - {-1, v})
                                 for v, row in enumerate(right[len(adj):],
                                                         len(adj))]
-        # generator index of each generator's inverse (unused at radius 0,
-        # where every stored word is empty)
-        self.inv_gen = [right[j].index(0) if j >= 0 else -1
-                        for j in right[0]]
+        self.inv_gen = inv_gen  # generator index of each generator's inverse
 
     @property
     def vertex_count(self):
@@ -167,8 +165,10 @@ class CayleyBall:
 
 def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
     """BFS out to word distance `radius` over `group.gen_symbols()`,
-    filling the right-multiplication table: each product
-    elements[v] * gen_k is computed exactly once.
+    filling the right-multiplication table. Each edge's product is formed
+    once, from its earlier end: when elements[i] * gen_k is vertex j > i,
+    the reverse entry right[j][inv_gen[k]] = i is filled from it and row
+    j skips that product, so most products left are boundary ones.
 
     A ball is a prefix of every larger ball of the group: the same BFS
     order, words and rows, with the entries that leave it set to -1. So a
@@ -183,6 +183,10 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         raise ValueError("cap must be >= 1")
     if ball is None:
         pairs = list(group.gen_symbols())
+        # gen_symbols labels each element once and is symmetric, so each
+        # generator's inverse is exactly one of them
+        at = {g.data: k for k, (_, g) in enumerate(pairs)}
+        inv = [at[inverse(g).data] for _, g in pairs]
         ident = group.identity
         elements, index = [ident], {ident.data: 0}
         word_length, words, right = [0], [()], [[-1] * len(pairs)]
@@ -190,7 +194,7 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
     elif radius <= ball.radius:
         return _restriction(ball, radius, cap)
     else:
-        pairs = ball.generators
+        pairs, inv = ball.generators, ball.inv_gen
         elements, index = ball.elements[:], ball.index.copy()
         word_length, words = ball.word_length[:], ball.words[:]
         # the BFS resumes at the boundary, whose rows are copied to be
@@ -201,10 +205,13 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
     times = [group.right_multiplier(g) for _, g in pairs]
     # vertices are appended in BFS order, so when vertex i is expanded every
     # vertex at distance <= word_length[i] + 1 is either known or new here;
-    # only the -1 entries of its row are computed
+    # only the -1 entries of its row are computed. A later row j is one
+    # not yet expanded, and so never a row shared with the given ball; its
+    # reverse entry holds index's int for i, so it adds no int object
     i = start
     while i < len(elements):
         x, row = elements[i], right[i]
+        i = index[x.data]
         inside = word_length[i] < radius
         for k, times_k in enumerate(times):
             if row[k] >= 0:
@@ -223,9 +230,11 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
                 right.append([-1] * len(pairs))
             if j is not None:
                 row[k] = j
+                if j > i:
+                    right[j][inv[k]] = i
         i += 1
     return CayleyBall(group, radius, pairs, elements, index, word_length,
-                      words, right, adj)
+                      words, right, inv, adj)
 
 
 def _restriction(ball, radius, cap):
@@ -242,7 +251,7 @@ def _restriction(ball, radius, cap):
     return CayleyBall(ball.group, radius, ball.generators, elements,
                       {g.data: i for i, g in enumerate(elements)},
                       ball.word_length[:n], ball.words[:n], right,
-                      ball.adj[:first])
+                      ball.inv_gen, ball.adj[:first])
 
 
 def verify_short_cycle_cosets(ball, r, candidate_subgroups):

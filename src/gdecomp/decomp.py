@@ -326,18 +326,24 @@ def compute_global_decomposition(ball, r, families=None):
     if families is None:
         families = maximal_finite_subgroups(ball, r)
 
+    # cosets of F partition the group, so each is formed once, from its
+    # first vertex; one that leaves the ball marks the members it reached
+    # done. A coset has one family, and the bags are sorted below
     bag_set = {}
-    for x in range(ball.vertex_count):
-        for fi, fam in enumerate(families):
+    for fi, fam in enumerate(families):
+        done = set()
+        for x in range(ball.vertex_count):
+            if x in done:
+                continue
             coset = set()
             for h in fam:
                 i = ball.mul(x, h)
                 if type(i) is not int:
-                    coset = None
                     break
                 coset.add(i)
-            if coset is not None:
+            else:
                 bag_set.setdefault(frozenset(coset), fi)
+            done |= coset
 
     covered = set().union(*bag_set) if bag_set else set()
     for v in range(ball.vertex_count):

@@ -3,20 +3,22 @@ reading in `gdecomp.decomp`.
 
 Here subgroups are closed over all pairs of their members, every merge
 pair is looked at again after each merge (its closure is kept by pair,
-since it depends on the pair alone), a bag's orbit is found by trying a
-translation onto each orbit representative so far, conjugacy is tested
-on every member of a subgroup, and a stabilizer is filtered by
-translating the bag, and two bag pairs are compared by trying every
+since it depends on the pair alone), every coset is formed from every
+one of its vertices by group arithmetic, a bag's orbit is found by
+trying a translation onto each orbit representative so far, conjugacy
+is tested on every member of a subgroup, and a stabilizer is filtered
+by translating the bag, and two bag pairs are compared by trying every
 translation of one bag onto another. Their results must equal what
 `compute_global_decomposition` and `compute_stabilizers` read off the
-cosets: the families, `bag_orbit`, `orbit_rep_bag`, `model_edges`, the
-pair keys and the stabilizers.
+cosets: the families, the bags, `bag_orbit`, `orbit_rep_bag`,
+`model_edges`, the pair keys and the stabilizers.
 """
 
 from __future__ import annotations
 
 from gdecomp.decomp import (_eccentricity, _subgroup_key, _translators,
                             translate_bag)
+from gdecomp.groups import multiply
 
 
 def closure_in_ball(ball, indices, size_cap=256):
@@ -101,6 +103,25 @@ def maximal_finite_subgroups(ball, r, order_cap=64, size_cap=256):
             continue
         reps.append(i)
     return [sorted(subs[i], key=lambda v: ball.elements[v].key()) for i in reps]
+
+
+def coset_bags(ball, families):
+    """(bags, bag_family): every coset x·F formed by group arithmetic from
+    every vertex x, kept when it lies wholly in the ball, then a singleton
+    for each vertex no coset covers, sorted by size and keys."""
+    family_of = {}
+    for x in ball.elements:
+        for fi, fam in enumerate(families):
+            coset = [ball.locate(multiply(x, ball.elements[h])) for h in fam]
+            if None not in coset:
+                family_of.setdefault(frozenset(coset), fi)
+    covered = set().union(*family_of)
+    for v in range(ball.vertex_count):
+        if v not in covered:
+            family_of[frozenset([v])] = -1
+    keys = [g.key() for g in ball.elements]
+    bags = sorted(family_of, key=lambda b: (len(b), sorted(keys[v] for v in b)))
+    return bags, [family_of[b] for b in bags]
 
 
 def bags_equivalent(ball, b1, b2):

@@ -1,7 +1,7 @@
 from functools import lru_cache, reduce
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cycle_oracle import simple_cycles
 from gdecomp import (build_ball, enumerate_short_cycles,
@@ -12,7 +12,7 @@ from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_free_group)
 from gdecomp.graphs import bfs
-from gdecomp.groups import inverse, multiply
+from gdecomp.groups import MatrixGroup, inverse, multiply
 
 
 def powers(group, g, n):
@@ -221,7 +221,8 @@ def test_cycles_match_vertex_dfs(ball, data):
 
 def _table_fields(ball):
     return ([g.data for g in ball.elements], ball.index, ball.word_length,
-            ball.words, ball.right, ball.adj, ball.generators, ball.radius)
+            ball.words, ball.right, ball.adj, ball.generators, ball.inv_gen,
+            ball.radius)
 
 
 _resize_groups = st.one_of(
@@ -241,3 +242,78 @@ def test_resized_balls_match_fresh_builds(group, r1, r2):
     assert _table_fields(grown) == _table_fields(large)
     # the given balls are left as they were
     assert (_table_fields(small), _table_fields(large)) == before
+
+
+# each edge's product is formed once, from its earlier end: a fresh build
+# forms exactly the products of the entries that leave the ball or point
+# to a later vertex
+
+class _CountingGroup:
+    """A group whose right multipliers count the products they form."""
+
+    def __init__(self, group):
+        self.group, self.products = group, 0
+
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
+    def right_multiplier(self, g):
+        times = self.group.right_multiplier(g)
+
+        def counted(x):
+            self.products += 1
+            return times(x)
+        return counted
+
+
+@example(build_ball(load_fixture("sl2z"), 8))
+@settings(max_examples=30, deadline=None)
+@given(_balls)
+def test_ball_forms_each_edge_once(ball):
+    counting = _CountingGroup(ball.group)
+    fresh = build_ball(counting, ball.radius)
+    assert fresh.right == ball.right
+    assert counting.products == sum(1 for v, row in enumerate(fresh.right)
+                                    for j in row if j == -1 or j >= v)
+
+
+# every table entry and inverse index against arithmetic, on matrix
+# backends, for fresh, cut and grown balls
+
+_matrix_radius = {"sl2z": 5, "sl3z": 3, "agl15": 5}
+
+
+@lru_cache(maxsize=None)
+def _matrix_group(name):
+    if name == "agl15":
+        return MatrixGroup("agl15", 2, {"a": [[1, 1], [0, 1]],
+                                        "b": [[2, 0], [0, 1]]}, modulus=5)
+    return load_fixture(name)
+
+
+def _assert_table_matches_arithmetic(ball):
+    gens = [g for _, g in ball.generators]
+    for x, row in zip(ball.elements, ball.right):
+        assert row == [ball.index.get(multiply(x, g).data, -1) for g in gens]
+    identity = ball.group.identity.data
+    assert [multiply(g, gens[k]).data for g, k in zip(gens, ball.inv_gen)] \
+        == [identity] * len(gens)
+
+
+@example("sl2z", 0, 2)
+@example("sl3z", 0, 1)
+@example("agl15", 1, 2)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_matrix_radius)), st.integers(0, 5),
+       st.integers(0, 5))
+def test_matrix_tables_match_arithmetic(name, r1, r2):
+    r1, r2 = min(r1, r2), max(r1, r2)
+    assume(r2 <= _matrix_radius[name])
+    group = _matrix_group(name)
+    small, large = build_ball(group, r1), build_ball(group, r2)
+    for ball in (small, large, build_ball(group, r1, ball=large),
+                 build_ball(group, r2, ball=small)):
+        _assert_table_matches_arithmetic(ball)
+    # the given balls are left as they were
+    _assert_table_matches_arithmetic(small)
+    _assert_table_matches_arithmetic(large)

@@ -267,8 +267,8 @@ def _decomp_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_decomp_inputs())
 def test_decomposition_matches_searches(case):
-    # orbits, stabilizers and translators read off the cosets, and the
-    # memoized merge, must agree with the searches they replace
+    # bags, orbits, stabilizers and translators read off the cosets, and
+    # the memoized merge, must agree with the searches they replace
     group, radius, r = case
     try:
         ball = build_ball(group, radius, cap=2000)
@@ -276,6 +276,8 @@ def test_decomposition_matches_searches(case):
         assume(False)
     dec = compute_global_decomposition(ball, r)
     assert dec.families == oracle.maximal_finite_subgroups(ball, r)
+    assert (dec.bags, dec.bag_family) \
+        == oracle.coset_bags(ball, dec.families)
     bag_orbit, orbit_rep_bag = oracle.bag_orbits(ball, dec.bags,
                                                  dec.boundary_flag)
     assert dec.bag_orbit == bag_orbit
