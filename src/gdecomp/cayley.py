@@ -2,19 +2,20 @@
 
 A ball is the induced subgraph on all elements within a given word
 distance of the identity, for the group's symmetric generating set
-`gen_symbols()`. Edges run x -- x*s for each generator s; parallel edges
-(distinct generators giving the same neighbor) collapse to one, keeping
-every label.
+`gen_symbols()`. Edges run x -- x*s for each generator s that is not the
+identity; `gen_symbols` labels each element once, so distinct generators
+reach distinct neighbors and an edge has one label each way.
 
 The ball is stored as its right-multiplication table, a partial coset
 table of the trivial subgroup: right[v][k] is the vertex of
 elements[v] * gen_k, or -1 outside the ball. Each edge's product is
 formed once while the ball is built, from its earlier end, and its
-reverse entry is filled from it; adjacency, edges and labels are read
-off the table. Every other product is formed by `mul`, on points:
-a point is a vertex, or an element that lies outside the ball. Two
-vertices walk the table; only a walk that leaves the ball, or a point
-outside it, uses group arithmetic. The table's products come from the
+reverse entry is filled from it. The table is the ball's only record of
+its edges: neighbors, edges and labels are read off its rows when asked
+for, and no adjacency list is stored. Every other product is formed by
+`mul`, on points: a point is a vertex, or an element that lies outside
+the ball. Two vertices walk the table; only a walk that leaves the ball,
+or a point outside it, uses group arithmetic. The table's products come from the
 map x -> x * s that every backend supplies as `right_multiplier(s)`: a
 graph-of-groups group reads it from its memo of window products, as right
 multiplication by a generator rewrites only a bounded suffix of a normal
@@ -46,10 +47,10 @@ class CayleyBall:
     """Immutable once built; vertex 0 is the identity."""
 
     __slots__ = ("group", "radius", "generators", "elements", "index",
-                 "word_length", "words", "right", "adj", "inv_gen")
+                 "word_length", "words", "right", "inv_gen")
 
     def __init__(self, group, radius, generators, elements, index,
-                 word_length, words, right, inv_gen, adj=()):
+                 word_length, words, right, inv_gen):
         self.group = group
         self.radius = radius
         self.generators = generators  # list of (symbol, element), symmetric
@@ -57,11 +58,9 @@ class CayleyBall:
         self.index = index  # element data -> vertex index
         self.word_length = word_length
         self.words = words  # a shortest word per vertex, as generator indices
-        self.right = right  # vertex -> [vertex of elements[v] * gen_k or -1]
-        # vertex -> sorted neighbors; `adj` is a prefix of them, shared
-        self.adj = list(adj) + [sorted(set(row) - {-1, v})
-                                for v, row in enumerate(right[len(adj):],
-                                                        len(adj))]
+        # vertex -> [vertex of elements[v] * gen_k or -1]; the only record
+        # of the ball's edges
+        self.right = right
         self.inv_gen = inv_gen  # generator index of each generator's inverse
 
     @property
@@ -70,14 +69,17 @@ class CayleyBall:
 
     @property
     def edge_count(self):
-        return sum(1 for _ in self.edge_pairs())
+        return sum(w > u for u, row in enumerate(self.right) for w in row)
 
     def locate(self, g):
         """Vertex index of an element, or None if outside the ball."""
         return self.index.get(g.data)
 
-    def __contains__(self, g):
-        return g.data in self.index
+    def neighbors(self, v):
+        """The sorted vertices adjacent to v. Distinct generators reach
+        distinct vertices (`gen_symbols` labels each element once), so a
+        row holds each neighbor once."""
+        return sorted(w for w in self.right[v] if w >= 0 and w != v)
 
     def inverse(self, v):
         """Vertex of elements[v]^-1: the reversed, inverted stored word of v
@@ -109,7 +111,8 @@ class CayleyBall:
 
     def edge_pairs(self):
         """The adjacent pairs (u, v) with u < v, in sorted order."""
-        return ((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if v > u)
+        return ((u, w) for u, row in enumerate(self.right)
+                for w in sorted(row) if w > u)
 
     def edges(self):
         """Sorted (u, v, labels) triples with u < v; labels are the sorted
@@ -190,7 +193,7 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         ident = group.identity
         elements, index = [ident], {ident.data: 0}
         word_length, words, right = [0], [()], [[-1] * len(pairs)]
-        start, adj = 0, ()
+        start = 0
     elif radius <= ball.radius:
         return _restriction(ball, radius, cap)
     else:
@@ -198,10 +201,9 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         elements, index = ball.elements[:], ball.index.copy()
         word_length, words = ball.word_length[:], ball.words[:]
         # the BFS resumes at the boundary, whose rows are copied to be
-        # filled; the rows inside it, and so their neighbor lists, stay
+        # filled; the rows inside it stay, shared with the given ball
         start = bisect_left(word_length, ball.radius)
         right = ball.right[:start] + [row[:] for row in ball.right[start:]]
-        adj = ball.adj[:start]
     times = [group.right_multiplier(g) for _, g in pairs]
     # vertices are appended in BFS order, so when vertex i is expanded every
     # vertex at distance <= word_length[i] + 1 is either known or new here;
@@ -234,7 +236,7 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
                     right[j][inv[k]] = i
         i += 1
     return CayleyBall(group, radius, pairs, elements, index, word_length,
-                      words, right, inv, adj)
+                      words, right, inv)
 
 
 def _restriction(ball, radius, cap):
@@ -251,7 +253,7 @@ def _restriction(ball, radius, cap):
     return CayleyBall(ball.group, radius, ball.generators, elements,
                       {g.data: i for i, g in enumerate(elements)},
                       ball.word_length[:n], ball.words[:n], right,
-                      ball.inv_gen, ball.adj[:first])
+                      ball.inv_gen)
 
 
 def verify_short_cycle_cosets(ball, r, candidate_subgroups):

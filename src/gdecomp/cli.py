@@ -172,8 +172,7 @@ def cmd_subgroup(args):
     report = cert.to_json()
     report["quotient_detail"] = hom.detail
     if isinstance(group, GraphOfGroupsGroup):
-        chi = subgroups.euler_characteristic(group.gog)
-        report["euler_characteristic"] = str(chi)
+        report["euler_characteristic"] = str(group.gog.euler_characteristic())
         if cert.rank is not None:
             report["rank_chi_consistent"] = (
                 cert.rank == subgroups.expected_free_rank(group.gog, cert.index))

@@ -40,7 +40,7 @@ a matrix spec without one, a graph of groups with a non-cyclic vertex
 group), or where a symbol's element lies outside the ball.
 
 Each layer's nodes are expanded in id order, each creating its children
-in the order of the base vertices they reach (`ball.adj`), not in
+in the order of the base vertices they reach (`ball.neighbors`), not in
 generator order; artifacts depend on this numbering. A deck
 transformation acts on the left and labels on the right, gamma * (x * s)
 = (gamma * x) * s, so it maps the edge labelled k at x to the edge
@@ -285,7 +285,7 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
             break
         for x in frontier:
             bv = base_of[x]
-            for bw in ball.adj[bv]:
+            for bw in ball.neighbors(bv):
                 k = ball.right[bv].index(bw)
                 if rows[x][k] < 0:
                     child = new_node(bw)
@@ -412,7 +412,7 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
     witnesses = []
     for x in pool:
         cov_verts, cov_edges = _ball_subgraph(cover.neighbors, x, radius)
-        base_verts, base_edges = _ball_subgraph(cover.base.adj.__getitem__,
+        base_verts, base_edges = _ball_subgraph(cover.base.neighbors,
                                                 cover.projection[x], radius)
         image = {cover.projection[y] for y in cov_verts}
         # injective on the cover ball, onto the base ball's vertex set

@@ -5,8 +5,9 @@ ball is the left translate of a simple closed walk at vertex 0. Those
 walks are found once (`closed_words`), as words of generator indices,
 by DFS over the ball's right-multiplication table; a cycle of the ball
 is then one of the words walked from one of its vertices (`_kernel`).
-Edge labels are read from the table once per word. The truncated cover
-folds along the same words.
+A word's edge labels are its generators' symbols: `gen_symbols` labels
+each element once, so one generator joins two vertices. The truncated
+cover folds along the same words.
 """
 
 from __future__ import annotations
@@ -124,13 +125,10 @@ def enumerate_short_cycles(ball, r):
         warnings.warn(
             f"ball radius {ball.radius} < r={r}: cycles near the boundary may be clipped",
             stacklevel=2)
+    syms = [sym for sym, _ in ball.generators]
     cycles = []
     for word, translates in zip(words, _kernel(ball, words)):
-        labels, v = [], 0
-        for k in word:
-            w = ball.right[v][k]
-            labels.append(ball.edge_label(v, w))
-            v = w
+        labels = [syms[k] for k in word]
         canonical = _canonical_word(labels)
         cycles.extend(Cycle(verts, labels, canonical) for verts in translates)
     cycles.sort(key=lambda c: (len(c), c.canonical, c.vertices))

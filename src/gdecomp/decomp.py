@@ -650,7 +650,7 @@ def _read_at_identity(ball, families):
         adjacent = {}
         for u in rep:
             adjacent.update(bags_at(u))
-            for w in ball.adj[u]:
+            for w in ball.neighbors(u):
                 if _joins_bags(bags_at(u), bags_at(w)):
                     adjacent.update(bags_at(w))
         adjacent.pop(rep)

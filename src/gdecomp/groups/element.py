@@ -1,10 +1,11 @@
-"""Backend-tagged group elements and the element-level operations.
+"""Group elements and the element-level operations.
 
 An element is immutable data (a nested tuple of a matrix, or a normal
 form packed into a str) plus a pointer to its owning group, which
-supplies the arithmetic. Equality and hashing use
-the canonical data only, so elements work as dict keys in balls and
-coset tables.
+supplies the arithmetic. Equality and hashing use the canonical data
+only, so elements work as dict keys in balls and coset tables; a
+matrix's data is a tuple and a normal form's a str, so elements of the
+two backends are never equal.
 
 Words share one vocabulary across the layers (conventions as in
 Lyndon-Schupp, Combinatorial Group Theory, ch. I): a word is a tuple of
@@ -18,19 +19,14 @@ from ..errors import BackendMismatch, UnknownGenerator
 
 
 class GroupElement:
-    __slots__ = ("backend", "data", "group")
+    __slots__ = ("data", "group")
 
-    def __init__(self, backend, data, group):
-        self.backend = backend
+    def __init__(self, data, group):
         self.data = data
         self.group = group
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.backend == other.backend
-            and self.data == other.data
-        )
+        return isinstance(other, GroupElement) and self.data == other.data
 
     def __hash__(self):
         return hash(self.data)
@@ -46,10 +42,9 @@ class GroupElement:
 def multiply(a, b):
     if not isinstance(a, GroupElement) or not isinstance(b, GroupElement):
         raise BackendMismatch("multiply expects two GroupElements")
-    if a.backend != b.backend or a.group is not b.group:
-        raise BackendMismatch(
-            f"cannot multiply across backends/groups ({a.backend} vs {b.backend})"
-        )
+    if a.group is not b.group:
+        raise BackendMismatch(f"cannot multiply across groups "
+                              f"({a.group.name} vs {b.group.name})")
     return a.group.op(a, b)
 
 

@@ -142,8 +142,6 @@ class GraphOfGroups:
 class GraphOfGroupsGroup:
     """Fundamental group of a GraphOfGroups, based at vertex 0."""
 
-    backend = "normal-form"
-
     def __init__(self, gog, generator_sketches=None, name=None):
         self.gog = gog
         self.name = name or gog.name
@@ -162,8 +160,7 @@ class GraphOfGroupsGroup:
         self._prepare_char_tables()
         # the memo of window products per generator (see `right_multiplier`)
         self._window_products = {}
-        self.identity = GroupElement("normal-form", self._item_char[("v", 0, 0)],
-                                     self)
+        self.identity = GroupElement(self._item_char[("v", 0, 0)], self)
         self.generators = {}
         for gname, sketch in (generator_sketches or {}).items():
             self.generators[gname] = self.loop_from_sketch(sketch)
@@ -294,7 +291,7 @@ class GraphOfGroupsGroup:
                 cur = self._dir[(ei, sign)]["head"]
                 items += ch + self._item_char[("v", cur, 0)]
         items += self._route(cur, 0)
-        return GroupElement("normal-form", self._normalize(items), self)
+        return GroupElement(self._normalize(items), self)
 
     def _route(self, a, b):
         """Tree traversal items from a to b (empty v-item removed at start),
@@ -411,7 +408,7 @@ class GraphOfGroupsGroup:
             product = memo.get(window)
             if product is None:
                 product = memo[window] = self._join(window, g.data)
-            return GroupElement("normal-form", data[:-n] + product, self)
+            return GroupElement(data[:-n] + product, self)
         return times
 
     def op(self, a, b):
@@ -422,12 +419,11 @@ class GraphOfGroupsGroup:
         where the scan enters b's suffix, and sweeps coset representatives
         from the leftmost changed item until, inside b's suffix, the
         carried edge-group element is the identity."""
-        return GroupElement("normal-form", self._join(a.data, b.data), self)
+        return GroupElement(self._join(a.data, b.data), self)
 
     def inv(self, a):
         """The reversed word with each item inverted, normalized."""
         return GroupElement(
-            "normal-form",
             self._normalize(a.data[::-1].translate(self._inverse)), self)
 
     def key(self, g):

@@ -23,7 +23,8 @@ or X^-1 over its generator names (`parse_word`), and its optional
 array of strings with one name per vertex. A spec that is not of this
 shape, or holds a field of the wrong JSON type, a word naming no
 generator, a `mul` that is not a square table with identity 0 or a
-permutation not of its degree, raises SpecFormatError.
+permutation not of its degree, raises SpecFormatError; a `mul` that is
+not associative raises VerificationFailure.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def table_from_spec(spec):
         if not mul or mul[0] != list(range(len(mul))) \
                 or [row[0] for row in mul] != mul[0]:
             raise SpecFormatError("group table 'mul' has no identity at 0")
-        return FiniteGroupTable(mul, spec.get("labels"))
+        table = FiniteGroupTable(mul, spec.get("labels"))
+        table.verify()  # a Latin square need not be associative
+        return table
     if "permutations" in spec:
         _fields(spec, "permutation table spec", "degree")
         degree = _typed(spec["degree"], int, "permutation table 'degree'")
@@ -174,7 +177,5 @@ def load_group(source):
         for gname, sketch in sketches.items():
             for entry in _typed(sketch, list, f"generator {gname}"):
                 _typed(entry, list, f"generator {gname} entry")
-        group = GraphOfGroupsGroup(gog, sketches, name=name)
-        group.companion_matrix = data.get("companion_matrix")
-        return group
+        return GraphOfGroupsGroup(gog, sketches, name=name)
     raise SpecFormatError(f"unknown group kind {kind!r}")

@@ -75,8 +75,6 @@ def mat_reduce(a, modulus):
 class MatrixGroup:
     """Group generated by named integer matrices (optionally mod m)."""
 
-    backend = "matrix"
-
     def __init__(
         self,
         name,
@@ -90,10 +88,9 @@ class MatrixGroup:
         self.name = name
         self.dimension = dimension
         self.modulus = modulus
-        self.special_linear = special_linear
         self.presentation = presentation
         self.torsion_words = torsion_words or []
-        self.gen_matrices = {}
+        self.generators = {}
         for gname, mat in generators.items():
             m = tuple(tuple(int(x) for x in row) for row in mat)
             if len(m) != dimension or any(len(r) != dimension for r in m):
@@ -102,26 +99,22 @@ class MatrixGroup:
                 raise VerificationFailure(f"generator {gname} has det {mat_det(m)} != 1")
             if modulus is not None:
                 m = mat_reduce(m, modulus)
-            self.gen_matrices[gname] = m
-        self.identity = GroupElement("matrix", mat_identity(dimension), self)
-        self.generators = {
-            gname: GroupElement("matrix", m, self) for gname, m in self.gen_matrices.items()
-        }
+            self.generators[gname] = GroupElement(m, self)
+        self.identity = GroupElement(mat_identity(dimension), self)
 
     def op(self, a, b):
-        return GroupElement("matrix", mat_mul(a.data, b.data, self.modulus), self)
+        return GroupElement(mat_mul(a.data, b.data, self.modulus), self)
 
     def right_multiplier(self, g):
         """The map x -> x * g on elements, with g's columns formed once."""
         cols, modulus = tuple(zip(*g.data)), self.modulus
 
         def times(x):
-            return GroupElement("matrix", _by_columns(x.data, cols, modulus),
-                                self)
+            return GroupElement(_by_columns(x.data, cols, modulus), self)
         return times
 
     def inv(self, a):
-        return GroupElement("matrix", mat_inv(a.data, self.modulus), self)
+        return GroupElement(mat_inv(a.data, self.modulus), self)
 
     def key(self, g):
         return repr([list(r) for r in g.data])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..errors import CapExceeded, VerificationFailure
+from ..errors import VerificationFailure
 from ..graphs import bfs
 
 
@@ -107,28 +107,6 @@ class FiniteGroupTable:
         gens = set(seed) | {self.inv[x] for x in seed}
         return frozenset(bfs(lambda a: (self.mul[a][g] for g in gens), 0))
 
-    def subgroups(self, cap=256):
-        """All subgroups, as frozensets of element indices.
-
-        Incremental closure: extend each known subgroup by one outside
-        element and close. Every subgroup is reachable this way because a
-        maximal chain of subgroups refines any generation order.
-        """
-        if self.order > cap:
-            raise CapExceeded(f"group order {self.order} exceeds subgroup cap {cap}", self.order)
-        found = {frozenset({0})}
-        frontier = [frozenset({0})]
-        while frontier:
-            h = frontier.pop()
-            for x in range(1, self.order):
-                if x in h:
-                    continue
-                bigger = self.closure(h | {x})
-                if bigger not in found:
-                    found.add(bigger)
-                    frontier.append(bigger)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
-
     def minimal_generators(self):
         """A small generating set (greedy; exact for cyclic groups)."""
         for x in range(1, self.order):
@@ -143,9 +121,6 @@ class FiniteGroupTable:
                 if len(span) == self.order:
                     break
         return tuple(gens)
-
-    def is_cyclic(self):
-        return len(self.minimal_generators()) <= 1
 
     # -- plumbing -------------------------------------------------------
 

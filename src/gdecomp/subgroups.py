@@ -41,18 +41,24 @@ class Presentation:
     presentation and the group's generators (the truncated cover reads
     both). Both are empty for a presentation given without a group."""
 
-    __slots__ = ("symbols", "relators", "subgroup_words", "torsion_words",
-                 "elements", "generator_words")
+    __slots__ = ("symbols", "relators", "subgroup_words", "elements",
+                 "generator_words")
 
-    def __init__(self, symbols, relators, subgroup_words, torsion_words,
-                 elements=(), generator_words=()):
+    def __init__(self, symbols, relators, subgroup_words, elements=(),
+                 generator_words=()):
         self.symbols = list(symbols)
         self.relators = [free_reduce(r) for r in relators]
         # per finite subgroup: (generator word, order)
         self.subgroup_words = list(subgroup_words)
-        self.torsion_words = list(torsion_words)
         self.elements = dict(elements)
         self.generator_words = dict(generator_words)
+
+    @property
+    def torsion_words(self):
+        """The nontrivial powers w^k, 1 <= k < n, of each subgroup word w
+        of order n."""
+        return [free_reduce(w * k) for w, n in self.subgroup_words
+                for k in range(1, n)]
 
 
 def presentation_from_group(group):
@@ -61,17 +67,14 @@ def presentation_from_group(group):
             raise SpecFormatError(f"{group.name}: no presentation in the spec")
         relators = [parse_word(r) for r in group.presentation["relators"]]
         symbols = list(group.generators)
-        subs, torsion = [], []
+        subs = []
         for wsyms in group.torsion_words or []:
             w = parse_word(wsyms)
             order = element_order(evaluate(group, w), TORSION_ORDER_CAP)
             if order is None:
                 raise VerificationFailure(f"word {render_word(w)} is not torsion")
             subs.append((w, order))
-            for k in range(1, order):
-                torsion.append(free_reduce(w * k))
-        return Presentation(symbols, relators, subs, torsion,
-                            group.generators,
+        return Presentation(symbols, relators, subs, group.generators,
                             {s: ((s, 1),) for s in symbols})
     if isinstance(group, GraphOfGroupsGroup):
         return _presentation_from_gog(group)
@@ -86,7 +89,7 @@ def _presentation_from_gog(group):
     read off its normal form (`_normal_form_word`)."""
     gog = group.gog
     symbols, vgen, relators, elements = [], {}, [], {}
-    subs, torsion = [], []
+    subs = []
     for v, table in enumerate(gog.vertices):
         if table.order == 1:
             continue
@@ -99,8 +102,6 @@ def _presentation_from_gog(group):
         elements[sym] = group.based_vertex_element(v, gen[0])
         relators.append(tuple([(sym, 1)] * table.order))
         subs.append((((sym, 1),), table.order))
-        for k in range(1, table.order):
-            torsion.append(tuple([(sym, 1)] * k))
     stable = {}
     for i, e in enumerate(gog.edges):
         if not e.tree:
@@ -120,7 +121,7 @@ def _presentation_from_gog(group):
                 relators.append(rel)
     words = {name: _normal_form_word(vgen, stable, group.items(g.data))
              for name, g in group.generators.items()}
-    return Presentation(symbols, relators, subs, torsion, elements, words)
+    return Presentation(symbols, relators, subs, elements, words)
 
 
 def _normal_form_word(vgen, stable, items):
@@ -610,12 +611,11 @@ def verify_torsion_free(cert, pres):
     """No nontrivial torsion representative maps into the kernel; the
     transversal conjugate sweep is recorded (kernels are normal, so the
     symbol-level check is equivalent)."""
-    witnesses = []
-    for w in pres.torsion_words:
-        if cert.hom.image_of_word(w) == cert.hom.identity:
-            witnesses.append(render_word(w))
+    torsion = pres.torsion_words
+    witnesses = [render_word(w) for w in torsion
+                 if cert.hom.image_of_word(w) == cert.hom.identity]
     cert.torsion_free = not witnesses
-    cert.evidence["torsion_checked"] = len(pres.torsion_words)
+    cert.evidence["torsion_checked"] = len(torsion)
     cert.evidence["conjugates_per_representative"] = cert.index
     cert.evidence["witnesses"] = witnesses
     return cert.torsion_free, witnesses
@@ -636,13 +636,9 @@ def index_upper_bound(B, n):
     return math.factorial(B) ** n
 
 
-def euler_characteristic(gog):
-    return gog.euler_characteristic()
-
-
 def expected_free_rank(gog, index):
     """rank = 1 + index * (-chi), exact; errors if not an integer."""
-    chi = euler_characteristic(gog)
+    chi = gog.euler_characteristic()
     rank = 1 + Fraction(index) * (-chi)
     if rank.denominator != 1:
         raise VerificationFailure(f"index {index} incompatible with chi {chi}")

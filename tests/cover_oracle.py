@@ -113,7 +113,7 @@ def build_truncated_cover(ball, r, depth, node_cap=500_000):
             break
         for x in frontier:
             x = uf.find(x)
-            for bw in ball.adj[base_of[x]]:
+            for bw in ball.neighbors(base_of[x]):
                 if bw not in adj[x]:
                     child = new_node(bw)
                     adj[x][bw] = child

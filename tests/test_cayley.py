@@ -42,7 +42,7 @@ def test_z5_ball_is_cycle(z5):
     ball = build_ball(z5, 4)
     assert ball.vertex_count == 5
     assert ball.edge_count == 5
-    assert all(len(ball.adj[v]) == 2 for v in range(5))
+    assert all(len(ball.neighbors(v)) == 2 for v in range(5))
 
 
 def test_ball_cap():
@@ -74,14 +74,14 @@ def test_coset_subgraphs(sl2z, sl2z_ball10):
     s_coset = coset_at_identity(S, 4)
     assert len(s_coset) == 4
     # the <S> coset's induced subgraph is connected, of diameter 2
-    dists = [bfs(lambda u: (w for w in ball.adj[u] if w in s_coset), v)
+    dists = [bfs(lambda u: (w for w in ball.neighbors(u) if w in s_coset), v)
              for v in s_coset]
     assert all(len(d) == 4 for d in dists)
     assert max(max(d.values()) for d in dists) == 2
     st_coset = coset_at_identity(ST, 6)
     assert len(st_coset) == 6
     # <ST> cosets span no Cayley edges: no generator is a power of ST
-    assert not any(w in st_coset for v in st_coset for w in ball.adj[v])
+    assert not any(w in st_coset for v in st_coset for w in ball.neighbors(v))
 
 
 def test_short_cycle_cosets_r4(sl2z, sl2z_ball8):
@@ -124,10 +124,14 @@ def test_ball_json_deterministic(z5):
 
 
 # the right-multiplication table against group arithmetic, on small balls
-# of C_a *_{C_c} C_b and F_n
+# of C_a *_{C_c} C_b, F_n, and C5 with the identity among its generators,
+# whose rows each hold their own vertex
 
 @lru_cache(maxsize=None)
 def _table_group(family, params):
+    if family == "loop":
+        return MatrixGroup("loop", 2, {"e": [[1, 0], [0, 1]],
+                                       "t": [[1, 1], [0, 1]]}, modulus=5)
     return (make_cyclic_amalgam(*params) if family == "amalgam"
             else make_free_group(*params))
 
@@ -142,8 +146,13 @@ _amalgams = st.tuples(st.integers(1, 3), st.integers(1, 3),
     lambda t: t[0] * t[1] >= 2 and t[0] * t[2] >= 2).map(
     lambda t: ("amalgam", (t[0] * t[1], t[0], t[0] * t[2])))
 _free = st.integers(1, 3).map(lambda n: ("free", (n,)))
-_balls = st.tuples(st.one_of(_amalgams, _free), st.integers(0, 4)).map(
+_balls = st.tuples(st.one_of(_amalgams, _free, st.just(("loop", ()))),
+                   st.integers(0, 4)).map(
     lambda t: _table_ball(t[0][0], t[0][1], t[1]))
+
+
+def _neighbor_lists(ball):
+    return [ball.neighbors(v) for v in range(ball.vertex_count)]
 
 
 def _arith_label(ball, u, v):
@@ -179,7 +188,10 @@ def test_table_products_match_arithmetic(ball, data):
 @given(_balls, st.data())
 def test_table_labels_match_arithmetic(ball, data):
     u = data.draw(st.integers(0, ball.vertex_count - 1))
-    for v in ball.adj[u]:
+    x = ball.elements[u]
+    assert ball.neighbors(u) == sorted(
+        {ball.locate(multiply(x, g)) for _, g in ball.generators} - {None, u})
+    for v in ball.neighbors(u):
         assert ball.edge_label(u, v) == _arith_label(ball, u, v)
         assert ball.edge_label(v, u) == _arith_label(ball, v, u)
 
@@ -210,7 +222,7 @@ def test_cycles_match_vertex_dfs(ball, data):
     r = data.draw(st.integers(3, 2 * ball.radius + 1))
     expected = [Cycle(vs, [ball.edge_label(u, v)
                            for u, v in zip(vs, vs[1:] + vs[:1])])
-                for vs in simple_cycles(ball.adj, r)]
+                for vs in simple_cycles(_neighbor_lists(ball), r)]
     expected.sort(key=lambda c: (len(c), c.canonical, c.vertices))
     assert [c.to_json() for c in enumerate_short_cycles(ball, r)] \
         == [c.to_json() for c in expected]
@@ -221,8 +233,8 @@ def test_cycles_match_vertex_dfs(ball, data):
 
 def _table_fields(ball):
     return ([g.data for g in ball.elements], ball.index, ball.word_length,
-            ball.words, ball.right, ball.adj, ball.generators, ball.inv_gen,
-            ball.radius)
+            ball.words, ball.right, _neighbor_lists(ball), ball.generators,
+            ball.inv_gen, ball.radius)
 
 
 _resize_groups = st.one_of(

@@ -186,6 +186,12 @@ def _c2c3_with(tree=True, **fields):
      "group table row [1, 2] is not a permutation of 0..1"),
     ({**_GOG, "vertices": [{"mul": [[1, 0], [0, 1]]}]},
      "group table 'mul' has no identity at 0"),
+    # a Latin square with identity 0 that is no group: it loaded and ran
+    ({**_GOG, "vertices": [{"mul": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                    [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                                    [4, 3, 1, 2, 0]]}],
+      "generators": {"a": [["v", 0, 1]], "b": [["v", 0, 2]]}},
+     "not associative at (1,1,2)"),
     # these ended in a TypeError traceback, or were read by truthiness
     (_c2c3_with(vertex_names=5),
      "graph-of-groups 'vertex_names' must be an array of strings, got 5"),
@@ -201,6 +207,7 @@ def _c2c3_with(tree=True, **fields):
         "cyclic-0", "sketch-index", "edges-null", "sketch-int", "sketch-nested",
         "matrix-generators-null", "generators-list", "permutation-degree",
         "mul-not-square", "mul-not-closed", "mul-no-identity",
+        "mul-not-associative",
         "vertex-names-int", "vertex-names-short", "vertex-names-mixed",
         "tree-string", "tree-int"])
 def test_malformed_spec_exits_3(tmp_path, capsys, spec, message):

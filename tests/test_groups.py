@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import normalform_oracle as oracle
 from gdecomp import subgroups
-from gdecomp.errors import (CapExceeded, SpecFormatError, UnknownGenerator,
-                            VerificationFailure)
+from gdecomp.errors import (BackendMismatch, CapExceeded, SpecFormatError,
+                            UnknownGenerator, VerificationFailure)
 from gdecomp.fixtures import (fixture_path, load_fixture, make_cyclic_amalgam,
                               make_cyclic_group, make_free_group)
 from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
@@ -33,14 +33,8 @@ def test_table_verification():
         FiniteGroupTable(bad, ["e", "x"]).verify()
 
 
-def test_c6_subgroups():
-    subs = cyclic_table(6).subgroups()
-    assert sorted(len(s) for s in subs) == [1, 2, 3, 6]
-
-
 def test_minimal_generators_cyclic():
     assert cyclic_table(5).minimal_generators() == (1,)
-    assert cyclic_table(5).is_cyclic()
 
 
 @given(st.integers(2, 12))
@@ -66,6 +60,25 @@ def test_matrix_arithmetic(sl2z):
     assert minus_i.data == ((-1, 0), (0, -1))
     # -I is central
     assert multiply(minus_i, T) == multiply(T, minus_i)
+
+
+def test_element_identity(sl2z, c4c2c6):
+    # an element is its data and its group: equal data from two loads of
+    # one fixture are equal elements, but only one group multiplies them
+    S, T = sl2z.generators["S"], c4c2c6.generators["T"]
+    with pytest.raises(BackendMismatch):
+        multiply(S, T)
+    for name in ("sl2z", "c4*c2*c6"):
+        a, b = load_fixture(name), load_fixture(name)
+        for gname, x in a.generators.items():
+            y = b.generators[gname]
+            assert x == y and hash(x) == hash(y)
+            with pytest.raises(BackendMismatch):
+                multiply(x, y)
+    # a matrix's data is a tuple and a normal form's a str
+    matrices = [sl2z.identity, *sl2z.generators.values()]
+    normal_forms = [c4c2c6.identity, *c4c2c6.generators.values()]
+    assert not any(x == y or y == x for x in matrices for y in normal_forms)
 
 
 def test_congruence_orders(monkeypatch):
@@ -158,8 +171,7 @@ def test_gog_inverse_involution(word):
 # data is decoded by `group.items`, and `_element` packs items.
 
 def _element(group, items):
-    return GroupElement("normal-form",
-                        "".join(map(group._item_char.__getitem__, items)),
+    return GroupElement("".join(map(group._item_char.__getitem__, items)),
                         group)
 
 
@@ -364,7 +376,7 @@ def test_matrix_products_match_triple_loop(name, data):
     def word():
         return reduce(
             lambda x, g: GroupElement(
-                "matrix", _triple_loop(x.data, g.data, group.modulus), group),
+                _triple_loop(x.data, g.data, group.modulus), group),
             data.draw(st.lists(st.sampled_from(gens), max_size=12)),
             group.identity)
 

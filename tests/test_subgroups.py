@@ -13,7 +13,7 @@ from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.graphs import bfs
 from gdecomp.subgroups import (Presentation, _tietze, congruence_hom,
                                construct_finite_quotient,
-                               euler_characteristic, expected_free_rank,
+                               expected_free_rank,
                                free_reduce, index_lower_bound,
                                index_upper_bound, invert_word, kernel_subgroup,
                                low_index_action, parse_word,
@@ -36,8 +36,13 @@ def test_presentation_extraction(sl2z, c2c3):
         == ["S*S*S*S", "S*S*T'*S'*T'*S'*T'*S'"]
     assert [(render_word(w), n) for w, n in pres.subgroup_words] \
         == [("S", 4), ("S*T", 6)]
+    # the nontrivial powers of each subgroup word, in order
+    assert [render_word(w) for w in pres.torsion_words] \
+        == ["S", "S*S", "S*S*S"] + ["*".join(["S*T"] * k) for k in range(1, 6)]
     pres2 = presentation_from_group(c2c3)
     assert [render_word(r) for r in pres2.relators] == ["x0*x0", "x1*x1*x1"]
+    assert [render_word(w) for w in pres2.torsion_words] \
+        == ["x0", "x1", "x1*x1"]
 
 
 @pytest.mark.parametrize("name", ["sl2z", "c2*c3", "c4*c2*c6", "amalgam",
@@ -75,7 +80,7 @@ def test_c2c3_certificate(c2c3):
     assert all(w[: w.rfind("*")] in words or "*" not in w
                for w in words[1:])
     assert expected_free_rank(c2c3.gog, 6) == 2
-    assert euler_characteristic(c2c3.gog) == Fraction(-1, 6)
+    assert c2c3.gog.euler_characteristic() == Fraction(-1, 6)
 
 
 def test_sl2z_congruence_certificate(sl2z):
@@ -268,7 +273,7 @@ def _low_index_inputs(draw):
     relators = draw(st.lists(words, max_size=4))
     subgroup_words = draw(st.lists(
         st.tuples(words, st.integers(1, 6)), max_size=2))
-    return Presentation(symbols, relators, subgroup_words, []), \
+    return Presentation(symbols, relators, subgroup_words), \
         draw(st.integers(0, 4))
 
 
