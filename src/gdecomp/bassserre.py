@@ -415,7 +415,11 @@ def _label_matchings(xs, ys, xl, yl):
 def verify_equivariant_isomorphism(dec_tree, bs_tree, generator_symbols):
     """Search for a root- and label-preserving tree isomorphism that
     intertwines the generator actions; report the first witness mismatch
-    of the best candidate if none exists."""
+    of the best candidate if none exists.
+
+    `checked` counts the (generator, vertex) pairs compared: those whose
+    image lies in both portions. A candidate that compares none shows
+    nothing, so it does not pass."""
     ball_gens = dict(dec_tree.decomp.ball.group.gen_symbols()) \
         if hasattr(dec_tree.decomp.ball.group, "gen_symbols") else {}
     tree_gens = dict(bs_tree.group.gen_symbols())
@@ -429,7 +433,7 @@ def verify_equivariant_isomorphism(dec_tree, bs_tree, generator_symbols):
     for iso in _tree_isomorphisms(dec_tree.adj, dec_tree.label, dec_tree.root,
                                   b_adj, bs_tree.label, bs_tree.root):
         candidates += 1
-        mismatch = None
+        mismatch, checked = None, 0
         for sym in generator_symbols:
             ga, gb = ball_gens[sym], tree_gens[sym]
             for x, bx in iso.items():
@@ -437,16 +441,19 @@ def verify_equivariant_isomorphism(dec_tree, bs_tree, generator_symbols):
                 yb = bs_tree.action(gb, bx)
                 if ya is None or yb is None or ya not in iso:
                     continue
+                checked += 1
                 if iso[ya] != yb:
                     mismatch = {"generator": sym, "node": x,
                                 "mapped": iso[ya], "expected": yb}
                     break
             if mismatch:
                 break
-        if mismatch is None:
+        if mismatch is None and checked:
             return {"pass": True, "isomorphism_size": len(iso),
-                    "candidates_tried": candidates}
+                    "candidates_tried": candidates, "checked": checked}
         if first_failure is None:
-            first_failure = mismatch
+            first_failure = (mismatch or "no (generator, vertex) pair "
+                             "compared", checked)
+    witness, checked = first_failure or ("no label-respecting isomorphism", 0)
     return {"pass": False, "candidates_tried": candidates,
-            "witness": first_failure or "no label-respecting isomorphism"}
+            "checked": checked, "witness": witness}

@@ -115,11 +115,12 @@ class CayleyBall:
                 for w in sorted(row) if w > u)
 
     def edges(self):
-        """Sorted (u, v, labels) triples with u < v; labels are the sorted
-        generator symbols s with elements[u] * s == elements[v]."""
+        """Sorted (u, v, labels) triples with u < v; labels holds the one
+        generator symbol s with elements[u] * s == elements[v], as
+        distinct generators reach distinct vertices."""
         syms = [sym for sym, _ in self.generators]
-        return [(u, v, sorted({s for s, w in zip(syms, self.right[u]) if w == v}))
-                for u, v in self.edge_pairs()]
+        return [(u, w, [syms[k]]) for u, row in enumerate(self.right)
+                for w, k in sorted((w, k) for k, w in enumerate(row) if w > u)]
 
     def interior(self, radius):
         """Vertex indices at word distance <= radius."""

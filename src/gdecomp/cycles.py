@@ -63,8 +63,8 @@ def _canonical_word(labels):
 
 def closed_words(ball, r):
     """The simple closed walks at vertex 0 of length 3..r, in both
-    orientations, as tuples of generator indices; each step takes the
-    least generator index that reaches its vertex. Every such walk stays
+    orientations, as tuples of generator indices; each step is the one
+    generator index that reaches its vertex. Every such walk stays
     within r // 2 of vertex 0, so the ball must reach that far."""
     if ball.radius < r // 2:
         raise ValueError("ball radius must be >= r // 2")
@@ -72,10 +72,9 @@ def closed_words(ball, r):
     words, word, on_path = [], [], {0}
 
     def extend(v):
-        row = right[v]
         steps = len(word) + 1  # walk length once the next step is taken
-        for k, w in enumerate(row):
-            if w < 0 or w == v or row.index(w) != k:
+        for k, w in enumerate(right[v]):
+            if w < 0 or w == v:
                 continue
             if w == 0:
                 if steps >= 3:

@@ -235,7 +235,7 @@ def _generic_inverse(g, op, identity):
 
 
 def _perm_op(a, b):
-    return tuple(b[x] for x in a)
+    return tuple(map(b.__getitem__, a))
 
 
 def low_index_action(pres, max_degree=DEGREE_CAP):
@@ -251,7 +251,11 @@ def low_index_action(pres, max_degree=DEGREE_CAP):
     draining the queue scans only the rotations that start with i from c
     and those that start with i's inverse from d, and fills every entry
     such a scan forces. Every definition is recorded on a trail, which a
-    backtrack pops to its mark.
+    backtrack pops to its mark. A table that another base coset renumbers
+    smaller is pruned (`_least_numbering`): renumbering from coset b gives
+    the table of b's stabilizer, a conjugate subgroup, so as in Sims's
+    algorithm only the least table of conjugate subgroups is searched. The
+    first action found is the same.
     """
     syms = pres.symbols
     cols = [(s, 1) for s in syms] + [(s, -1) for s in syms]
@@ -306,6 +310,17 @@ def _search(table, trail, inv, rotations, col_of, pres, degree, slot):
     those are one coset (the columns are injective). So every relator
     closes from every coset; `construct_finite_quotient` still checks
     the relators on the hom.
+
+    After each successful deduction the table is renumbered from every
+    other base coset, and the subtree is pruned when some renumbering is
+    smaller at the first entry that is defined on both sides and differs
+    (`_least_numbering`). That difference holds in every completion. The
+    first solution is never pruned: the search reaches complete tables in
+    lexicographic row-major order, since a choice fixes every earlier
+    entry and the candidates ascend; and the first solution renumbered
+    from any base coset is another standardized table, with the same
+    relators closed and the same subgroup-word orders, hence a leaf of
+    this search and no smaller.
     """
     ncols = len(inv)
     n = len(table)
@@ -324,7 +339,8 @@ def _search(table, trail, inv, rotations, col_of, pres, degree, slot):
         elif table[d][j] is not None:
             continue
         mark = len(trail)
-        if _deduce(table, trail, inv, rotations, c, i, d):
+        if _deduce(table, trail, inv, rotations, c, i, d) \
+                and _least_numbering(table):
             out = _search(table, trail, inv, rotations, col_of, pres, degree,
                           slot + 1)
             if out is not None:
@@ -382,6 +398,50 @@ def _deduce(table, trail, inv, rotations, c, i, d):
                     table[b][inv[g]] = f
                     trail.append((f, g))
                     queue.append((f, g))
+    return True
+
+
+def _least_numbering(table):
+    """True unless renumbering the partial table from some other base
+    coset b makes it smaller at the first entry where the two differ.
+
+    The walk renumbers b as 0 and each other coset by its first
+    appearance in row-major order, next to the table itself, and stops at
+    the first entry undefined on either side. A difference before that
+    holds in every completion, as every earlier entry, and so the
+    renumbering up to there, is already fixed."""
+    n = len(table)
+    head = table[0][0]
+    for b in range(1, n):
+        # the first entry renumbered: 0 when b is fixed there, else the
+        # new coset 1; most bases already differ from the table here
+        v = table[b][0]
+        if v is None:
+            continue
+        x = 0 if v == b else 1
+        if x != head:
+            if x < head:
+                return False
+            continue
+        new = [-1] * n
+        new[b] = 0
+        old = [b]
+        # the defined entries connect every coset, so old keeps ahead of r
+        for r, row in enumerate(table):
+            for v, w in zip(table[old[r]], row):
+                if v is None or w is None:
+                    break
+                x = new[v]
+                if x < 0:
+                    x = new[v] = len(old)
+                    old.append(v)
+                if x != w:
+                    if x < w:
+                        return False
+                    break
+            else:
+                continue
+            break
     return True
 
 
@@ -485,20 +545,17 @@ def kernel_subgroup(hom, pres):
 
 def reidemeister_schreier(cert, pres):
     """Schreier generators + rewritten relators; freeness via Tietze
-    elimination when every rewritten relator dies."""
+    elimination when every rewritten relator dies.
+
+    The Schreier generator of (coset c, symbol s) is t[c]·s·t[d]^-1, with
+    d = c·s and t the transversal. The transversal is the hom's BFS tree,
+    so its words are reduced, and the generator is trivial exactly when
+    (c, s) is a tree edge: t[d] ends in (s, 1), or t[c] ends in (s, -1).
+    The generators are numbered by that rule, and only the free basis
+    that Tietze elimination leaves is formed as words."""
     n = cert.index
-    # Schreier generator for (coset, symbol); trivial ones are those where
-    # the transversal step is itself the tree edge
-    gen_id = {}
-    gen_word = {}
-    for c in range(n):
-        for s in pres.symbols:
-            d = cert.coset_table[c][(s, 1)]
-            w = free_reduce(cert.transversal[c] + ((s, 1),)
-                            + invert_word(cert.transversal[d]))
-            if w:
-                gen_id[(c, s)] = len(gen_id)
-                gen_word[gen_id[(c, s)]] = w
+    pairs = _schreier_pairs(cert, pres.symbols)
+    gen_id = {pair: g for g, pair in enumerate(pairs)}
 
     def rewrite(start, word):
         out, c = [], start
@@ -515,27 +572,34 @@ def reidemeister_schreier(cert, pres):
                     out.append((g, -1))
         if c != start:
             raise VerificationFailure("relator conjugate leaves the subgroup")
-        return free_reduce(tuple(out))
+        return tuple(out)
 
-    relators = []
-    for c in range(n):
-        for rel in pres.relators:
-            w = rewrite(c, rel)
-            if w:
-                relators.append(w)
-
+    # _tietze reduces each relator and drops those that vanish
+    relators = [rewrite(c, rel) for c in range(n) for rel in pres.relators]
     relators, eliminated = _tietze(relators)
     if not relators:
-        basis = sorted(set(gen_word).difference(eliminated))
-        cert.free_basis = [gen_word[g] for g in basis]
-        cert.rank = len(basis)
-        cert.evidence["schreier_generators"] = len(gen_word)
+        t, table = cert.transversal, cert.coset_table
+        cert.free_basis = [
+            free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]]))
+            for g, (c, s) in enumerate(pairs) if g not in eliminated]
+        cert.rank = len(cert.free_basis)
+        cert.evidence["schreier_generators"] = len(pairs)
         cert.evidence["eliminated"] = len(eliminated)
         cert.evidence["free"] = True
     else:
         cert.evidence["free"] = False
         cert.evidence["residual_relators"] = len(relators)
     return cert
+
+
+def _schreier_pairs(cert, symbols):
+    """The (coset, symbol) pairs whose Schreier generator is nontrivial,
+    in (coset, symbol) order: those that are not edges of the transversal
+    tree."""
+    t, table = cert.transversal, cert.coset_table
+    return [(c, s) for c in range(cert.index) for s in symbols
+            if t[table[c][(s, 1)]][-1:] != ((s, 1),)
+            and t[c][-1:] != ((s, -1),)]
 
 
 def _tietze(relators):

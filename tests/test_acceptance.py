@@ -211,7 +211,8 @@ def test_criterion_09_equivariant_tree_isomorphism(sl2z_decomp, c4c2c6):
     ok = report["pass"] and not control["pass"] and bool(control["witness"])
     assert verdict(9, "decomposition tree == Bass-Serre portion "
                    "(equivariantly); perturbed control fails", ok,
-                   f"isomorphism on {report.get('isomorphism_size')} vertices")
+                   f"isomorphism on {report.get('isomorphism_size')} vertices, "
+                   f"{report['checked']} (generator, vertex) pairs compared")
 
 
 def test_criterion_10_congruence_orders(sl2z):

@@ -119,6 +119,21 @@ def test_equivariant_isomorphism(sl2z_decomp, c4c2c6):
     report = verify_equivariant_isomorphism(dt, bt, ["S", "T"])
     assert report["pass"]
     assert report["isomorphism_size"] == 11
+    assert report["checked"] == 18
+
+
+def test_equivariant_fails_when_nothing_compared(sl2z_decomp, c4c2c6):
+    # each radius-0 portion is its root alone, and T moves the root out of
+    # both: the one candidate compares no pair, so it shows nothing
+    dt = DecompositionTree(sl2z_decomp, 0)
+    bt = build_tree_portion(c4c2c6, 0)
+    report = verify_equivariant_isomorphism(dt, bt, ["T"])
+    assert not report["pass"]
+    assert report["checked"] == 0
+    assert report["candidates_tried"] == 1
+    # S fixes the root on both sides, which is one pair compared
+    report = verify_equivariant_isomorphism(dt, bt, ["S", "T"])
+    assert report["pass"] and report["checked"] == 1
 
 
 def test_equivariant_negative_control(sl2z_decomp, c4c2c6):

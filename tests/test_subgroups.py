@@ -327,7 +327,10 @@ def _deduction_gaps(table, pres):
     return found
 
 
-@pytest.mark.parametrize("abc", [(2, 1, 3), (4, 2, 6), (6, 3, 9), (3, 1, 7)])
+SEARCH_CASES = [(2, 1, 3), (4, 2, 6), (6, 3, 9), (3, 1, 7)]
+
+
+@pytest.mark.parametrize("abc", SEARCH_CASES)
 def test_search_tables_closed_under_deduction(monkeypatch, abc):
     # a search without deductions finds the same actions, so comparing
     # actions cannot see them; check the tables instead: every table the
@@ -345,3 +348,88 @@ def test_search_tables_closed_under_deduction(monkeypatch, abc):
     hom = low_index_action(pres)
     assert len(seen) > hom.detail["degree"]
     assert not any(seen)
+
+
+def _renumbered(table, b):
+    """The row-major entries of the table renumbered from base coset b,
+    each other coset by its first appearance, up to the first undefined
+    entry."""
+    num, order, out = {b: 0}, [b], []
+    for coset in order:  # order grows as cosets appear
+        for y in table[coset]:
+            if y is None:
+                return out
+            if y not in num:
+                num[y] = len(order)
+                order.append(y)
+            out.append(num[y])
+    return out
+
+
+def _smaller_renumberings(table):
+    """The base cosets whose renumbering is smaller than the table at the
+    first entry, defined on both sides, where the two differ."""
+    flat = [y for row in table for y in row]
+    smaller = []
+    for b in range(1, len(table)):
+        for x, y in zip(_renumbered(table, b), flat):
+            if y is None:
+                break
+            if x != y:
+                if x < y:
+                    smaller.append(b)
+                break
+    return smaller
+
+
+@pytest.mark.parametrize("abc", SEARCH_CASES)
+def test_search_tables_least_numbered(monkeypatch, abc):
+    # the search branches only on tables that no other base coset
+    # renumbers smaller on their decided prefix, and the action it finds
+    # is the least numbering of its table from every base coset
+    pres = presentation_from_group(make_cyclic_amalgam(*abc))
+    search = subgroups._search
+    seen = []
+
+    def checked(table, *args):
+        seen.append(_smaller_renumberings(table))
+        return search(table, *args)
+
+    monkeypatch.setattr(subgroups, "_search", checked)
+    hom = low_index_action(pres)
+    degree = hom.detail["degree"]
+    assert len(seen) > degree
+    assert not any(seen)
+    table = [[hom.images[s][c] for s in pres.symbols]
+             + [hom.inverses[s][c] for s in pres.symbols]
+             for c in range(degree)]
+    flat = [y for row in table for y in row]
+    assert all(_renumbered(table, b) >= flat for b in range(degree))
+
+
+@st.composite
+def _schreier_cases(draw):
+    """sl2z with a congruence modulus 2-5, or C_a *_{C_c} C_b with a, b <= 8
+    with the quotient construct_finite_quotient picks."""
+    if draw(st.booleans()):
+        return load_fixture("sl2z"), draw(st.integers(2, 5))
+    c = draw(st.integers(1, 4))
+    order = st.integers(1, 8 // c).map(lambda i: c * i).filter(
+        lambda n: n >= 2)
+    return make_cyclic_amalgam(draw(order), c, draw(order)), None
+
+
+@settings(max_examples=25, deadline=None)
+@given(_schreier_cases())
+def test_schreier_tree_rule_matches_word_rule(case):
+    # a Schreier generator is numbered when it is no edge of the
+    # transversal tree; the word rule forms and reduces every generator
+    group, modulus = case
+    pres = presentation_from_group(group)
+    hom = (congruence_hom(group, modulus) if modulus
+           else construct_finite_quotient(group, pres))
+    cert = kernel_subgroup(hom, pres)
+    t, table = cert.transversal, cert.coset_table
+    want = [(c, s) for c in range(cert.index) for s in pres.symbols
+            if free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]]))]
+    assert subgroups._schreier_pairs(cert, pres.symbols) == want
