@@ -165,6 +165,12 @@ class FiniteQuotientHom:
     inverse, gives `elements` in BFS order, `words`, the kernel's
     prefix-closed Schreier transversal, and `table`, its coset table:
     table[i][(sym, e)] is the index of elements[i] times sym^e's image.
+
+    Each edge's product is formed once: when elements[i] * sym^e is
+    elements[j], the reverse entry table[j][(sym, -e)] = i is filled from
+    it, and row j skips that product. A filled entry leads to an element
+    already found, so the BFS order and words are those of forming every
+    product, and the enumeration forms |symbols| * order products.
     """
 
     __slots__ = ("kind", "symbols", "images", "inverses", "op", "identity",
@@ -179,25 +185,33 @@ class FiniteQuotientHom:
         self.detail = detail or {}
         self.inverses = {s: _generic_inverse(g, op, identity)
                          for s, g in self.images.items()}
-        steps = [((s, e), img) for s in self.symbols
-                 for e, img in ((1, self.images[s]), (-1, self.inverses[s]))]
-        elems, words, table = [identity], [()], []
+        # step k ^ 1 is the inverse of step k
+        steps = [(s, e) for s in self.symbols for e in (1, -1)]
+        imgs = [self.images[s] if e > 0 else self.inverses[s]
+                for s, e in steps]
+        elems, words, table = [identity], [()], [dict.fromkeys(steps)]
         index = {identity: 0}
-        for i, x in enumerate(elems):
-            row = {}
-            for step, img in steps:
+        for x in elems:
+            # index's own int, so a reverse entry adds no int object
+            i = index[x]
+            row = table[i]
+            for k, img in enumerate(imgs):
+                step = steps[k]
+                if row[step] is not None:
+                    continue
                 y = op(x, img)
                 j = index.get(y)
                 if j is None:
                     if len(elems) >= QUOTIENT_CAP:
-                        raise CapExceeded("search exceeded vertex cap "
-                                          f"{QUOTIENT_CAP}",
-                                          reached=QUOTIENT_CAP)
+                        raise CapExceeded("finite quotient exceeded "
+                                          f"QUOTIENT_CAP {QUOTIENT_CAP} "
+                                          "elements", reached=QUOTIENT_CAP)
                     j = index[y] = len(elems)
                     elems.append(y)
                     words.append(words[i] + (step,))
+                    table.append(dict.fromkeys(steps))
                 row[step] = j
-            table.append(row)
+                table[j][steps[k ^ 1]] = i
         self.elements, self.words, self.table = elems, words, table
         self.order = len(elems)
 
@@ -238,6 +252,11 @@ def _perm_op(a, b):
     return tuple(map(b.__getitem__, a))
 
 
+# an undefined entry in a frontier node's bytes; a defined one is a coset of
+# a table of degree below max_degree <= 256, so it is at most 254
+_UNDEFINED = 255
+
+
 def low_index_action(pres, max_degree=DEGREE_CAP):
     """Smallest-degree transitive action satisfying the relators and
     injective on the finite subgroups; deterministic first solution.
@@ -256,9 +275,29 @@ def low_index_action(pres, max_degree=DEGREE_CAP):
     the table of b's stabilizer, a conjugate subgroup, so as in Sims's
     algorithm only the least table of conjugate subgroups is searched. The
     first action found is the same.
+
+    Each degree is searched once. The search to degree d + 1 is the one
+    to degree d with one more branch at each node that holds d cosets and
+    has an undefined entry: a new coset there, tried after the node's
+    existing-coset subtrees. Deduction and the prune do not depend on the
+    degree, and the degree-d search finds no action. So degree d + 1
+    takes those branches alone, in the order in which degree d finished
+    their nodes (post-order): `_search` records each node when its
+    candidate loop ends, on a frontier list, and degree d + 1 takes the
+    new-coset step from each in turn and searches on from there. Every
+    table searched at degree d has d rows, and none is searched twice.
+    A frontier node is its table's entries as one `bytes`, an undefined
+    one as _UNDEFINED. So the frontier that degree d leaves holds at most
+    one node per table it searched that is not a leaf, d * 2|symbols|
+    bytes each; it is all that passes from one degree to the next, it is
+    given back as the next degree consumes it, and none is kept at
+    `max_degree`.
     """
+    if max_degree > _UNDEFINED + 1:
+        raise ValueError(f"max_degree must be at most {_UNDEFINED + 1}")
     syms = pres.symbols
     cols = [(s, 1) for s in syms] + [(s, -1) for s in syms]
+    ncols = len(cols)
     col_of = {c: i for i, c in enumerate(cols)}
     inv = [col_of[(s, -e)] for s, e in cols]
     rotations = [[] for _ in cols]
@@ -270,9 +309,28 @@ def low_index_action(pres, max_degree=DEGREE_CAP):
             if rot not in seen:
                 seen.add(rot)
                 rotations[rot[0]].append((rot, tuple(inv[k] for k in rot)))
+    frontier = None
     for degree in range(1, max_degree + 1):
-        table = [[None] * len(cols)]
-        result = _search(table, [], inv, rotations, col_of, pres, degree, 0)
+        nodes, frontier = frontier, [] if degree < max_degree else None
+        if nodes is None:
+            result = _search([[None] * ncols], [], inv, rotations, col_of,
+                             pres, frontier, 0)
+        else:
+            result = None
+            # popped from the end, so the frontier's memory is given back
+            # as this degree's own grows
+            nodes.reverse()
+            while nodes and result is None:
+                snap = nodes.pop()
+                flat = [None if x == _UNDEFINED else x for x in snap]
+                table = [flat[k:k + ncols] for k in range(0, len(flat), ncols)]
+                table.append([None] * ncols)
+                slot = snap.index(_UNDEFINED)
+                trail = []
+                if _deduce(table, trail, inv, rotations, *divmod(slot, ncols),
+                           degree - 1) and _least_numbering(table):
+                    result = _search(table, trail, inv, rotations, col_of,
+                                     pres, frontier, slot + 1)
         if result is not None:
             perms = {}
             for s in syms:
@@ -287,11 +345,21 @@ def low_index_action(pres, max_degree=DEGREE_CAP):
                       reached=max_degree)
 
 
-def _search(table, trail, inv, rotations, col_of, pres, degree, slot):
+def _search(table, trail, inv, rotations, col_of, pres, frontier, slot):
     """Fill the first undefined entry at or after `slot` (row-major) with
-    each candidate coset in turn, the existing ones first and then a new
-    one, and recurse; return the first complete table of `degree` cosets
-    that satisfies the relators and is injective on the subgroups.
+    each existing coset in turn and recurse; return the first complete
+    table that satisfies the relators and is injective on the subgroups.
+    Every entry before `slot` is defined.
+
+    No coset is created here: `low_index_action` adds them, one degree at
+    a time. When `frontier` is a list, each node is appended to it as one
+    `bytes` of its entries when its candidate loop ends; its slot is its
+    first undefined entry. A search that could add a coset would try that
+    branch at that point, after every existing-coset subtree of the node,
+    so the list holds the next degree's new-coset branches in the order
+    in which that search reaches them: the post-order of their nodes. It
+    holds at most one node per call that is not a leaf, n * len(inv)
+    bytes each.
 
     The deductions cut only dead subtrees, so this finds the same first
     table as a search that fills every entry by choice and rescans every
@@ -327,30 +395,26 @@ def _search(table, trail, inv, rotations, col_of, pres, degree, slot):
     while slot < n * ncols and table[slot // ncols][slot % ncols] is not None:
         slot += 1
     if slot == n * ncols:
-        if n == degree and _injective(table, col_of, pres):
-            return table
-        return None
+        return table if _injective(table, col_of, pres) else None
     c, i = divmod(slot, ncols)
     j = inv[i]
-    for d in range(n + (n < degree)):
-        created = d == n
-        if created:
-            table.append([None] * ncols)
-        elif table[d][j] is not None:
+    for d in range(n):
+        if table[d][j] is not None:
             continue
         mark = len(trail)
         if _deduce(table, trail, inv, rotations, c, i, d) \
                 and _least_numbering(table):
-            out = _search(table, trail, inv, rotations, col_of, pres, degree,
-                          slot + 1)
+            out = _search(table, trail, inv, rotations, col_of, pres,
+                          frontier, slot + 1)
             if out is not None:
                 return out
         while len(trail) > mark:
             x, k = trail.pop()
             table[table[x][k]][inv[k]] = None
             table[x][k] = None
-        if created:
-            table.pop()
+    if frontier is not None:
+        frontier.append(bytes([_UNDEFINED if x is None else x
+                               for row in table for x in row]))
     return None
 
 

@@ -90,6 +90,7 @@ def test_congruence_orders(monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         subgroups.congruence_hom(sl2z, 5)
     assert exc.value.reached == 10
+    assert str(exc.value) == "finite quotient exceeded QUOTIENT_CAP 10 elements"
 
 
 def test_normal_form_words(sl2z):

@@ -142,6 +142,31 @@ def test_low_index_degree_cap(c2c3):
     pres = presentation_from_group(c2c3)
     with pytest.raises(CapExceeded):
         low_index_action(pres, max_degree=2)
+    # a frontier node holds one byte per entry
+    with pytest.raises(ValueError):
+        low_index_action(pres, max_degree=257)
+
+
+@pytest.mark.parametrize("abc", [(8, 4, 12), (10, 5, 15), (14, 7, 21)])
+def test_exhausted_search_keeps_nothing_at_cap(monkeypatch, abc):
+    # every degree up to the cap runs out of cosets; the last one records
+    # no frontier, as no degree follows it
+    pres = presentation_from_group(make_cyclic_amalgam(*abc))
+    search = subgroups._search
+    kept = set()
+
+    def checked(table, *args):
+        kept.add((len(table), args[-2] is not None))
+        return search(table, *args)
+
+    monkeypatch.setattr(subgroups, "_search", checked)
+    with pytest.raises(CapExceeded,
+                       match="no adequate action within the degree cap") \
+            as exc:
+        low_index_action(pres)
+    assert exc.value.reached == subgroups.DEGREE_CAP
+    assert (subgroups.DEGREE_CAP, False) in kept
+    assert all(keep == (n < subgroups.DEGREE_CAP) for n, keep in kept)
 
 
 def test_parse_render_roundtrip():
@@ -225,6 +250,33 @@ def test_quotient_enumeration_is_coset_table(name, modulus):
     gens = list(hom.images.values()) + list(hom.inverses.values())
     assert hom.order == len(bfs(lambda x: (hom.op(x, g) for g in gens),
                                 hom.identity))
+
+
+@pytest.mark.parametrize("name, modulus", QUOTIENT_CASES,
+                         ids=[f"{n}-{m}" for n, m in QUOTIENT_CASES])
+def test_quotient_enumeration_forms_each_edge_once(monkeypatch, name,
+                                                   modulus):
+    # each product fills an entry and its reverse, so the enumeration
+    # forms |symbols| * order of them, not one per entry; the inverses'
+    # products are not counted
+    group = (make_cyclic_amalgam(*name) if isinstance(name, tuple)
+             else load_fixture(name))
+    hom = (congruence_hom(group, modulus) if modulus
+           else construct_finite_quotient(group))
+    inverse = subgroups._generic_inverse
+    monkeypatch.setattr(subgroups, "_generic_inverse",
+                        lambda g, op, identity: inverse(g, hom.op, identity))
+    products = []
+
+    def op(a, b):
+        products.append(b)
+        return hom.op(a, b)
+
+    again = subgroups.FiniteQuotientHom(hom.kind, hom.symbols, hom.images,
+                                        op, hom.identity)
+    assert len(products) == len(hom.symbols) * hom.order
+    assert (again.elements, again.words, again.table) \
+        == (hom.elements, hom.words, hom.table)
 
 
 # relators over up to 6 generators, including empty and unreduced words
@@ -405,6 +457,28 @@ def test_search_tables_least_numbered(monkeypatch, abc):
              for c in range(degree)]
     flat = [y for row in table for y in row]
     assert all(_renumbered(table, b) >= flat for b in range(degree))
+
+
+@pytest.mark.parametrize("abc", SEARCH_CASES + [(6, 3, 12)])
+def test_search_visits_each_table_once(monkeypatch, abc):
+    # each degree resumes from the nodes where the one before ran out of
+    # cosets, so no table is searched twice and the row counts of the
+    # tables searched never fall
+    pres = presentation_from_group(make_cyclic_amalgam(*abc))
+    search = subgroups._search
+    seen = []
+
+    def checked(table, *args):
+        seen.append(tuple(map(tuple, table)))
+        return search(table, *args)
+
+    monkeypatch.setattr(subgroups, "_search", checked)
+    hom = low_index_action(pres)
+    assert len(seen) > hom.detail["degree"]
+    assert len(set(seen)) == len(seen)
+    rows = [len(table) for table in seen]
+    assert rows == sorted(rows)
+    assert rows[-1] == hom.detail["degree"]
 
 
 @st.composite
