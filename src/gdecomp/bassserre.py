@@ -6,107 +6,94 @@ g·H_v are the left cosets of an edge group's image in G_v (Serre,
 stable letter s and the coset representatives c that the normal form
 keeps (`GraphOfGroupsGroup.edge_coset_reps`). Group elements act by left
 multiplication, without inversions (Serre, *Trees*, §I.5), and are
-classified as elliptic or hyperbolic with explicit witnesses, declining
-to answer when the portion is too small.
+classified as elliptic or hyperbolic with explicit witnesses.
 
-Classification reads the root's images. With no inversion, every γ
-either fixes a subtree Fix(γ) or translates an axis by ℓ(γ) ≥ 1, and
-d(x, γx) = ℓ(γ) + 2·d(x, A) for A the fixed set or the axis (Serre,
-*Trees*, ch. I §6.4; Culler–Morgan 1987). So with y = γ·root at depth d,
-γ is elliptic exactly when d is even and γ fixes the midpoint of
-[root, y], the nearest point of Fix(γ) to the root. Otherwise γ·root and
-γ⁻¹·root branch off the axis at the root's projection p, whose depth h
-is d − d(γ·root, γ⁻¹·root)/2, and ℓ = d − 2h. Portion vertices are
-numbered in BFS order, so these nearest points are the least-index
-vertices that a scan of every vertex's displacement would pick. Where
-γ·root or γ⁻¹·root lies outside the portion, that scan is run instead.
+A tree vertex is its normal path word. Normal forms are closed under
+prefixes (Serre, *Trees*, §I.5.2), so the coset of the word w lies at
+depth len(w) // 2, its ancestor at depth k has key w[:2k], and the depth
+of the lowest common ancestor of two vertices is half the length of
+their words' common prefix.
+
+Classification reads the words of the root's images. With no inversion,
+every γ either fixes a subtree Fix(γ) or translates an axis by
+ℓ(γ) ≥ 1, and d(x, γx) = ℓ(γ) + 2·d(x, A) for A the fixed set or the
+axis (Serre, *Trees*, ch. I §6.4; Culler–Morgan 1987). So with
+y = γ·root at depth d, γ is elliptic exactly when d is even and γ fixes
+the midpoint of [root, y], the nearest point of Fix(γ) to the root.
+Otherwise γ·root and γ⁻¹·root branch off the axis at the root's
+projection p, at the depth h of their lowest common ancestor, and
+ℓ = d − 2h. Kind and ℓ come from the words alone, at any radius; the
+portion only names the witness.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from os.path import commonprefix
 
 from .decomp import cyclic_subgroup_in_ball, translate_bag
 from .errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from .graphs import bfs
-from .groups import GraphOfGroupsGroup, inverse, multiply
+from .groups import GraphOfGroupsGroup, inverse
 
 # the most vertices a tree portion holds
 TREE_VERTEX_CAP = 100_000
+
+
+def _meet(a, b):
+    """Depth of the lowest common ancestor of the cosets of the normal
+    path words a and b."""
+    return len(commonprefix((a, b))) // 2
 
 
 class BassSerreTreePortion:
     """The ball of radius `radius` about the base vertex's coset H_0 in the
     coset tree.
 
-    Tree vertex x is the coset reps[x] * H_v of v = orbit[x]; words[x] is
-    its normal path word, the normal form of reps[x] * p_v for the
-    spanning-tree path p_v, so its key (the word without its last item)
-    indexes the vertex in key_index. `action` translates that word, which
-    normalizes only where gamma's word meets it. A ball of a tree is a
-    tree, so `distance` walks parent links to the lowest common ancestor;
-    the parents and depths come from one BFS over `adj` from the root, so a
-    copy with rewired `adj` (`perturb_tree_portion`) measures its own
-    graph.
+    Tree vertex x is the coset of its normal path word words[x], at the
+    vertex orbit[x] of the model; the word without its last item keys x
+    in key_index, and its length fixes x's depth. `action` translates the
+    word, which normalizes only where gamma's word meets it. Vertices are
+    numbered in BFS order from the root, and `adj` lists the portion's
+    edges.
     """
 
-    __slots__ = ("group", "radius", "orbit", "reps", "words", "adj", "dist",
-                 "key_index", "root", "_links")
+    __slots__ = ("group", "radius", "orbit", "words", "adj", "key_index")
 
-    def __init__(self, group, radius, orbit, reps, words, adj, dist, key_index):
+    root = 0
+
+    def __init__(self, group, radius, orbit, words, adj, key_index):
         self.group = group
         self.radius = radius
         self.orbit = orbit  # per tree vertex: orbit vertex of the model
-        self.reps = reps  # per tree vertex: representative element
         self.words = words  # per tree vertex: normal path word of its coset
         self.adj = adj
-        self.dist = dist  # from the base vertex
-        self.key_index = key_index  # coset_word(...)[:-1] -> tree vertex
-        self.root = 0
-        self._links = None
+        self.key_index = key_index  # words[x][:-1] -> x
 
     @property
     def vertex_count(self):
-        return len(self.reps)
+        return len(self.words)
 
     def label(self, x):
         """Vertex-group order of the tree vertex's orbit."""
         return self.group.gog.vertices[self.orbit[x]].order
+
+    def depth(self, x):
+        return len(self.words[x]) // 2
 
     def action(self, gamma, x):
         """Left multiplication on cosets; None outside the portion."""
         return self.key_index.get(
             self.group.translate_word(gamma, self.words[x])[:-1])
 
-    def _tree_links(self):
-        """Parent links and depths of one BFS over `adj` from the root."""
-        if self._links is None:
-            depth = bfs(self.adj.__getitem__, self.root)
-            parent = {z: next(p for p in self.adj[z] if depth.get(p) == d - 1)
-                      for z, d in depth.items() if d}
-            self._links = parent, depth
-        return self._links
-
-    def ancestor(self, x, depth):
-        """The vertex at `depth` on the path from the root to x."""
-        parent, depths = self._tree_links()
-        while depths[x] > depth:
-            x = parent[x]
-        return x
-
     def distance(self, x, y):
-        """Path length from x to y in `adj`; None when y is not reached."""
-        parent, depth = self._tree_links()
-        if x not in depth or y not in depth:
-            return None
-        d = depth[x] + depth[y]
-        x, y = self.ancestor(x, depth[y]), self.ancestor(y, depth[x])
-        while x != y:
-            x, y = parent[x], parent[y]
-        return d - 2 * depth[x]
+        """Path length from x to y in the tree."""
+        a, b = self.words[x], self.words[y]
+        return len(a) // 2 + len(b) // 2 - 2 * _meet(a, b)
 
     def interior_vertices(self):
-        return [x for x in range(self.vertex_count) if self.dist[x] < self.radius]
+        return [x for x in range(self.vertex_count)
+                if self.depth(x) < self.radius]
 
     def to_dot(self):
         lines = ["graph tree {", "  node [shape=circle];"]
@@ -122,52 +109,51 @@ class BassSerreTreePortion:
 
 def build_tree_portion(group, radius):
     """BFS the coset tree out to `radius` from the base vertex's coset,
-    raising CapExceeded past TREE_VERTEX_CAP vertices."""
+    raising CapExceeded past TREE_VERTEX_CAP vertices.
+
+    The move out of a coset of H_u along an edge end is the packed path
+    word c·d·1_v: a coset representative c of the edge group's image in
+    G_u, the edge item d with its sign, and the identity at the head v.
+    Its coset word g·p_u·c·d·1_v is one `_join` onto the parent's word.
+    """
     if not isinstance(group, GraphOfGroupsGroup):
         raise VerificationFailure("tree portions need a graph-of-groups backend")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    gog = group.gog
-    # per vertex: (target vertex, step c * s^sign) for each edge end and
-    # each coset representative c of the edge group's image there
-    moves = [[] for _ in gog.vertices]
-    for i, e in enumerate(gog.edges):
-        s = group.stable_letter(i)
-        for sign, tail, head, t in ((1, e.u, e.v, s), (-1, e.v, e.u, inverse(s))):
+    pack = group._item_char.__getitem__
+    moves = [[] for _ in group.gog.vertices]
+    for i, e in enumerate(group.gog.edges):
+        for sign, tail, head in ((1, e.u, e.v), (-1, e.v, e.u)):
+            step = pack(("e", i, sign)) + pack(("v", head, 0))
             for c in group.edge_coset_reps(i, sign):
-                step = multiply(group.based_vertex_element(tail, c), t)
-                moves[tail].append((head, step))
+                moves[tail].append((head, pack(("v", tail, c)) + step))
 
     orbit = [0]
-    reps = [group.identity]
-    words = [group.coset_word(0, group.identity)]
-    key_index = {words[0][:-1]: 0}
-    dist = [0]
+    words = [group.identity.data]
+    key_index = {"": 0}
     adj = [set()]
     queue = deque([0])
     while queue:
         x = queue.popleft()
-        if dist[x] == radius:
+        if len(words[x]) // 2 == radius:
             continue
-        for v, step in moves[orbit[x]]:
-            word = group.coset_word(v, reps[x], step)
+        for v, move in moves[orbit[x]]:
+            word = group._join(words[x], move)
             y = key_index.get(word[:-1])
             if y is None:
-                y = len(reps)
+                y = len(words)
                 if y >= TREE_VERTEX_CAP:
                     raise CapExceeded("tree portion cap exceeded", reached=y)
                 key_index[word[:-1]] = y
                 orbit.append(v)
-                reps.append(multiply(reps[x], step))
                 words.append(word)
-                dist.append(dist[x] + 1)
                 adj.append(set())
                 queue.append(y)
             if y != x:
                 adj[x].add(y)
                 adj[y].add(x)
-    return BassSerreTreePortion(group, radius, orbit, reps, words,
-                                [sorted(a) for a in adj], dist, key_index)
+    return BassSerreTreePortion(group, radius, orbit, words,
+                                [sorted(a) for a in adj], key_index)
 
 
 class ElementAction:
@@ -185,73 +171,30 @@ class ElementAction:
 
 
 def classify_tree_automorphism(tree, gamma):
-    """Tits type of gamma on the portion, with a witness.
+    """Tits type of gamma on the tree, with a witness in the portion.
 
-    Read from the root's images (module docstring): with y = gamma·root
-    at even depth d, gamma is elliptic when it fixes y's ancestor m at
-    depth d/2, and m is the witness. Otherwise gamma is hyperbolic, and
-    the witness is the root's projection p onto the axis, at the depth h
-    of the lowest common ancestor of y and gamma⁻¹·root, with the
-    smaller-index of p's two axis neighbours (the ancestors of the two
-    images at depth h + 1) whose image lies in the portion at
-    displacement d − 2h. When an image of the root lies outside the
-    portion, or neither neighbour qualifies, `_classify_by_scan` decides
-    instead; it is the only path that raises UncertifiedRegion.
+    Read from the words of the root's images (module docstring): with
+    y = gamma·root at even depth d, gamma is elliptic when it fixes y's
+    ancestor m at depth d/2, and m is the witness. Otherwise gamma is
+    hyperbolic, and the witness is the root's projection p onto the axis,
+    at the depth h of the lowest common ancestor of y and gamma⁻¹·root,
+    with the smaller-index of p's two axis neighbours, the ancestors of
+    the two images at depth h + 1. Portion vertices are numbered in BFS
+    order, so these are the least-index vertices that a scan of every
+    vertex's displacement picks. The witness is None when one of its
+    vertices lies outside the portion.
     """
-    root = tree.root
-    y = tree.action(gamma, root)
-    if y is None:
-        return _classify_by_scan(tree, gamma)
-    d = tree.distance(root, y)
-    if d % 2 == 0:
-        m = tree.ancestor(y, d // 2)
-        if tree.action(gamma, m) == m:
-            return ElementAction("elliptic", m)
-    y_inv = tree.action(inverse(gamma), root)
-    if y_inv is None:
-        return _classify_by_scan(tree, gamma)
-    h = d - tree.distance(y, y_inv) // 2
-    length = d - 2 * h
-    p = tree.ancestor(y, h)
-    for x in sorted((tree.ancestor(y, h + 1), tree.ancestor(y_inv, h + 1))):
-        z = tree.action(gamma, x)
-        if z is not None and tree.distance(x, z) == length:
-            return ElementAction("hyperbolic", (p, x),
-                                 translation_length=length)
-    return _classify_by_scan(tree, gamma)
-
-
-def _classify_by_scan(tree, gamma):
-    """The displacement of every vertex whose image lies in the portion.
-
-    Elliptic at the least-index fixed vertex; hyperbolic only when the
-    minimum displacement is attained on two adjacent vertices (an axis
-    segment), at the least such vertex and its least such neighbour;
-    otherwise the portion is reported too small.
-    """
-    displacements = []
-    for x in range(tree.vertex_count):
-        y = tree.action(gamma, x)
-        if y is None:
-            continue
-        d = tree.distance(x, y)
-        if d is not None:
-            displacements.append((d, x, y))
-    if not displacements:
-        raise UncertifiedRegion("no vertex image computable on the portion")
-    dmin = min(d for d, _, _ in displacements)
-    if dmin == 0:
-        x = min(x for d, x, _ in displacements if d == 0)
-        return ElementAction("elliptic", x)
-    attaining = {x for d, x, _ in displacements if d == dmin}
-    for x in sorted(attaining):
-        for y in tree.adj[x]:
-            if y in attaining:
-                return ElementAction("hyperbolic", (x, y),
-                                     translation_length=dmin)
-    raise UncertifiedRegion(
-        f"min displacement {dmin} not certified on an axis segment; "
-        "build a larger portion")
+    group, root = tree.group, tree.words[tree.root]
+    y = group.translate_word(gamma, root)
+    d = len(y) // 2
+    if d % 2 == 0 and group.translate_word(gamma, y[:d + 1])[:-1] == y[:d]:
+        return ElementAction("elliptic", tree.key_index.get(y[:d]))
+    y_inv = group.translate_word(inverse(gamma), root)
+    h = _meet(y, y_inv)
+    # p is the parent of both ends, so it lies in the portion with them
+    ends = [tree.key_index.get(w[:2 * h + 2]) for w in (y, y_inv)]
+    witness = None if None in ends else (tree.key_index[y[:2 * h]], min(ends))
+    return ElementAction("hyperbolic", witness, translation_length=d - 2 * h)
 
 
 def locate_torsion(decomp, tree, gamma):
@@ -296,8 +239,8 @@ def is_non_elementary(tree):
     if not interior or tree.radius < 2:
         raise UncertifiedRegion("portion too small")
     branching = any(len(tree.adj[x]) >= 3 for x in interior)
-    shell = [sum(1 for x in range(tree.vertex_count) if tree.dist[x] == d)
-             for d in (tree.radius - 1, tree.radius)]
+    depths = Counter(map(tree.depth, range(tree.vertex_count)))
+    shell = [depths[tree.radius - 1], depths[tree.radius]]
     persistent = shell[0] >= 3 and shell[1] >= 3
     verdict = branching and persistent
     reason = (f"interior branching {'>=3' if branching else '<3'}, "
@@ -310,7 +253,7 @@ def perturb_tree_portion(tree):
     for the equivariance check."""
     adj = [list(a) for a in tree.adj]
     leaves = [x for x in range(tree.vertex_count)
-              if len(adj[x]) == 1 and tree.dist[x] == tree.radius]
+              if len(adj[x]) == 1 and tree.depth(x) == tree.radius]
     if not leaves:
         raise VerificationFailure("no leaf to perturb")
     leaf = leaves[-1]
@@ -321,9 +264,8 @@ def perturb_tree_portion(tree):
     adj[leaf] = [target]
     adj[target] = sorted(adj[target] + [leaf])
     return BassSerreTreePortion(tree.group, tree.radius, list(tree.orbit),
-                                list(tree.reps), list(tree.words),
-                                [sorted(a) for a in adj],
-                                list(tree.dist), dict(tree.key_index))
+                                list(tree.words), [sorted(a) for a in adj],
+                                dict(tree.key_index))
 
 
 def small_index_threshold(n, B, A):
@@ -344,10 +286,7 @@ class DecompositionTree:
                  "_node_of")
 
     def __init__(self, decomp, radius):
-        ball = decomp.ball
-        interior = [i for i in range(decomp.bag_count)
-                    if min(ball.word_length[v] for v in decomp.bags[i])
-                    <= decomp.interior_radius]
+        interior = decomp.interior_bags()
         keep = set(interior)
         root = min((i for i in interior if 0 in decomp.bags[i]),
                    key=lambda i: (len(decomp.bags[i]), i), default=None)
@@ -420,8 +359,7 @@ def verify_equivariant_isomorphism(dec_tree, bs_tree, generator_symbols):
     `checked` counts the (generator, vertex) pairs compared: those whose
     image lies in both portions. A candidate that compares none shows
     nothing, so it does not pass."""
-    ball_gens = dict(dec_tree.decomp.ball.group.gen_symbols()) \
-        if hasattr(dec_tree.decomp.ball.group, "gen_symbols") else {}
+    ball_gens = dict(dec_tree.decomp.ball.group.gen_symbols())
     tree_gens = dict(bs_tree.group.gen_symbols())
     for sym in generator_symbols:
         if sym not in ball_gens or sym not in tree_gens:

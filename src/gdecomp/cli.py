@@ -6,8 +6,9 @@ Exit codes: 0 success, 2 a stage hit a configured cap (partial output),
 ValueError from the library, such as a cover depth beyond the ball
 radius), a group spec was malformed (SpecFormatError), or an answer
 needed more than the built region holds (UncertifiedRegion, such as a
-classify portion too small to certify the element's type; a larger
-radius may settle it). JSON artifacts are canonical (sorted keys,
+cover lift that leaves the truncation, or a classify portion of radius
+below 2, too small for the non-elementary check; an element's type
+never depends on the radius). JSON artifacts are canonical (sorted keys,
 two-space indent, trailing newline) so reruns are byte-identical;
 timings go to stderr only.
 """
@@ -143,7 +144,6 @@ def cmd_classify(args):
     tree = bassserre.build_tree_portion(args.group, args.radius)
     gamma = normal_form(args.group, args.element.split("*"))
     action = bassserre.classify_tree_automorphism(tree, gamma)
-    _log(f"classify: tree portion {tree.vertex_count} vertices", t0)
     report = {
         "element": args.element,
         "kind": action.kind,
@@ -152,6 +152,7 @@ def cmd_classify(args):
         "tree_vertices": tree.vertex_count,
         "non_elementary": bassserre.is_non_elementary(tree),
     }
+    _log(f"classify: tree portion {tree.vertex_count} vertices", t0)
     if args.format == "dot":
         _emit(tree.to_dot(), args.out)
         return 0

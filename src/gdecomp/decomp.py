@@ -198,6 +198,13 @@ class GlobalDecomposition:
         return [v for v in range(self.ball.vertex_count)
                 if self.ball.word_length[v] <= self.interior_radius]
 
+    def interior_bags(self):
+        """The bags that touch the interior region, by index; bags lying
+        wholly in the boundary annulus are truncation artifacts."""
+        length = self.ball.word_length
+        return [i for i, b in enumerate(self.bags)
+                if min(length[v] for v in b) <= self.interior_radius]
+
     def verify_axioms(self):
         """(H1) interior edge coverage, (H2) connectivity of each vertex's
         bag family. Coverage counts whether the edge lies inside a bag or
@@ -523,12 +530,8 @@ def check_vtf_conditions(decomp, stabilizers, torsion_sample):
 def build_nerve_complex(decomp):
     """Nerve of the bag covering: maximal simplices, dimension, connectivity.
 
-    Only bags touching the interior region participate; bags living
-    entirely in the boundary annulus are truncation artifacts."""
-    ball = decomp.ball
-    keep = [i for i in range(decomp.bag_count)
-            if min(ball.word_length[v] for v in decomp.bags[i])
-            <= decomp.interior_radius]
+    Only the interior bags participate (`GlobalDecomposition.interior_bags`)."""
+    keep = decomp.interior_bags()
     keep_set = set(keep)
     families = {}
     for v in range(decomp.ball.vertex_count):

@@ -2,8 +2,11 @@
 
 Exit-code mapping for the CLI lives in cli.py: CapExceeded -> 2; every
 other GdecompError and an invalid parameter (ValueError) -> 3. That
-includes UncertifiedRegion: an answer the built region cannot certify is
-not a cap that was hit, so it exits 3 like a failed verification.
+includes UncertifiedRegion: an answer the built region cannot certify (a
+lift past the truncated cover, the non-elementary check on a tree portion
+of radius below 2) is not a cap that was hit, so it exits 3 like a failed
+verification. The Tits type of a tree automorphism is read from normal
+forms and never raises it.
 """
 
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from gdecomp import (build_tree_portion, classify_tree_automorphism,
                      locate_torsion, verify_equivariant_isomorphism)
-from gdecomp.bassserre import (BassSerreTreePortion, DecompositionTree,
-                               is_non_elementary, perturb_tree_portion,
-                               small_index_threshold)
-from gdecomp.errors import UncertifiedRegion, VerificationFailure
+from gdecomp.bassserre import (DecompositionTree, is_non_elementary,
+                               perturb_tree_portion, small_index_threshold)
+from gdecomp.errors import VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.graphs import bfs
 from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
@@ -59,11 +58,7 @@ def test_conjugates_of_torsion_stay_elliptic(c2c3):
         for _ in range(rng.randrange(3)):
             w = multiply(w, rng.choice(gens))
         gamma = multiply(multiply(w, a), inverse(w))
-        try:
-            act = classify_tree_automorphism(tree, gamma)
-        except UncertifiedRegion:
-            continue
-        assert act.kind == "elliptic"
+        assert classify_tree_automorphism(tree, gamma).kind == "elliptic"
 
 
 def test_c4c2c6_classification(c4c2c6):
@@ -204,15 +199,17 @@ def test_tree_action_matches_element_set_keys(name):
     rng = random.Random(str(name))
     for radius in (2, 4):
         tree = build_tree_portion(group, radius)
+        orbit, reps, words, _, _ = reference_tree_portion(group, radius)
+        assert words == tree.words  # the same vertices in the same order
         n = tree.vertex_count
-        ref_index = {reference_coset_key(subgroups, tree.orbit[y], tree.reps[y]): y
+        ref_index = {reference_coset_key(subgroups, orbit[y], reps[y]): y
                      for y in range(n)}
         assert len(ref_index) == n
         for _ in range(6):
             gamma = _random_element(group, rng, 5)
             for x in range(n):
-                key = reference_coset_key(subgroups, tree.orbit[x],
-                                          multiply(gamma, tree.reps[x]))
+                key = reference_coset_key(subgroups, orbit[x],
+                                          multiply(gamma, reps[x]))
                 assert tree.action(gamma, x) == ref_index.get(key)
 
 
@@ -267,12 +264,14 @@ def _splittings(draw):
 @given(_splittings(), st.integers(0, 4))
 def test_tree_moves_match_transversal_search(group, radius):
     tree = build_tree_portion(group, radius)
-    assert (tree.orbit, [g.data for g in tree.reps], tree.words, tree.adj,
-            tree.dist) == reference_tree_portion(group, radius)
+    orbit, _, words, adj, dist = reference_tree_portion(group, radius)
+    assert (tree.orbit, tree.words, tree.adj) == (orbit, words, adj)
+    assert [len(w) // 2 for w in tree.words] == dist
 
 
 # Pinned tree actions: sha256 of the canonical JSON of each output, computed
-# while every action still normalized the whole word gamma * reps[x] * p_v.
+# while every action still normalized the whole word gamma * g * p_v for a
+# representative g of the vertex's coset.
 # The amalgam and c4*c2*c6 have nontrivial edge groups, so a carried
 # edge-group element can run on into the translated path word.
 
@@ -299,9 +298,13 @@ def _digest(obj):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_fixture = functools.cache(load_fixture)
+
+
 @functools.cache
 def _portion(name, radius):
-    return build_tree_portion(load_fixture(name), radius)
+    # one group per fixture, so portions of any radius share its elements
+    return build_tree_portion(_fixture(name), radius)
 
 
 CLASSIFY_DIGESTS = {
@@ -347,19 +350,22 @@ def test_action_digests(case):
 
 @pytest.mark.parametrize("case", sorted(ACTION_DIGESTS), ids=str)
 def test_distance_matches_bfs(case):
-    built = _portion(*case)
-    for tree in (built, perturb_tree_portion(built)):
-        n = tree.vertex_count
-        for x in random.Random(str(case)).sample(range(n), 12):
-            ref = bfs(tree.adj.__getitem__, x)
-            assert [tree.distance(x, y) for y in range(n)] \
-                == [ref.get(y) for y in range(n)]
+    tree = _portion(*case)
+    n = tree.vertex_count
+    for x in random.Random(str(case)).sample(range(n), 12):
+        ref = bfs(tree.adj.__getitem__, x)
+        assert [tree.distance(x, y) for y in range(n)] \
+            == [ref[y] for y in range(n)]
 
 
-# The root-path classification against the whole-portion scan. Radii 0
-# and 1 draw the words whose root image leaves the portion, where the scan
-# decides, and the uncertified ones. On the amalgams' trees every
-# displacement is even; z, an HNN extension, draws odd ones.
+# The word classification against the whole-portion scan. The scan runs
+# on a portion reaching one past gamma·root, which holds every vertex it
+# picks: an elliptic gamma's least fixed vertex lies at half the depth of
+# gamma·root, and the axis neighbours' images no deeper than one past it.
+# Words of at most 10 letters keep that portion small, far under
+# TREE_VERTEX_CAP. Radii 0 and 1 draw witnesses outside the portion. On
+# the amalgams' trees every displacement is even; z, an HNN extension,
+# draws odd ones.
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["c2*c3", "c4*c2*c6", "amalgam", "z"]),
@@ -373,26 +379,36 @@ def test_classify_matches_scan(name, radius, rng):
         gamma = multiply(multiply(w, g), inverse(w))
     else:
         gamma = _random_element(tree.group, rng, 10)
-    try:
-        expected = classify_by_scan(tree, gamma)
-    except UncertifiedRegion as exc:
-        with pytest.raises(UncertifiedRegion) as got:
-            classify_tree_automorphism(tree, gamma)
-        assert str(got.value) == str(exc)
-        return
+    depth = len(tree.group.translate_word(gamma, tree.words[0])) // 2
+    kind, length, witness = classify_by_scan(_portion(name, depth + 1), gamma)
+    # BFS numbering: the small portion's vertices come first in the large
+    inside = max(witness if kind == "hyperbolic" else (witness,)) \
+        < tree.vertex_count
     act = classify_tree_automorphism(tree, gamma)
-    assert (act.kind, act.translation_length, act.witness) == expected
+    assert (act.kind, act.translation_length, act.witness) \
+        == (kind, length, witness if inside else None)
+
+
+@pytest.mark.parametrize("radius, witness", [(4, None), (8, None), (16, 635)])
+def test_deep_conjugate_is_elliptic_at_any_radius(c2c3, radius, witness):
+    # (ab)^7·a·(ab)^-7 fixes a vertex at depth 14, outside the smaller
+    # portions: the type does not depend on the radius, the witness does
+    tree = build_tree_portion(c2c3, radius)
+    w = normal_form(c2c3, ["a", "b"] * 7)
+    gamma = multiply(multiply(w, c2c3.generators["a"]), inverse(w))
+    act = classify_tree_automorphism(tree, gamma)
+    assert (act.kind, act.witness) == ("elliptic", witness)
 
 
 def test_classify_reads_the_root_path(c2c3, zgroup, monkeypatch):
     calls = []
-    action = BassSerreTreePortion.action
+    translate = GraphOfGroupsGroup.translate_word
 
-    def counted(tree, gamma, x):
-        calls.append(x)
-        return action(tree, gamma, x)
+    def counted(group, gamma, word):
+        calls.append(word)
+        return translate(group, gamma, word)
 
-    monkeypatch.setattr(BassSerreTreePortion, "action", counted)
+    monkeypatch.setattr(GraphOfGroupsGroup, "translate_word", counted)
     tree = build_tree_portion(c2c3, 12)
     a, b = c2c3.generators["a"], c2c3.generators["b"]
     ab = multiply(a, b)
@@ -403,11 +419,10 @@ def test_classify_reads_the_root_path(c2c3, zgroup, monkeypatch):
                         (multiply(multiply(w, a), inverse(w)), "elliptic")):
         calls.clear()
         assert classify_tree_automorphism(tree, gamma).kind == kind
-        assert len(calls) <= 5  # the scan makes one per vertex: 379 here
+        assert len(calls) <= 3  # the scan makes one per vertex: 379 here
     # an odd displacement needs no midpoint image: the root's two images
-    # and one axis neighbour's
     calls.clear()
     act = classify_tree_automorphism(build_tree_portion(zgroup, 12),
                                      zgroup.generators["t"])
     assert (act.kind, act.translation_length) == ("hyperbolic", 1)
-    assert len(calls) == 3
+    assert len(calls) == 2

@@ -95,19 +95,28 @@ def test_classify_rejects_matrix_backend(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("radius, message", [
-    ("1", "min displacement 2 not certified on an axis segment; "
-          "build a larger portion"),
-    ("0", "no vertex image computable on the portion")])
-def test_classify_uncertified_exits_3(capsys, radius, message):
-    # an UncertifiedRegion is a verification that could not be made on
-    # the portion built, not a cap that was hit
+@pytest.mark.parametrize("radius", ["0", "1"])
+def test_classify_uncertified_exits_3(capsys, radius):
+    # the element's type needs no portion, but the non-elementary check
+    # needs two shells: an UncertifiedRegion is a verification that could
+    # not be made on the portion built, not a cap that was hit
     code = main(["classify", "--group", "c2*c3", "--element", "a*b",
                  "--radius", radius])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == f"gdecomp: {message}\n"
+    assert captured.err == "gdecomp: portion too small\n"
+
+
+def test_classify_deep_conjugate(capsys):
+    # (ab)^7·a·(ab)^-7 fixes a vertex at depth 14: elliptic at radius 4,
+    # with no witness inside the portion
+    element = "*".join(["a*b"] * 7 + ["a"] + ["b'*a'"] * 7)
+    code, out = run(capsys, "classify", "--group", "c2*c3", "--element",
+                    element, "--radius", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "elliptic" and data["witness"] is None
 
 
 def test_subgroup_command(capsys):

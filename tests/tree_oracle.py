@@ -10,7 +10,8 @@ their vertex and their coset as a set of elements, not by normal path
 words.
 
 `classify_by_scan` is the reference classification: the displacement of
-every portion vertex whose image lies in the portion.
+every portion vertex whose image lies in the portion, measured along
+the portion's edges from one BFS from the root.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from gdecomp.errors import UncertifiedRegion
+from gdecomp.graphs import bfs
 from gdecomp.groups import inverse, multiply
 
 
@@ -51,7 +53,7 @@ def tree_moves(group, subgroups):
 
 
 def tree_portion(group, radius):
-    """(orbit, reps data, words, adj, dist) of the ball of `radius` about
+    """(orbit, reps, words, adj, dist) of the ball of `radius` about
     H_0 in the coset tree, in BFS order over the searched moves."""
     subgroups = [group.based_vertex_subgroup(v)
                  for v in range(len(group.gog.vertices))]
@@ -80,23 +82,32 @@ def tree_portion(group, radius):
                 adj[x].add(y)
                 adj[y].add(x)
     words = [group.coset_word(v, g) for v, g in zip(orbit, reps)]
-    return (orbit, [g.data for g in reps], words, [sorted(a) for a in adj],
-            dist)
+    return orbit, reps, words, [sorted(a) for a in adj], dist
 
 
 def classify_by_scan(tree, gamma):
     """(kind, translation length, witness) of gamma on the portion:
     elliptic at the least-index fixed vertex, hyperbolic at the least
     vertex of least displacement with a neighbour of the same
-    displacement, and UncertifiedRegion otherwise."""
+    displacement, and UncertifiedRegion otherwise. Displacements are path
+    lengths in `adj`, through parent links of one BFS from the root."""
+    depth = bfs(tree.adj.__getitem__, 0)
+    parent = {z: next(p for p in tree.adj[z] if depth[p] == d - 1)
+              for z, d in depth.items() if d}
+
+    def distance(x, y):
+        d = depth[x] + depth[y]
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            x = parent[x]
+        return d - 2 * depth[x]
+
     displacements = []
     for x in range(tree.vertex_count):
         y = tree.action(gamma, x)
-        if y is None:
-            continue
-        d = tree.distance(x, y)
-        if d is not None:
-            displacements.append((d, x, y))
+        if y is not None:
+            displacements.append((distance(x, y), x, y))
     if not displacements:
         raise UncertifiedRegion("no vertex image computable on the portion")
     dmin = min(d for d, _, _ in displacements)
