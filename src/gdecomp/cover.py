@@ -11,16 +11,20 @@ immediate backtrack folding (each new edge is installed as k and as
 guessed. The cycles of length <= r are the translates of the simple
 closed words at the identity (`cycles.closed_words`). The cover is a
 coset enumeration of the group presented by those words, scanned from a
-deduction queue (Todd-Coxeter): a node is scanned when it is created by
-a layer's expansion or survives a merge, since only then can a walk
-through it newly complete. A scan walks the words through the cover's
-rows as one prefix trie, so that shared prefixes are walked once; when a
-lift fails to close, its endpoints are merged and the merge is
-propagated label by label by Stallings folding, which queues the merged
-nodes in turn. The result quotients the walk tree exactly by closures of
-short cycles, so identifications are sound; completeness holds wherever
-every relevant short cycle is visible, which is what the certified depth
-records.
+queue of edges (Todd-Coxeter with deductions, as `subgroups._deduce`
+scans): an edge (x, k) is queued when a layer's expansion creates it or
+a merge moves it onto a surviving node, since only then can a walk
+through it newly complete. The words are closed under rotation and
+reversal, as a rotation of a simple closed walk at the identity,
+translated back there, is another, so the short cycles through (x, k)
+are the words that start with k, walked from x; they are indexed by
+first letter once. A scan walks each forward from x and, where it
+stops, backward from x; when a lift fails to close, its endpoints are
+merged and the merge is propagated label by label by Stallings folding,
+which queues the edges it moves in turn. The result quotients the walk
+tree exactly by closures of short cycles, so identifications are sound;
+completeness holds wherever every relevant short cycle is visible, which
+is what the certified depth records.
 
 When the cover is the ball: the cover is the Cayley graph of
 Γ_r = <S | closed words of length <= r>, and every fold is forced, so a
@@ -62,14 +66,17 @@ from .graphs import UnionFind, bfs
 from .groups import invert_word, multiply
 from .subgroups import presentation_from_group
 
-DEFAULT_NODE_CAP = 500_000
+# the most nodes the enumeration creates before it raises CapExceeded
+NODE_CAP = 500_000
 # the most iterations DeckLift.order_on_region composes
 DECK_ORDER_CAP = 64
 
 
 class TruncatedCover:
     __slots__ = ("base", "r", "depth", "projection", "right", "node_depth",
-                 "certified_depth", "root")
+                 "certified_depth")
+
+    root = 0
 
     def __init__(self, base, r, depth, projection, right, node_depth,
                  certified_depth):
@@ -81,7 +88,6 @@ class TruncatedCover:
         self.right = right
         self.node_depth = node_depth
         self.certified_depth = certified_depth
-        self.root = 0
 
     @property
     def vertex_count(self):
@@ -147,7 +153,7 @@ class DeckLift:
         return None
 
 
-def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
+def build_truncated_cover(ball, r, depth):
     """BFS walk classes to `depth`, folding closures of cycles of length <= r.
 
     Expansion runs out to depth + r so every cycle relevant to a kept
@@ -156,8 +162,8 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     the root, Γ_r = Γ (module docstring) and the cover is read from the
     ball instead: projection range(|B(depth)|), the ball's rows with the
     entries that leave B(depth) set to -1, and the ball's word lengths.
-    With a node cap, CapExceeded(reached=node_cap) is raised before node
-    node_cap + 1 is added.
+    CapExceeded(reached=NODE_CAP) is raised before node NODE_CAP + 1 is
+    added.
     """
     if r < 3:
         raise ValueError("r must be >= 3")
@@ -165,8 +171,12 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
         raise ValueError("depth must be >= 0")
     if depth > ball.radius:
         raise ValueError("depth must be <= ball radius")
-    trie = _word_trie(ball, closed_words(ball, r))
     inv_gen = ball.inv_gen
+    # per generator k: the closed words that start with k, each with its
+    # steps inverted for the backward walk
+    rotations = [[] for _ in inv_gen]
+    for word in closed_words(ball, r):
+        rotations[word[0]].append((word, tuple(inv_gen[k] for k in word)))
     expand_depth = depth + r
     certified = depth if _is_closed(ball) else min(depth, max(0, ball.radius - r))
     walks = _presentation_walks(ball)
@@ -176,29 +186,30 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     find, parent = uf.find, uf.parent
     base_of = []
     rows = []  # per node (rep-owned): [node reached by generator k, or -1]
-    queue = []  # nodes to scan: new children and the roots of merges
+    queue = []  # edges (node, generator index) to scan
 
     def new_node(bv):
-        if len(base_of) >= node_cap:
-            raise CapExceeded("cover node cap exceeded", reached=node_cap)
+        if len(base_of) >= NODE_CAP:
+            raise CapExceeded("cover node cap exceeded", reached=NODE_CAP)
         base_of.append(bv)
         rows.append([-1] * len(inv_gen))
         return uf.add()
 
     def fold(a, b):
         """Union two nodes (always over one base vertex) and propagate the
-        merge through edges of one label, Stallings-style."""
+        merge through edges of one label, Stallings-style; queue every
+        edge that the surviving node takes over."""
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
             keep, gone = uf.union(x, y)
             if gone is None:
                 continue
-            queue.append(keep)
             merged = rows[keep]
             for k, node in enumerate(rows[gone]):
                 if node < 0:
                     continue
+                queue.append((keep, k))
                 node = find(node)
                 cur = merged[k]
                 if cur >= 0 and find(cur) != node:
@@ -213,40 +224,31 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
                     merged[k] = node
                     rows[node][inv_gen[k]] = keep
 
-    def scan(x):
-        """Walk the word trie from x and fold x with the end of every
-        complete walk that does not close. A walk stops at a step with no
-        cover edge, which includes every step that leaves the ball. Where
-        one stops partway round a cycle and the walk from x the other way
-        round gets as far (`_word_trie`), the two make up a complete walk
-        through x that starts elsewhere, and their ends are folded.
-
-        A fold during the scan can absorb nodes held on the stack, so
-        each is re-found when popped. The fold queues its surviving root,
-        whose own scan covers whatever the stale part of this one misses.
-        """
-        reached = {}  # trie node id -> cover node
-        stopped = []  # (meets, cover node) where a walk stopped
-        stack = [(trie, x)]
-        while stack:
-            (tid, branches), cur = stack.pop()
-            if parent[cur] != cur:
-                cur = find(cur)
-            reached[tid] = cur
-            row = rows[cur]
-            for k, sub, meets in branches:
-                nxt = row[k]
-                if nxt < 0:
-                    if meets:
-                        stopped.append((meets, cur))
-                elif sub is not None:
-                    stack.append((sub, nxt))
-                elif nxt != x and find(nxt) != find(x):
-                    fold(x, nxt)
-                    row = rows[find(cur)]
-        for meets, cur in stopped:
-            for tid in reached.keys() & meets:
-                fold(reached[tid], cur)
+    def scan(x, k):
+        """Walk each closed word that starts with k forward from x as far
+        as the cover's edges go, and the rest of it backward from x. Where
+        the two walks meet, their ends are one vertex of the cycle, so
+        they are folded; a complete forward walk meets the empty backward
+        walk at x. A cover edge comes only from the expansion, so an entry
+        that one word would force is left undefined. Once x is absorbed,
+        its edges are queued at the survivor, and the scan stops."""
+        for word, back in rotations[k]:
+            f, p = x, 0
+            while p < len(word):
+                y = rows[f][word[p]]
+                if y < 0:
+                    break
+                f, p = y if parent[y] == y else find(y), p + 1
+            b, q = x, len(word)
+            while q > p:
+                y = rows[b][back[q - 1]]
+                if y < 0:
+                    break
+                b, q = y if parent[y] == y else find(y), q - 1
+            if q == p and b != f:
+                fold(f, b)
+                if parent[x] != x:
+                    return
 
     root = new_node(0)
 
@@ -262,15 +264,18 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
     def depths():
         return bfs(lambda x: (find(y) for y in rows[x] if y >= 0), root)
 
-    # Expand layer by layer and drain the queue before the next layer. A
-    # walk that a new edge completes starts or ends at the new child, as a
-    # simple cycle cannot pass through a leaf; one that a merge completes
-    # runs through the merged root, which `scan` checks both ways round.
-    # So the queue reaches every fold that rescanning all nodes would, and
-    # each layer ends at the least fixpoint, one partition whatever the
-    # scan order (UnionFind keeps the least member). The numbering follows
-    # the expansion (module docstring); tests/cover_oracle.py holds the
-    # full rescan it is checked against. Once the expansion reaches the
+    # Expand layer by layer and drain the queue before the next layer. The
+    # closed words are closed under rotation and reversal, so the short
+    # cycles through an edge (x, k) are the words that start with k walked
+    # from x, and `scan` sees each of them whole. A walk that an edge
+    # completes runs through that edge, and one that a merge completes
+    # runs through an edge the surviving node took over; the expansion
+    # queues every new edge and `fold` every edge it moves, and a node
+    # that is absorbed has its edges queued at the survivor. So each layer
+    # ends at the least fixpoint, one partition whatever the scan order
+    # (UnionFind keeps the least member). The numbering follows the
+    # expansion (module docstring); tests/cover_oracle.py holds the full
+    # rescan it is checked against. Once the expansion reaches the
     # presentation's walks, the cover is B(depth) if they all close.
     for layer in range(expand_depth):
         if walks is not None and layer >= walk_depth \
@@ -291,10 +296,10 @@ def build_truncated_cover(ball, r, depth, node_cap=DEFAULT_NODE_CAP):
                     child = new_node(bw)
                     rows[x][k] = child
                     rows[child][inv_gen[k]] = x
-                    queue.append(child)
-        for x in queue:  # grows while it is scanned
-            if find(x) == x:
-                scan(x)
+                    queue.append((x, k))
+        for x, k in queue:  # grows while it is scanned
+            if parent[x] == x:
+                scan(x, k)
         queue.clear()
 
     # compact: keep representatives within the requested depth
@@ -350,40 +355,6 @@ def _presentation_walks(ball):
     walks += [spell(words[ball.locate(gens[name])], invert_word(w))
               for name, w in pres.generator_words.items()]
     return [w for w in walks if w]
-
-
-def _word_trie(ball, words):
-    """The closed words as a prefix trie for `scan`.
-
-    A node is (id, branches); a branch is (generator index, child, meets),
-    and its child is None where a word ends (a closed word never extends
-    another). Walked from one vertex, a word u of length n and its
-    reverse word, u's inverse generators in reverse order
-    (`ball.inv_gen`), go round one cycle in the two directions. A walk of u
-    that stops before step p + 1 (0 < p < n) is at the cycle's p-th
-    vertex, and so is the reverse walk after n - p steps. `meets` holds
-    the ids of the nodes those reverse walks are at, over every word
-    through the branch.
-    """
-    ids, nexts = {(): 0}, {(): {}}  # proper word prefix -> id, next steps
-    for word in words:
-        for p in range(len(word)):
-            ids.setdefault(word[:p], len(ids))
-            nexts.setdefault(word[:p], {})[word[p]] = None
-    meets = {}  # (id, generator index) -> ids
-    for word in words:
-        n, rev = len(word), tuple(ball.inv_gen[k] for k in reversed(word))
-        for p in range(1, n):
-            meets.setdefault((ids[word[:p]], word[p]), set()).add(
-                ids[rev[:n - p]])
-
-    def node(prefix):
-        i = ids[prefix]
-        return i, tuple(
-            (k, node(prefix + (k,)) if prefix + (k,) in ids else None,
-             frozenset(meets.get((i, k), ())))
-            for k in nexts[prefix])
-    return node(())
 
 
 def _is_closed(ball):

@@ -169,7 +169,7 @@ class GraphOfGroupsGroup:
 
     def _prepare_edge_data(self):
         # per (edge, sign): tail vertex, head vertex, tail/head embeddings,
-        # preimage dicts, and lowest-index coset reps.
+        # the head embedding's preimage dict, and lowest-index coset reps.
         self._dir = {}
         for ei, e in enumerate(self.gog.edges):
             for sign in (+1, -1):
@@ -177,7 +177,6 @@ class GraphOfGroupsGroup:
                 emb_tail = e.into_u if sign == 1 else e.into_v
                 emb_head = e.into_v if sign == 1 else e.into_u
                 tail_tbl = self.gog.vertices[tail]
-                pre_tail = {img: c for c, img in enumerate(emb_tail)}
                 pre_head = {img: c for c, img in enumerate(emb_head)}
                 # lowest-index representative of each left coset g * emb_tail
                 rep = [None] * tail_tbl.order
@@ -192,7 +191,6 @@ class GraphOfGroupsGroup:
                     "head": head,
                     "emb_tail": emb_tail,
                     "emb_head": emb_head,
-                    "pre_tail": pre_tail,
                     "pre_head": pre_head,
                     "rep": rep,
                 }

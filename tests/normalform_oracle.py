@@ -45,7 +45,7 @@ def normalize(self, items):
         r = info["rep"][g_prev[2]]
         tbl = self.gog.vertices[info["tail"]]
         h = tbl.mul[tbl.inv[r]][g_prev[2]]  # r * h = g_prev, h in tail image
-        c = info["pre_tail"][h]
+        c = info["emb_tail"].index(h)
         items[i - 1] = ("v", info["tail"], r)
         items[i + 1] = _vmul(self, ("v", info["head"], info["emb_head"][c]),
                              items[i + 1])

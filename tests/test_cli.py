@@ -509,6 +509,13 @@ COVER_DIGESTS = {
         "cf1e91d928bea4093f727765062a4e1983b641e89de7d67573e696414785478f",
     ("z5", 8, 4, 8):
         "f2e1ff7db80fd36fe6db39aec5e853e1a1bc4978d43915f61fbc73ada5c970e9",
+    # proper covers (Γ_r != Γ): the enumeration runs to depth + r
+    ("sl2z", 12, 4, 6):
+        "15d5429606dfcb799abcb432dea8846cf6646bc7dbf489b05a1ab615f70e11b3",
+    ("amalgam", 12, 5, 5):
+        "67f46ce149fb97ce628b530d1664270be31fb8d172fe31487ded5c4a4a98d808",
+    ("c4*c2*c6", 12, 5, 6):
+        "b1a3b5df1d25ed71a94a4bd88f88d47369905f76d1e49f0a76696b08e452c851",
 }
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gdecomp import cover
 from gdecomp import (build_ball, build_truncated_cover, classify_cycle_lift,
                      enumerate_short_cycles, estimate_displacement,
                      lift_element_action, order_threshold,
@@ -110,15 +111,17 @@ def test_depth_guard(z5):
         build_truncated_cover(ball, 4, -1)
 
 
-def test_node_cap_reached_is_cap(z5):
+def test_node_cap_reached_is_cap(z5, monkeypatch):
     # r = 4 leaves the 5-cycle open, so the walk tree is a path of
     # 2 * (depth + r) + 1 = 25 nodes; like graphs.bfs, a cap of N raises
     # with reached == N before node N + 1 is added
     ball = build_ball(z5, 8)
-    assert build_truncated_cover(ball, 4, 8, node_cap=25).vertex_count == 17
+    monkeypatch.setattr(cover, "NODE_CAP", 25)
+    assert build_truncated_cover(ball, 4, 8).vertex_count == 17
     for cap in (1, 5, 24):
+        monkeypatch.setattr(cover, "NODE_CAP", cap)
         with pytest.raises(CapExceeded) as exc:
-            build_truncated_cover(ball, 4, 8, node_cap=cap)
+            build_truncated_cover(ball, 4, 8)
         assert exc.value.reached == cap
 
 
@@ -131,11 +134,13 @@ def test_node_cap_reached_is_cap(z5):
     (load_fixture("c4*c2*c6"), 6, 3, 36),
     (SL2Z, 6, 3, 36),
 ])
-def test_cover_read_from_ball_within_node_cap(group, r, depth, size):
+def test_cover_read_from_ball_within_node_cap(group, r, depth, size,
+                                             monkeypatch):
     # the presentation's walks close in the cover expanded to half the
     # longest, so the cover is B(depth) in ball order
     ball = build_ball(group, 10)
-    cov = build_truncated_cover(ball, r, depth, node_cap=500)
+    monkeypatch.setattr(cover, "NODE_CAP", 500)
+    cov = build_truncated_cover(ball, r, depth)
     assert cov.projection == ball.interior(depth) == list(range(size))
     assert cov.node_depth == ball.word_length[:size]
     assert cov.certified_depth == min(depth, 10 - r)

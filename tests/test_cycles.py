@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from cycle_oracle import simple_cycles as py_cycles
 from gdecomp import build_ball, enumerate_short_cycles
+from gdecomp.cycles import closed_words
+from gdecomp.fixtures import FIXTURES, load_fixture
 from gdecomp.groups import invert_word, parse_word, render_word
 
 
@@ -53,6 +55,18 @@ def test_canonical_rotation_invariant(sl2z_ball8):
     cycles = enumerate_short_cycles(sl2z_ball8, 4)
     seen = {(c.canonical, frozenset(c.vertices)) for c in cycles}
     assert len(seen) == len(cycles)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_closed_words_closed_under_rotation_and_reversal(name):
+    # the cover scans an edge labelled k over the words that start with
+    # k, which sees every short cycle through the edge only because of this
+    ball = build_ball(load_fixture(name), 4)
+    inv = ball.inv_gen
+    for r in range(3, 9):
+        words = set(closed_words(ball, r))
+        assert {w[i:] + w[:i] for w in words for i in range(len(w))} == words
+        assert {tuple(inv[k] for k in reversed(w)) for w in words} == words
 
 
 @st.composite
