@@ -43,9 +43,20 @@ the enumeration runs on to depth + r only while some walk stays open
 a matrix spec without one, a graph of groups with a non-cyclic vertex
 group), or where a symbol's element lies outside the ball.
 
-Each layer's nodes are expanded in id order, each creating its children
-in the order of the base vertices they reach (`ball.neighbors`), not in
-generator order; artifacts depend on this numbering. A deck
+Each node is expanded once, in the layer after the one that created it:
+nodes are numbered in creation order, so a layer's frontier is the
+surviving nodes that the previous expansion made, and no search finds
+it. A node is never farther from the root than the layer that created
+it, and a representative is the least member of its class, so every
+node at distance exactly `layer` is in that frontier; the frontier can
+hold more only where a fold brought a node nearer before its expansion,
+and expanding it then leaves no hole below the depth. A node absorbed
+before its expansion gives its row to a survivor that is expanded
+already or in the same layer. The one BFS is at compaction, which reads
+each node's distance from the root. The frontier is expanded in id
+order, each node creating its children in the order of the base
+vertices they reach (`ball.neighbors`), not in generator order;
+artifacts depend on this numbering. A deck
 transformation acts on the left and labels on the right, gamma * (x * s)
 = (gamma * x) * s, so it maps the edge labelled k at x to the edge
 labelled k at x's image (`lift_element_action`), with no product in the
@@ -154,10 +165,13 @@ class DeckLift:
 
 
 def build_truncated_cover(ball, r, depth):
-    """BFS walk classes to `depth`, folding closures of cycles of length <= r.
+    """Walk classes to `depth`, folding closures of cycles of length <= r.
 
     Expansion runs out to depth + r so every cycle relevant to a kept
-    vertex is lifted in full; the returned cover is the depth-truncation.
+    vertex is lifted in full, each node expanded once, in the layer after
+    the one that created it; the returned cover is the depth-truncation,
+    with each node's distance from the root read by the one BFS at
+    compaction.
     Once all the presentation's walks (`_presentation_walks`) close at
     the root, Γ_r = Γ (module docstring) and the cover is read from the
     ball instead: projection range(|B(depth)|), the ball's rows with the
@@ -261,22 +275,25 @@ def build_truncated_cover(ball, r, depth):
             x = find(x)
         return x == root
 
-    def depths():
-        return bfs(lambda x: (find(y) for y in rows[x] if y >= 0), root)
-
-    # Expand layer by layer and drain the queue before the next layer. The
-    # closed words are closed under rotation and reversal, so the short
-    # cycles through an edge (x, k) are the words that start with k walked
-    # from x, and `scan` sees each of them whole. A walk that an edge
-    # completes runs through that edge, and one that a merge completes
-    # runs through an edge the surviving node took over; the expansion
-    # queues every new edge and `fold` every edge it moves, and a node
-    # that is absorbed has its edges queued at the survivor. So each layer
-    # ends at the least fixpoint, one partition whatever the scan order
-    # (UnionFind keeps the least member). The numbering follows the
-    # expansion (module docstring); tests/cover_oracle.py holds the full
-    # rescan it is checked against. Once the expansion reaches the
-    # presentation's walks, the cover is B(depth) if they all close.
+    # Expand layer by layer and drain the queue before the next layer.
+    # Each surviving node is expanded once, in the layer after the one
+    # that created it, so the frontier is read off the creation order with
+    # no search (module docstring): every node at distance `layer` is in
+    # it, and a node that a fold brought nearer is still expanded, so no
+    # hole is left. The closed words are closed under rotation and
+    # reversal, so the short cycles through an edge (x, k) are the words
+    # that start with k walked from x, and `scan` sees each of them
+    # whole. A walk that an edge completes runs through that edge, and one
+    # that a merge completes runs through an edge the surviving node took
+    # over; the expansion queues every new edge and `fold` every edge it
+    # moves, and a node that is absorbed has its edges queued at the
+    # survivor. So each layer ends at the least fixpoint, one partition
+    # whatever the scan order (UnionFind keeps the least member). The
+    # numbering follows the expansion (module docstring);
+    # tests/cover_oracle.py holds the full rescan it is checked against.
+    # Once the expansion reaches the presentation's walks, the cover is
+    # B(depth) if they all close.
+    created = root  # the first node the previous expansion made
     for layer in range(expand_depth):
         if walks is not None and layer >= walk_depth \
                 and all(map(closes, walks)):
@@ -284,10 +301,10 @@ def build_truncated_cover(ball, r, depth):
             right = [[j if j < n else -1 for j in row] for row in ball.right[:n]]
             return TruncatedCover(ball, r, depth, list(range(n)), right,
                                   ball.word_length[:n], certified)
-        d = depths()
-        frontier = sorted(x for x, dx in d.items() if dx == layer)
+        frontier = [x for x in range(created, len(base_of)) if parent[x] == x]
         if not frontier:
             break
+        created = len(base_of)
         for x in frontier:
             bv = base_of[x]
             for bw in ball.neighbors(bv):
@@ -302,8 +319,9 @@ def build_truncated_cover(ball, r, depth):
                 scan(x, k)
         queue.clear()
 
-    # compact: keep representatives within the requested depth
-    d = depths()
+    # compact: keep representatives within the requested depth, by the
+    # one BFS from the root
+    d = bfs(lambda x: (find(y) for y in rows[x] if y >= 0), root)
     kept = sorted((dx, x) for x, dx in d.items() if dx <= depth)
     relabel = {x: i for i, (_, x) in enumerate(kept)}
     projection = [base_of[x] for _, x in kept]
@@ -461,7 +479,9 @@ def estimate_displacement(cover):
 
     Returns {"delta", "exact", "certified_diameter"}; delta is None when
     no base vertex has two lifts in the certified region (the true
-    displacement then exceeds the certified diameter).
+    displacement then exceeds the certified diameter). Each lift's search
+    is bounded by the best distance found so far, as a farther lift
+    cannot lower it.
     """
     certified = set(cover.certified_vertices())
     by_base = {}
@@ -473,7 +493,7 @@ def estimate_displacement(cover):
         if len(verts) < 2:
             continue
         for s in verts:
-            dist = bfs(cover.neighbors, s)
+            dist = bfs(cover.neighbors, s, best)
             for t in verts:
                 if t != s and t in dist and (best is None or dist[t] < best):
                     best = dist[t]

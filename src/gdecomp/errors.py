@@ -31,11 +31,7 @@ class CapExceeded(GdecompError):
 
 
 class VerificationFailure(GdecompError):
-    """A checked invariant failed; carries witnesses when available."""
-
-    def __init__(self, message, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses or []
+    """A checked invariant failed."""
 
 
 class UncertifiedRegion(GdecompError):

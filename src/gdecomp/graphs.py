@@ -12,15 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import CapExceeded
 
-
-def bfs(neighbors, start, radius=None, cap=None):
+def bfs(neighbors, start, radius=None):
     """{vertex: distance from start}, in BFS order.
 
     neighbors(x) yields x's neighbours; they are visited in that order.
-    Vertices at distance `radius` are kept but not expanded. With a cap,
-    CapExceeded(reached=cap) is raised before vertex cap + 1 is added.
+    Vertices at distance `radius` are kept but not expanded.
     """
     dist = {start: 0}
     queue = deque([start])
@@ -31,9 +28,6 @@ def bfs(neighbors, start, radius=None, cap=None):
             continue
         for y in neighbors(x):
             if y not in dist:
-                if cap is not None and len(dist) >= cap:
-                    raise CapExceeded(f"search exceeded vertex cap {cap}",
-                                      reached=cap)
                 dist[y] = d + 1
                 queue.append(y)
     return dist

@@ -12,6 +12,7 @@ from gdecomp.cover import TruncatedCover
 from gdecomp.cycles import closed_words
 from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam, make_free_group
+from gdecomp.graphs import bfs
 from gdecomp.groups import GraphOfGroupsGroup, MatrixGroup, multiply
 
 from cover_oracle import build_truncated_cover as oracle_cover
@@ -242,14 +243,20 @@ def _cover_inputs(draw):
 
 
 def _assert_coset_table(cov):
-    """Edges follow the base table and come in inverse pairs, and every
-    closed word walked from a node that completes returns to it."""
+    """Edges follow the base table and come in inverse pairs, a node below
+    the depth has an edge for every generator that moves its base vertex
+    within the ball (no hole), and every closed word walked from a node
+    that completes returns to it."""
     ball = cov.base
     for x, row in enumerate(cov.right):
+        v = cov.projection[x]
         for k, y in enumerate(row):
             if y >= 0:
-                assert cov.projection[y] == ball.right[cov.projection[x]][k]
+                assert cov.projection[y] == ball.right[v][k]
                 assert cov.right[y][ball.inv_gen[k]] == x
+        if cov.node_depth[x] < cov.depth:
+            assert [k for k, y in enumerate(row) if y >= 0] \
+                == [k for k, w in enumerate(ball.right[v]) if w >= 0 and w != v]
     words = closed_words(ball, cov.r)
     for x in range(cov.vertex_count):
         for word in words:
@@ -274,17 +281,37 @@ def _assert_coset_table(cov):
 # no presentation (the sl3z spec has none), so the enumeration runs
 @example((load_fixture("sl3z"), 3), 1, 0)
 def test_cover_matches_full_rescan(group_r, depth, slack):
-    # the queued build must give the same cover, numbering included, as
-    # rescanning every unsaturated node until nothing folds; a small slack
-    # makes the ball's boundary cut walks near the cover's edge
+    # the queued build must give the same cover, numbering and depths
+    # included, as rescanning every unsaturated node until nothing folds,
+    # and the bounded displacement search the unbounded one's answer; a
+    # small slack makes the ball's boundary cut walks near the cover's edge
     group, r = group_r
     try:
         ball = build_ball(group, max(depth, r // 2) + slack, cap=1500)
     except CapExceeded:
         assume(False)
     cov = build_truncated_cover(ball, r, depth)
-    assert cov.to_json() == oracle_cover(ball, r, depth).to_json()
+    oracle = oracle_cover(ball, r, depth)
+    assert cov.to_json() == oracle.to_json()
+    assert cov.node_depth == oracle.node_depth
     _assert_coset_table(cov)
+    assert estimate_displacement(cov) == _full_search_displacement(cov)
+
+
+def _full_search_displacement(cov):
+    """estimate_displacement by an unbounded BFS from every certified lift
+    of every base vertex."""
+    certified = cov.certified_vertices()
+    best = None
+    for s in certified:
+        dist = bfs(cov.neighbors, s)
+        for t in certified:
+            if t != s and t in dist and cov.projection[t] == cov.projection[s] \
+                    and (best is None or dist[t] < best):
+                best = dist[t]
+    return {"delta": best,
+            "exact": best is not None and best <= cov.certified_depth,
+            "certified_diameter": 2 * cov.certified_depth}
 
 
 def _lift_or_error(lift, cov, gamma):

@@ -1,7 +1,5 @@
-import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-from gdecomp.errors import CapExceeded
 from gdecomp.graphs import UnionFind, bfs
 
 
@@ -46,17 +44,6 @@ def test_bfs_radius_keeps_the_ball(graph, radius):
     full = relaxed_distances(adj, start)
     assert bfs(adj.__getitem__, start, radius) == {
         v: d for v, d in full.items() if d <= radius}
-
-
-@given(digraphs())
-def test_bfs_cap(graph):
-    adj, start = graph
-    n = len(relaxed_distances(adj, start))
-    assume(n >= 2)
-    assert len(bfs(adj.__getitem__, start, cap=n)) == n
-    with pytest.raises(CapExceeded) as exc:
-        bfs(adj.__getitem__, start, cap=n - 1)
-    assert exc.value.reached == n - 1
 
 
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
