@@ -19,7 +19,9 @@ or a point outside it, uses group arithmetic. The table's products come from the
 map x -> x * s that every backend supplies as `right_multiplier(s)`: a
 graph-of-groups group reads it from its memo of window products, as right
 multiplication by a generator rewrites only a bounded suffix of a normal
-form; a matrix group multiplies by the generator's columns, formed once.
+form; a matrix group compiles it once per generator into straight-line
+code over x's entries that forms only the generator's nonzero terms,
+from source text that holds nothing but names, indices and ints.
 
 Vertex keys (`elements[v].key()`) are not cached: each reader keys only
 the vertices it reads.

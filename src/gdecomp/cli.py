@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import bassserre, cover, decomp, subgroups
-from .cayley import build_ball, torsion_length_bound
+from .cayley import DEFAULT_CAP, build_ball, torsion_length_bound
 from .errors import (CapExceeded, GdecompError, SpecFormatError,
                      VerificationFailure)
 from .fixtures import FIXTURES, fixture_path
@@ -411,7 +411,7 @@ def build_parser():
     p = sub.add_parser("ball", help="Cayley ball export")
     _add_group(p)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--cap", type=int, default=2_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_common(p, ["json", "dot"])
     p.set_defaults(func=cmd_ball)
 

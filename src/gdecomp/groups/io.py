@@ -16,15 +16,16 @@ One versioned format ("gdecomp-group/1") covers both backends:
 
 Vertex/edge group tables may be given as {"cyclic": n}, {"trivial": true},
 {"mul": [[...]], "labels": [...]}, or {"permutations": [...], "degree": d}.
-A matrix spec's relators and torsion words are words of symbols X, X'
-or X^-1 over its generator names (`parse_word`), and its optional
-`modulus` is an integer >= 2. An edge's `tree` and a matrix spec's
-`special_linear` are JSON booleans, and `vertex_names`, if given, is an
-array of strings with one name per vertex. A spec that is not of this
-shape, or holds a field of the wrong JSON type, a word naming no
-generator, a `mul` that is not a square table with identity 0 or a
-permutation not of its degree, raises SpecFormatError; a `mul` that is
-not associative raises VerificationFailure.
+A matrix spec's `dimension` is an integer >= 1, its relators and
+torsion words are words of symbols X, X' or X^-1 over its generator
+names (`parse_word`), and its optional `modulus` is an integer >= 2. An
+edge's `tree` and a matrix spec's `special_linear` are JSON booleans,
+and `vertex_names`, if given, is an array of strings with one name per
+vertex. A spec that is not of this shape, or holds a field of the wrong
+JSON type, a word naming no generator, a `mul` that is not a square
+table with identity 0 or a permutation not of its degree, raises
+SpecFormatError; a `mul` that is not associative raises
+VerificationFailure.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ def load_group(source):
     name = data.get("name", "group")
     if kind == "matrix":
         _fields(data, "matrix group spec", "dimension", "generators")
+        dimension = _typed(data["dimension"], int, "matrix group 'dimension'")
+        if dimension < 1:
+            raise SpecFormatError("matrix group 'dimension' must be an integer "
+                                  f">= 1, got {dimension}")
         gens = _typed(data["generators"], dict, "matrix group 'generators'")
         for gname, mat in gens.items():
             for row in _typed(mat, list, f"generator {gname}"):
@@ -149,7 +154,7 @@ def load_group(source):
             _typed(special_linear, bool, "matrix group 'special_linear'")
         return MatrixGroup(
             name,
-            _typed(data["dimension"], int, "matrix group 'dimension'"),
+            dimension,
             gens,
             modulus=modulus,
             special_linear=bool(special_linear),

@@ -3,23 +3,28 @@
 Matrices are nested tuples of Python ints, so products never overflow
 and elements hash/compare structurally. An optional modulus turns the
 same machinery into a finite congruence quotient.
+
+Right multiplication by a fixed g, the product a Cayley ball forms for
+each of its edges, is compiled once per g into straight-line code over
+x's entries: entry (i, j) of x * g is the sum of x[i][k] * g[k][j] over
+g's nonzero entries in column j, so no zero term is multiplied and no
+loop runs. The source text is built from generated names, indices and
+the ints of g and the modulus, each passed through `operator.index`:
+the spec loader accepts only JSON integers as matrix entries and
+`MatrixGroup` applies `int()` to each, so no text from a spec reaches
+`exec`.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 
 from ..errors import SpecFormatError, VerificationFailure
 from .element import GroupElement, gen_symbols
 
 
 def mat_mul(a, b, modulus=None):
-    return _by_columns(a, tuple(zip(*b)), modulus)
-
-
-def _by_columns(a, cols, modulus):
-    """The product of a with the matrix whose columns are `cols`: each row
-    of a times each column."""
+    cols = tuple(zip(*b))
     if modulus is None:
         return tuple([tuple([sum(map(mul, row, col)) for col in cols])
                       for row in a])
@@ -72,6 +77,31 @@ def mat_reduce(a, modulus):
     return tuple(tuple(x % modulus for x in row) for row in a)
 
 
+def _compile_right_product(g, modulus, group):
+    """The straight-line function x -> x * g on elements of `group`, for
+    the matrix g: x's entries are unpacked into names, and each entry of
+    the product is the sum of its nonzero terms, a coefficient 1 written
+    as the bare name and an all-zero column as 0, reduced mod `modulus`
+    if there is one."""
+    names = [[f"x{i}_{k}" for k in range(len(g))] for i in range(len(g))]
+
+    def entry(row, col):
+        terms = " + ".join(v if c == 1 else f"{v}*{index(c)}"
+                           for v, c in zip(row, col) if c)
+        if not terms:
+            return "0"
+        return terms if modulus is None else f"({terms}) % {index(modulus)}"
+
+    cols = tuple(zip(*g))
+    unpack = "".join(f"({''.join(v + ', ' for v in row)}), " for row in names)
+    product = "".join(f"({''.join(entry(row, c) + ', ' for c in cols)}), "
+                      for row in names)
+    namespace = {"GroupElement": GroupElement, "group": group}
+    exec(f"def times(x):\n    {unpack}= x.data\n"
+         f"    return GroupElement(({product}), group)\n", namespace)
+    return namespace["times"]
+
+
 class MatrixGroup:
     """Group generated by named integer matrices (optionally mod m)."""
 
@@ -101,16 +131,19 @@ class MatrixGroup:
                 m = mat_reduce(m, modulus)
             self.generators[gname] = GroupElement(m, self)
         self.identity = GroupElement(mat_identity(dimension), self)
+        # the compiled right multiplier per matrix (see `right_multiplier`)
+        self._right_products = {}
 
     def op(self, a, b):
         return GroupElement(mat_mul(a.data, b.data, self.modulus), self)
 
     def right_multiplier(self, g):
-        """The map x -> x * g on elements, with g's columns formed once."""
-        cols, modulus = tuple(zip(*g.data)), self.modulus
-
-        def times(x):
-            return GroupElement(_by_columns(x.data, cols, modulus), self)
+        """The map x -> x * g on elements, compiled on the first call for
+        g and kept in a memo on the group (see the module docstring)."""
+        times = self._right_products.get(g.data)
+        if times is None:
+            times = self._right_products[g.data] = _compile_right_product(
+                g.data, self.modulus, self)
         return times
 
     def inv(self, a):

@@ -257,9 +257,13 @@ _RELATORS = [["S", "S", "S", "S"]]
      "presentation 'relators' must be a JSON array, got 'SSSS'"),
     (_sl2z_with(special_linear="no"),
      "matrix group 'special_linear' must be a JSON boolean, got 'no'"),
+    (_sl2z_with(dimension=0, generators={"S": []}),
+     "matrix group 'dimension' must be an integer >= 1, got 0"),
+    (_sl2z_with(dimension=-1, generators={}),
+     "matrix group 'dimension' must be an integer >= 1, got -1"),
 ], ids=["relator-unknown", "torsion-unknown", "symbol-int",
         "presentation-list", "modulus-string", "relators-string",
-        "special-linear-string"])
+        "special-linear-string", "dimension-zero", "dimension-negative"])
 def test_malformed_matrix_spec_exits_3(tmp_path, capsys, command, spec,
                                        message):
     # these reached the pipeline unchecked: a KeyError, AttributeError or
@@ -564,6 +568,8 @@ BALL_DIGESTS = {
         "7fdbe5db5023d6dcffdff8b7b73bd97c4d5caa094ac6387ef91f7bb31283503e",
     ("sl2z", 6, "dot"):
         "38fdee27950cd290baf80762f81b2f6465935bbbad0f73ba9eb6b05a6dd722bd",
+    ("sl3z", 3, "json"):
+        "3c0cf4a5719783ebd827a9ead5a0722c2cdfaee3e3415ef18f209d35e1429635",
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import normalform_oracle as oracle
 from gdecomp import subgroups
+from gdecomp.cayley import build_ball
 from gdecomp.errors import (BackendMismatch, CapExceeded, SpecFormatError,
                             UnknownGenerator, VerificationFailure)
 from gdecomp.fixtures import (fixture_path, load_fixture, make_cyclic_amalgam,
@@ -398,3 +399,62 @@ def test_mat_mul_matches_triple_loop(rows, modulus):
     n = len(rows) // 2
     a, b = tuple(map(tuple, rows[:n])), tuple(map(tuple, rows[n:]))
     assert mat_mul(a, b, modulus) == _triple_loop(a, b, modulus)
+
+
+# the compiled right multipliers against the triple loop, on random square
+# matrices: entries mostly 0 and ±1, as generators have them, and also up
+# to 50 in size and near 10**20
+
+_unit_entries = st.sampled_from([0, 1, -1])
+_entries = st.one_of(
+    _unit_entries, _unit_entries, _unit_entries, st.integers(-50, 50),
+    st.integers(10**20, 10**20 + 99).flatmap(lambda v: st.sampled_from([v, -v])))
+
+
+def _matrix_pairs(n):
+    matrix = st.lists(st.lists(_entries, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return st.tuples(matrix, matrix)
+
+
+@example(([[1, 0, 2], [-3, 0, 0], [5, 0, 1]], [[2, 5, -1], [7, 1, 0],
+                                              [10**20, 0, 1]]), None)
+@example(([[7, 1], [14, 1]], [[3, 10**20 + 1], [-1, 4]]), 7)
+@given(st.integers(1, 4).flatmap(_matrix_pairs), st.sampled_from([None, 2, 7]))
+def test_right_multiplier_matches_triple_loop(pair, modulus):
+    # the examples give g an all-zero column, the second after reduction
+    g_rows, x_rows = pair
+    group = MatrixGroup("random", len(g_rows), {"g": g_rows}, modulus=modulus)
+    g = group.generators["g"]
+    x = GroupElement(tuple(map(tuple, x_rows)), group)
+    times = group.right_multiplier(g)
+    assert times(x).data == _triple_loop(x.data, g.data, modulus)
+    assert group.right_multiplier(g) is times
+
+
+class _TripleLoopGroup:
+    """A matrix group whose right multipliers form each product by the
+    triple loop."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
+    def right_multiplier(self, g):
+        group = self.group
+        return lambda x: GroupElement(
+            _triple_loop(x.data, g.data, group.modulus), group)
+
+
+@pytest.mark.parametrize("name, radius", [("sl2z", 8), ("sl3z", 3),
+                                          ("agl15", 6)])
+def test_ball_matches_triple_loop_ball(name, radius):
+    group = _matrix_group(name)
+    ball = build_ball(group, radius)
+    reference = build_ball(_TripleLoopGroup(group), radius)
+    assert ball.right == reference.right
+    assert ball.words == reference.words
+    assert [x.data for x in ball.elements] \
+        == [x.data for x in reference.elements]
