@@ -175,12 +175,21 @@ def cmd_subgroup(args):
     if isinstance(group, GraphOfGroupsGroup):
         report["euler_characteristic"] = str(group.gog.euler_characteristic())
         if cert.rank is not None:
-            report["rank_chi_consistent"] = (
-                cert.rank == subgroups.expected_free_rank(group.gog, cert.index))
+            _check_rank(group, cert)
+            report["rank_chi_consistent"] = True
     _emit(canonical_json(report), args.out)
     if not tf or cert.rank is None:
         return 3
     return 0
+
+
+def _check_rank(group, cert):
+    """Raise unless a free kernel of a graph-of-groups group has the rank
+    1 + index·(-χ) that the Euler characteristic forces."""
+    want = subgroups.expected_free_rank(group.gog, cert.index)
+    if cert.rank != want:
+        raise VerificationFailure(f"certified rank {cert.rank} contradicts "
+                                  f"1 + index*(-chi) = {want}")
 
 
 def cmd_bounds(args):
@@ -298,6 +307,8 @@ def run_pipeline(group, config):
         cert = subgroups.kernel_subgroup(hom, pres)
         subgroups.reidemeister_schreier(cert, pres)
         subgroups.verify_torsion_free(cert, pres)
+        if gog is not None and cert.rank is not None:
+            _check_rank(group, cert)
         save("certificate", cert.to_json())
 
     bundle["summary"] = _summary_row(group.name, gog, dec_json)

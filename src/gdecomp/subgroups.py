@@ -7,8 +7,9 @@ the kernel, and attempt a freeness certificate by Schreier rewriting
 plus Tietze elimination. The hom's one enumeration of its image group
 is the kernel's prefix-closed Schreier transversal and coset table.
 Since kernels are normal, torsion-freeness reduces to "no nontrivial
-torsion representative maps to the identity"; the per-coset conjugate
-sweep is still recorded as evidence.
+torsion representative maps to the identity": no conjugate is checked,
+and `conjugates_per_representative` records the index, the number of
+conjugates that normality covers.
 """
 
 from __future__ import annotations
@@ -611,48 +612,47 @@ def reidemeister_schreier(cert, pres):
     """Schreier generators + rewritten relators; freeness via Tietze
     elimination when every rewritten relator dies.
 
-    The Schreier generator of (coset c, symbol s) is t[c]·s·t[d]^-1, with
-    d = c·s and t the transversal. The transversal is the hom's BFS tree,
-    so its words are reduced, and the generator is trivial exactly when
-    (c, s) is a tree edge: t[d] ends in (s, 1), or t[c] ends in (s, -1).
-    The generators are numbered by that rule, and only the free basis
-    that Tietze elimination leaves is formed as words."""
-    n = cert.index
+    The Schreier generator of (coset c, symbol s) is t[c]·s·t[c·s]^-1,
+    over the transversal t, the hom's BFS tree. It is trivial exactly
+    when (c, s) is a tree edge: t[c·s] ends in (s, 1), or t[c] ends in
+    (s, -1). The others are generators g = 1, 2, ... in (coset, symbol)
+    order, letters g and -g for g^-1. Transversal words are reduced, and
+    by the same rule neither junction of a free-basis word cancels, so it
+    is reduced as formed. Each step (s, e) has two columns from the coset
+    table, the coset each coset goes to and the letter read there (0 for
+    none), and each relator is rewritten from every coset at once."""
+    n, table, t = cert.index, cert.coset_table, cert.transversal
     pairs = _schreier_pairs(cert, pres.symbols)
-    gen_id = {pair: g for g, pair in enumerate(pairs)}
-
-    def rewrite(start, word):
-        out, c = [], start
-        for s, e in word:
-            if e > 0:
-                g = gen_id.get((c, s))
-                if g is not None:
-                    out.append((g, 1))
-                c = cert.coset_table[c][(s, 1)]
-            else:
-                c = cert.coset_table[c][(s, -1)]
-                g = gen_id.get((c, s))
-                if g is not None:
-                    out.append((g, -1))
-        if c != start:
+    letters = {s: [0] * n for s in pres.symbols}
+    for g, (c, s) in enumerate(pairs, 1):
+        letters[s][c] = g
+    columns = {}
+    for s, gen in letters.items():
+        back = [row[(s, -1)] for row in table]
+        columns[(s, 1)] = [row[(s, 1)] for row in table], gen
+        columns[(s, -1)] = back, [-gen[d] for d in back]
+    rewrites = []
+    # zip(*rewrites) would stop at an empty relator's empty list
+    for rel in filter(None, pres.relators):
+        cur, words = range(n), []
+        for x in rel:
+            nxt, gen = columns[x]
+            words.append(list(map(gen.__getitem__, cur)))
+            cur = list(map(nxt.__getitem__, cur))
+        if cur != list(range(n)):
             raise VerificationFailure("relator conjugate leaves the subgroup")
-        return tuple(out)
-
-    # _tietze reduces each relator and drops those that vanish
-    relators = [rewrite(c, rel) for c in range(n) for rel in pres.relators]
-    relators, eliminated = _tietze(relators)
-    if not relators:
-        t, table = cert.transversal, cert.coset_table
-        cert.free_basis = [
-            free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]]))
-            for g, (c, s) in enumerate(pairs) if g not in eliminated]
-        cert.rank = len(cert.free_basis)
-        cert.evidence["schreier_generators"] = len(pairs)
-        cert.evidence["eliminated"] = len(eliminated)
-        cert.evidence["free"] = True
-    else:
-        cert.evidence["free"] = False
+        rewrites.append([tuple(filter(None, w)) for w in zip(*words)])
+    relators, eliminated = _tietze([w for ws in zip(*rewrites) for w in ws])
+    cert.evidence["free"] = not relators
+    if relators:
         cert.evidence["residual_relators"] = len(relators)
+        return cert
+    cert.free_basis = [t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]])
+                       for g, (c, s) in enumerate(pairs, 1)
+                       if g not in eliminated]
+    cert.rank = len(cert.free_basis)
+    cert.evidence["schreier_generators"] = len(pairs)
+    cert.evidence["eliminated"] = len(eliminated)
     return cert
 
 
@@ -669,76 +669,76 @@ def _schreier_pairs(cert, symbols):
 def _tietze(relators):
     """Eliminate generators occurring exactly once in some relator.
 
-    Each step takes the first relator, in list order, in which some
-    generator occurs exactly once, solves it for the least such generator
-    g (rel = u g^e v gives g^e = u^-1 v^-1) and substitutes the solution
-    into the other relators, dropping those that reduce to the empty word.
-    The eliminations come in the same order as if every relator were
-    rewritten and rescanned after each step: relators keep their list
-    positions, an index from each generator to the relators that hold it
-    limits a substitution to those relators, and a heap of the positions
-    of relators with a generator occurring once gives the next step.
-
-    Returns the surviving relators in list order, and {g: replacement} in
-    elimination order.
+    Letters are nonzero ints, g and -g for g^-1. Each step solves the
+    first relator, in list order, with a generator occurring once for the
+    least such g (a rotation of it is g^e·v·u, so g^e = (v·u)^-1), drops
+    the other relators that are rotations p·g^e·q of it (q·p = v·u, so the
+    solution makes them p·(q·p)^-1·q, freely trivial) and substitutes
+    into the rest, dropping those that reduce to the empty word. That is
+    the order of rewriting and rescanning every relator after each step:
+    relators keep their list positions, an index from each generator to
+    its relators limits the substitutions, and a heap of positions, seeded
+    with all of them, gives the next step. A relator is tested when
+    popped: it gains a single generator only through a substitution,
+    which pushes it. Returns the surviving relators in list order, and
+    {g: replacement} in elimination order.
     """
-    rels = dict(enumerate(r for r in map(free_reduce, relators) if r))
+    rels = dict(enumerate(r for r in map(_reduce, relators) if r))
     holders = {}
     for i, r in rels.items():
-        for g, _ in r:
-            holders.setdefault(g, set()).add(i)
-    queue = [i for i, r in rels.items() if _least_single(r) is not None]
-    eliminated = {}
+        for x in r:
+            holders.setdefault(abs(x), set()).add(i)
+    queue, eliminated = list(rels), {}
     while queue:
         idx = heapq.heappop(queue)
-        rel = rels.get(idx)
-        g = None if rel is None else _least_single(rel)
-        if g is None:
-            # dropped, or rewritten since it was queued
+        rel, counts = rels.get(idx), {}
+        if rel is None:
             continue
-        pos = next(i for i, (h, _) in enumerate(rel) if h == g)
-        e = rel[pos][1]
-        repl = free_reduce(invert_word(rel[:pos]) + invert_word(rel[pos + 1:]))
-        if e < 0:
-            repl = invert_word(repl)
-        eliminated[g] = repl
+        for h in rel:
+            counts[abs(h)] = counts.get(abs(h), 0) + 1
+        g = min((h for h, k in counts.items() if k == 1), default=None)
+        if g is None:
+            continue
+        x = g if g in rel else -g
+        pos = rel.index(x)
+        rot = rel[pos:] + rel[:pos]
+        vu = _reduce(rot[1:])
+        repl = {x: tuple(-y for y in reversed(vu)), -x: vu}
+        eliminated[g] = repl[g]
         del rels[idx]
-        for h, _ in rel:
-            holders[h].discard(idx)
-        repl_inv = invert_word(repl)
+        for h in rel:
+            holders[abs(h)].discard(idx)
         for j in holders.pop(g):
-            old = rels[j]
-            out = []
-            for h, ee in old:
-                if h == g:
-                    out.extend(repl if ee > 0 else repl_inv)
-                else:
-                    out.append((h, ee))
-                    holders[h].discard(j)
-            new = free_reduce(tuple(out))
-            if not new:
-                del rels[j]
+            old = rels.pop(j)
+            for h in old:
+                if abs(h) != g:
+                    holders[abs(h)].discard(j)
+            if x in old and old[(p := old.index(x)):] + old[:p] == rot:
                 continue
-            rels[j] = new
-            for h, _ in new:
-                holders[h].add(j)
-            if _least_single(new) is not None:
+            new = _reduce([y for h in old for y in repl.get(h, (h,))])
+            if new:
+                rels[j] = new
+                for h in new:
+                    holders[abs(h)].add(j)
                 heapq.heappush(queue, j)
     return [rels[i] for i in sorted(rels)], eliminated
 
 
-def _least_single(rel):
-    """Least generator occurring exactly once in rel, or None."""
-    counts = {}
-    for g, _ in rel:
-        counts[g] = counts.get(g, 0) + 1
-    return min((g for g, k in counts.items() if k == 1), default=None)
+def _reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def verify_torsion_free(cert, pres):
-    """No nontrivial torsion representative maps into the kernel; the
-    transversal conjugate sweep is recorded (kernels are normal, so the
-    symbol-level check is equivalent)."""
+    """No nontrivial torsion representative maps into the kernel. Kernels
+    are normal, so this covers the conjugates by the index transversal
+    words, which are not formed; the index is recorded as
+    `conjugates_per_representative`."""
     torsion = pres.torsion_words
     witnesses = [render_word(w) for w in torsion
                  if cert.hom.image_of_word(w) == cert.hom.identity]

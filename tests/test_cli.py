@@ -127,6 +127,24 @@ def test_subgroup_command(capsys):
     assert data["torsion_free"] and data["rank_chi_consistent"]
 
 
+@pytest.mark.parametrize("command", ["subgroup", "report"])
+def test_rank_contradicting_chi_exits_3(capsys, monkeypatch, command):
+    # a certificate one basis word short of the rank that chi forces
+    rewrite = cli.subgroups.reidemeister_schreier
+
+    def drop_one(cert, pres):
+        rewrite(cert, pres)
+        cert.free_basis.pop()
+        cert.rank -= 1
+        return cert
+
+    monkeypatch.setattr(cli.subgroups, "reidemeister_schreier", drop_one)
+    code = main([command, "--group", "c2*c3"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert "certified rank 1 contradicts 1 + index*(-chi) = 2" in out.err
+
+
 def test_subgroup_mod2_exits_3(capsys):
     code, out = run(capsys, "subgroup", "--group", "sl2z", "--modulus", "2")
     assert code == 3

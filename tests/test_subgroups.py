@@ -2,8 +2,9 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from lowindex_oracle import low_index_action as reference_low_index_action
+from rs_oracle import reidemeister_schreier as reference_reidemeister_schreier
 from tietze_oracle import tietze as reference_tietze
 
 from gdecomp import subgroups
@@ -286,13 +287,86 @@ relator_lists = st.lists(
     max_size=8)
 
 
+def _decode(word):
+    return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in word)
+
+
 @settings(max_examples=400)
 @given(relator_lists)
+# a relator next to two of its rotations: both are dropped unsubstituted
+@example([((0, -1), (1, 1), (2, 1)), ((2, 1), (0, -1), (1, 1)),
+          ((1, 1), (2, 1), (0, -1))])
+# the first relator has no single generator until the second's solution
+# is substituted into it, which pushes it back onto the heap
+@example([((3, -1), (2, -1), (2, -1), (3, 1), (2, 1)), ((2, -1), (3, -1))])
 def test_tietze_matches_full_rescan(relators):
-    got, eliminated = _tietze(relators)
+    # _tietze reads generator g as the letter g + 1, its inverse as -(g + 1)
+    got, eliminated = _tietze([tuple((g + 1) * e for g, e in r)
+                               for r in relators])
     want, want_eliminated = reference_tietze(relators)
-    assert got == want
-    assert list(eliminated.items()) == list(want_eliminated.items())
+    assert list(map(_decode, got)) == want
+    assert [(g - 1, _decode(w)) for g, w in eliminated.items()] \
+        == list(want_eliminated.items())
+
+
+@st.composite
+def _small_amalgams(draw):
+    """(a, c, b) for C_a *_{C_c} C_b with a, b <= 6: indices up to 120,
+    small enough for the full-rescan Tietze loop."""
+    c = draw(st.integers(1, 3))
+    order = st.integers(1, 6 // c).map(lambda i: c * i).filter(
+        lambda n: n >= 2)
+    return draw(order), c, draw(order)
+
+
+def _assert_rewriting_matches_oracle(pres, hom):
+    got = reidemeister_schreier(kernel_subgroup(hom, pres), pres)
+    want = reference_reidemeister_schreier(kernel_subgroup(hom, pres), pres)
+    assert got.to_json() == want.to_json()
+    for word in got.free_basis or ():
+        assert word == free_reduce(word)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_amalgams())
+def test_rewriting_matches_tuple_letters(abc):
+    group = make_cyclic_amalgam(*abc)
+    pres = presentation_from_group(group)
+    try:
+        hom = construct_finite_quotient(group, pres)
+    except CapExceeded:
+        assume(False)
+    _assert_rewriting_matches_oracle(pres, hom)
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_sl2z_rewriting_matches_tuple_letters(sl2z, modulus):
+    _assert_rewriting_matches_oracle(presentation_from_group(sl2z),
+                                     congruence_hom(sl2z, modulus))
+
+
+def test_relator_outside_kernel_fails(c2c3):
+    # x0 has order 2 in the quotient, so its conjugates leave the kernel
+    pres = presentation_from_group(c2c3)
+    cert = kernel_subgroup(construct_finite_quotient(c2c3, pres), pres)
+    bad = Presentation(pres.symbols, pres.relators + [(("x0", 1),)],
+                       pres.subgroup_words)
+    with pytest.raises(VerificationFailure,
+                       match="relator conjugate leaves the subgroup"):
+        reidemeister_schreier(cert, bad)
+
+
+def test_non_free_kernel():
+    # Z^2 onto C2 x C2: the kernel is Z^2 again, which no Tietze step frees
+    pres = Presentation(["a", "b"], [parse_word(["a", "b", "a'", "b'"])], [])
+    hom = subgroups.FiniteQuotientHom(
+        "coset-action", ["a", "b"], {"a": (1, 0, 3, 2), "b": (2, 3, 0, 1)},
+        subgroups._perm_op, (0, 1, 2, 3))
+    assert hom.check_relators(pres) == [] and hom.order == 4
+    cert = reidemeister_schreier(kernel_subgroup(hom, pres), pres)
+    assert cert.evidence["free"] is False
+    assert cert.evidence["residual_relators"] >= 1
+    assert cert.rank is None and cert.free_basis is None
 
 
 def test_amalgam_fixture_quotient_pinned():
