@@ -10,7 +10,11 @@ cover lift that leaves the truncation, or a classify portion of radius
 below 2, too small for the non-elementary check; an element's type
 never depends on the radius). JSON artifacts are canonical (sorted keys,
 two-space indent, trailing newline) so reruns are byte-identical;
-timings go to stderr only.
+timings go to stderr only. An indent sends json.dumps to its
+pure-Python encoder, so `canonical_json` writes the bytes of
+json.dumps(obj, sort_keys=True, indent=2) itself, recursively: strings
+through json's C string encoder, int, bool and None inline, any other
+scalar through json.dumps. A key that is not a string raises TypeError.
 """
 
 from __future__ import annotations
@@ -31,10 +35,35 @@ from .fixtures import FIXTURES, fixture_path
 from .groups import GraphOfGroupsGroup, MatrixGroup, load_group, normal_form
 
 SCHEMA_VERSION = 1
+_string = json.encoder.encode_basestring_ascii
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    chunks = []
+    _write(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(o, nl, put):
+    # put o as canonical JSON, nested after the line break and indent `nl`
+    if type(o) is str:
+        put(_string(o))
+    elif type(o) is int:
+        put(repr(o))
+    elif o is None or o is True or o is False:
+        put("null" if o is None else "true" if o else "false")
+    elif isinstance(o, (dict, list, tuple)):
+        keyed = isinstance(o, dict)
+        sep, close = "{}" if keyed else "[]"
+        inner = nl + "  "
+        for v in sorted(o.items()) if keyed else o:
+            put(sep + inner + _string(v[0]) + ": " if keyed else sep + inner)
+            sep = ","
+            _write(v[1] if keyed else v, inner, put)
+        put(nl + close if o else sep + close)
+    else:
+        put(json.dumps(o))
 
 
 def _load_group_arg(value):
@@ -280,6 +309,9 @@ def run_pipeline(group, config):
                        cov, seed=config.seed)["pass"]})
 
     dec = decomp.compute_global_decomposition(ball, config.r)
+    for axiom in ("H1", "H2"):
+        if not dec.covering_report[axiom.lower() + "_pass"]:
+            raise VerificationFailure(f"decomposition axiom {axiom} failed")
     dec_json = dec.to_json()
     dec_json["axioms"] = dec.covering_report
     save("decomposition", dec_json)

@@ -18,7 +18,11 @@ translations carrying x·F onto F are the f·x⁻¹ with f ∈ F, so
 cosets F·x⁻¹y·G and F·x′⁻¹y′·G agree, as the edges at F in the
 Bass–Serre tree are the double cosets F·g·G (Serre, *Trees*, §I.3–I.5).
 Read in the ball's table, with group arithmetic where a product leaves
-it, the key is exact for every pair.
+it, the key is exact for every pair. The scan for the first pair of
+each class stops once it has as many classes as the identity reading
+below finds, when that reading is exact: its classes are then exactly
+those of the interior pairs, and stopping after the first pair of the
+last class leaves the first pair of every class unchanged.
 
 Discovery needs only the model graph of each doubling, and reads it at
 the identity: each family F is its own bag there, and every interior bag
@@ -327,7 +331,14 @@ def _pair_key(ball, families, fa, a, fb, b):
 
 def compute_global_decomposition(ball, r, families=None):
     """Bags, boundary flags, and the translation-quotient model graph.
-    `families`, if given, are maximal_finite_subgroups(ball, r)."""
+    `families`, if given, are maximal_finite_subgroups(ball, r).
+
+    Bags are sorted by size, then by their vertices' keys: the
+    singletons first, in key order, as a family has at least two
+    elements. Each edge orbit is the first interior adjacent pair of its
+    `_pair_key` class, in sorted order; where `_read_at_identity` is
+    exact, its classes are those of the interior pairs, so the scan
+    stops once it has found as many."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if families is None:
@@ -352,14 +363,16 @@ def compute_global_decomposition(ball, r, families=None):
                 bag_set.setdefault(frozenset(coset), fi)
             done |= coset
 
-    covered = set().union(*bag_set) if bag_set else set()
-    for v in range(ball.vertex_count):
-        if v not in covered:
-            bag_set.setdefault(frozenset([v]), -1)
-
+    # a family has at least two elements, so the singletons sort first,
+    # in key order; keys are injective, so the cosets sort by their
+    # vertices' ranks in that order as they would by their keys
     keys = [g.key() for g in ball.elements]
-    bags = sorted(bag_set, key=lambda b: (len(b), sorted(keys[v] for v in b)))
-    bag_family = [bag_set[b] for b in bags]
+    by_key = sorted(range(ball.vertex_count), key=keys.__getitem__)
+    rank = {v: k for k, v in enumerate(by_key)}
+    covered = set().union(*bag_set)
+    bags = [frozenset((v,)) for v in by_key if v not in covered] + sorted(
+        bag_set, key=lambda b: (len(b), sorted(rank[v] for v in b)))
+    bag_family = [bag_set.get(b, -1) for b in bags]
     interior_radius = _interior_radius(ball, families)
     boundary_flag = [_eccentricity(ball, b) > interior_radius for b in bags]
 
@@ -371,15 +384,17 @@ def compute_global_decomposition(ball, r, families=None):
     # adjacency source 1: intersecting bag pairs
     adjacent_pairs = set()
     for bs in vertex_bags:
-        adjacent_pairs.update(combinations(bs, 2))
+        if len(bs) > 1:
+            adjacent_pairs.update(combinations(bs, 2))
     # adjacency source 2: ball edges that join bags (`_joins_bags`), as
     # in the acyclic/singleton regime
     held = [[bags[b] for b in bs] for bs in vertex_bags]
-    for u, v in ball.edge_pairs():
-        if _joins_bags(held[u], held[v]):
-            adjacent_pairs.update((min(bu, bv), max(bu, bv))
-                                  for bu in vertex_bags[u]
-                                  for bv in vertex_bags[v])
+    for u, row in enumerate(ball.right):
+        for v in row:
+            if v > u and _joins_bags(held[u], held[v]):
+                adjacent_pairs.update((min(bu, bv), max(bu, bv))
+                                      for bu in vertex_bags[u]
+                                      for bv in vertex_bags[v])
 
     # a bag's orbit is its family, numbered by the family's first
     # interior bag; boundary bags belong to no orbit
@@ -393,9 +408,13 @@ def compute_global_decomposition(ball, r, families=None):
                  for fi, flag in zip(bag_family, boundary_flag)]
     model_vertex_sizes = [len(bags[rep]) for rep in orbit_rep_bag]
 
-    # edge orbits: the first interior pair of each `_pair_key` class
+    # edge orbits: the first interior pair of each `_pair_key` class; the
+    # scan stops once it has every class the identity reading finds
+    classes = (_read_at_identity(ball, families) or {}).get("model_edges")
     rep_pairs = {}
     for i, j in sorted(adjacent_pairs):
+        if len(rep_pairs) == classes:
+            break
         if bag_orbit[i] is not None and bag_orbit[j] is not None:
             rep_pairs.setdefault(_pair_key(ball, families, bag_family[i],
                                            bags[i], bag_family[j], bags[j]),

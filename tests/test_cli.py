@@ -4,6 +4,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gdecomp import cli
 from gdecomp.cli import canonical_json, emit_table1, main
@@ -37,6 +38,31 @@ def test_canonical_json_shape():
     text = canonical_json({"b": 1, "a": [2, 1]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10**30, 10**30) | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30)
+
+
+@example({"q\"\\": ["\u00e9\u2603\U0001f600", "\x00\x1f\n\t\x7f"],
+          "": [[], {}, (), -10**25, True, False, None]})
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_canonical_json_matches_json(obj):
+    assert canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) \
+        + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, [{"a": {None: 1}}], {("a",): 1}])
+def test_canonical_json_rejects_non_string_keys(obj):
+    # json.dumps would write int, float, bool and None keys as strings;
+    # no artifact has one, so the writer refuses them
+    with pytest.raises(TypeError):
+        canonical_json(obj)
 
 
 def test_ball_command_json(capsys):
@@ -143,6 +169,22 @@ def test_rank_contradicting_chi_exits_3(capsys, monkeypatch, command):
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
     assert "certified rank 1 contradicts 1 + index*(-chi) = 2" in out.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text-table"])
+@pytest.mark.parametrize("axiom", ["h1", "h2"])
+def test_failed_axiom_exits_3(capsys, monkeypatch, axiom, fmt):
+    verify = cli.decomp.GlobalDecomposition.verify_axioms
+
+    def failing(dec):
+        return {**verify(dec), f"{axiom}_pass": False}
+
+    monkeypatch.setattr(cli.decomp.GlobalDecomposition, "verify_axioms",
+                        failing)
+    code = main(["report", "--group", "c2*c3", "--format", fmt])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert f"decomposition axiom {axiom.upper()} failed" in out.err
 
 
 def test_subgroup_mod2_exits_3(capsys):

@@ -260,6 +260,13 @@ def _decomp_inputs(draw):
     return group, radius, draw(st.integers(radius, 10))
 
 
+# small draws on which the identity reading is exact, so the class scan
+# stops once it has as many classes as the reading
+EARLY_STOP = [(load_fixture("f2"), 5, 3), (load_fixture("c2*c3"), 6, 2)]
+
+
+@example(EARLY_STOP[0])
+@example(EARLY_STOP[1])
 # draws on which merging from a worklist, instead of restarting the scan
 # after each merge, keeps other families
 @example((_matrix_group(3, (((0, 1), (1, 0)), ((0, 2), (1, 1)))), 3, 6))
@@ -351,7 +358,7 @@ IDENTITY_EXACT = [(load_fixture("f2"), 8, 4), (load_fixture("c2*c3"), 8, 4),
                   (_c4_c2_c4_free_c4(), 7, 2)]
 
 
-@pytest.mark.parametrize("case", IDENTITY_EXACT,
+@pytest.mark.parametrize("case", IDENTITY_EXACT + EARLY_STOP,
                          ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]}")
 def test_identity_reading_exact_on_examples(case):
     group, radius, r = case
@@ -379,6 +386,10 @@ def test_identity_reading_matches_scan(case):
     fields = _read_at_identity(ball, dec.families)
     if fields is None:
         return  # the reading is not exact here, and discovery scans
+    # the decomposition's class scan stops at the reading's class count,
+    # so its edges are checked against a search over every interior pair
+    assert dec.model_edges == oracle.model_edges(ball, dec.bags, dec.bag_orbit,
+                                                 dec.adjacent_pairs)
     stabs = compute_stabilizers(dec)
     edges = sorted((e["u"], e["v"], e["adhesion_size"])
                    for e in dec.model_edges)
@@ -389,3 +400,21 @@ def test_identity_reading_matches_scan(case):
         "stabilizer_orders": [s.order for s in stabs],
         "signature": (tuple(sorted(dec.model_vertex_sizes)), tuple(edges),
                       tuple(sorted(s.order for s in stabs)))}
+
+
+def test_class_scan_stops_early(monkeypatch):
+    # F2 has no torsion: its 4,373 bags are singletons and its 2 edge
+    # classes are found among the first of its 1,456 interior pairs
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _pair_key(*args)
+
+    monkeypatch.setattr("gdecomp.decomp._pair_key", counting)
+    dec = compute_global_decomposition(build_ball(load_fixture("f2"), 7), 3)
+    interior = [(i, j) for i, j in dec.adjacent_pairs
+                if dec.bag_orbit[i] is not None
+                and dec.bag_orbit[j] is not None]
+    assert len(dec.model_edges) == 2 and len(interior) == 1456
+    assert 0 < len(calls) <= 10
