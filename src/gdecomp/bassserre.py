@@ -114,46 +114,38 @@ def build_tree_portion(group, radius):
     The move out of a coset of H_u along an edge end is the packed path
     word c·d·1_v: a coset representative c of the edge group's image in
     G_u, the edge item d with its sign, and the identity at the head v.
-    Its coset word g·p_u·c·d·1_v is one `_join` onto the parent's word.
+    `GraphOfGroupsGroup.coset_moves` joins each onto the parent's word.
+    In a tree the only neighbour of a vertex that the BFS has already
+    seen is its parent, and its children are numbered after the parent in
+    the order found, so each adjacency list is sorted as it is built.
     """
     if not isinstance(group, GraphOfGroupsGroup):
         raise VerificationFailure("tree portions need a graph-of-groups backend")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    pack = group._item_char.__getitem__
-    moves = [[] for _ in group.gog.vertices]
-    for i, e in enumerate(group.gog.edges):
-        for sign, tail, head in ((1, e.u, e.v), (-1, e.v, e.u)):
-            step = pack(("e", i, sign)) + pack(("v", head, 0))
-            for c in group.edge_coset_reps(i, sign):
-                moves[tail].append((head, pack(("v", tail, c)) + step))
-
     orbit = [0]
     words = [group.identity.data]
     key_index = {"": 0}
-    adj = [set()]
+    adj = [[]]
     queue = deque([0])
     while queue:
         x = queue.popleft()
         if len(words[x]) // 2 == radius:
             continue
-        for v, move in moves[orbit[x]]:
-            word = group._join(words[x], move)
-            y = key_index.get(word[:-1])
-            if y is None:
-                y = len(words)
-                if y >= TREE_VERTEX_CAP:
-                    raise CapExceeded("tree portion cap exceeded", reached=y)
-                key_index[word[:-1]] = y
-                orbit.append(v)
-                words.append(word)
-                adj.append(set())
-                queue.append(y)
-            if y != x:
-                adj[x].add(y)
-                adj[y].add(x)
-    return BassSerreTreePortion(group, radius, orbit, words,
-                                [sorted(a) for a in adj], key_index)
+        for v, word in group.coset_moves(words[x]):
+            key = word[:-1]
+            if key in key_index:
+                continue
+            y = len(words)
+            if y >= TREE_VERTEX_CAP:
+                raise CapExceeded("tree portion cap exceeded", reached=y)
+            key_index[key] = y
+            orbit.append(v)
+            words.append(word)
+            adj[x].append(y)
+            adj.append([x])
+            queue.append(y)
+    return BassSerreTreePortion(group, radius, orbit, words, adj, key_index)
 
 
 class ElementAction:

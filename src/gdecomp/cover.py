@@ -43,20 +43,46 @@ the enumeration runs on to depth + r only while some walk stays open
 a matrix spec without one, a graph of groups with a non-cyclic vertex
 group), or where a symbol's element lies outside the ball.
 
-Each node is expanded once, in the layer after the one that created it:
-nodes are numbered in creation order, so a layer's frontier is the
-surviving nodes that the previous expansion made, and no search finds
-it. A node is never farther from the root than the layer that created
-it, and a representative is the least member of its class, so every
-node at distance exactly `layer` is in that frontier; the frontier can
-hold more only where a fold brought a node nearer before its expansion,
-and expanding it then leaves no hole below the depth. A node absorbed
-before its expansion gives its row to a survivor that is expanded
-already or in the same layer. The one BFS is at compaction, which reads
-each node's distance from the root. The frontier is expanded in id
-order, each node creating its children in the order of the base
-vertices they reach (`ball.neighbors`), not in generator order;
-artifacts depend on this numbering. A deck
+Each node is expanded once. A node's layer is the expansion that created
+it: the root is layer 0, and expanding layer L creates layer L + 1.
+Nodes are numbered in creation order, so ids rise with layer, a layer's
+frontier is the surviving nodes of the last layer created, found with no
+search, and `UnionFind`, which keeps the least id, never leaves a
+survivor of a higher layer than the node it absorbs. Once a layer's
+queue is drained, two invariants hold.
+
+Every edge joins representatives whose layers differ by at most 1. Let q
+be a representative of layer l with an edge labelled k, whose far end
+only ever moves within one class. If q is expanded, the edge is
+the child that the expansion created (layer l + 1), q's parent edge
+(l - 1), or one taken over before the expansion from a node of q's own
+layer, whose edges reach its parents' layer (l - 1). After that q has an
+edge for every generator that moves its base vertex within the ball, so
+`fold` moves no edge onto it and only pairs neighbours over one base
+vertex. If q is not expanded, the current expansion created it and all
+it absorbed, and their edges reach their parents, layer l - 1. Either
+way the class reached holds a node of layer at most l + 1, and its
+representative is its least member; the edge back gives the other
+bound. So no path from the root reaches a representative in fewer steps
+than its layer, and the edge to its parent's class, one layer lower,
+gives a path of exactly that length: a representative's distance from
+the root is its layer, and a frontier is exactly the representatives at
+one distance.
+
+Once `fold` returns, a live row holds only representatives. Each union
+rewrites the survivor's row through `find`, and the absorbed row dies. A
+row that still points at an absorbed node g is a neighbour of g whose
+edge the survivor did not take over, as it had one with that label; the
+neighbour's class sits on the stack paired with the survivor's
+neighbour, and a later union in the same `fold` absorbs it or rewrites
+its row. So the scans, the root walks and compaction read rows without
+`find`.
+
+Compaction keeps the representatives of layers 0..depth in id order,
+which is their order by distance, and reads each one's depth off the
+first id of each layer. The frontier is expanded in id order, each node
+creating its children in the order of the base vertices they reach, not
+in generator order; artifacts depend on this numbering. A deck
 transformation acts on the left and labels on the right, gamma * (x * s)
 = (gamma * x) * s, so it maps the edge labelled k at x to the edge
 labelled k at x's image (`lift_element_action`), with no product in the
@@ -169,9 +195,11 @@ def build_truncated_cover(ball, r, depth):
 
     Expansion runs out to depth + r so every cycle relevant to a kept
     vertex is lifted in full, each node expanded once, in the layer after
-    the one that created it; the returned cover is the depth-truncation,
-    with each node's distance from the root read by the one BFS at
-    compaction.
+    the one that created it; the returned cover is the depth-truncation:
+    the representatives that layers 0..depth created, in creation order,
+    each at its layer's depth. That depth is its distance from the root,
+    as every edge joins representatives whose layers differ by at most 1
+    (module docstring).
     Once all the presentation's walks (`_presentation_walks`) close at
     the root, Γ_r = Γ (module docstring) and the cover is read from the
     ball instead: projection range(|B(depth)|), the ball's rows with the
@@ -252,13 +280,13 @@ def build_truncated_cover(ball, r, depth):
                 y = rows[f][word[p]]
                 if y < 0:
                     break
-                f, p = y if parent[y] == y else find(y), p + 1
+                f, p = y, p + 1
             b, q = x, len(word)
             while q > p:
                 y = rows[b][back[q - 1]]
                 if y < 0:
                     break
-                b, q = y if parent[y] == y else find(y), q - 1
+                b, q = y, q - 1
             if q == p and b != f:
                 fold(f, b)
                 if parent[x] != x:
@@ -272,28 +300,30 @@ def build_truncated_cover(ball, r, depth):
             x = rows[x][k]
             if x < 0:
                 return False
-            x = find(x)
         return x == root
 
     # Expand layer by layer and drain the queue before the next layer.
     # Each surviving node is expanded once, in the layer after the one
     # that created it, so the frontier is read off the creation order with
-    # no search (module docstring): every node at distance `layer` is in
-    # it, and a node that a fold brought nearer is still expanded, so no
-    # hole is left. The closed words are closed under rotation and
-    # reversal, so the short cycles through an edge (x, k) are the words
-    # that start with k walked from x, and `scan` sees each of them
-    # whole. A walk that an edge completes runs through that edge, and one
-    # that a merge completes runs through an edge the surviving node took
-    # over; the expansion queues every new edge and `fold` every edge it
-    # moves, and a node that is absorbed has its edges queued at the
-    # survivor. So each layer ends at the least fixpoint, one partition
-    # whatever the scan order (UnionFind keeps the least member). The
-    # numbering follows the expansion (module docstring);
-    # tests/cover_oracle.py holds the full rescan it is checked against.
+    # no search. Two invariants (module docstring) hold once the queue is
+    # drained: every edge joins representatives whose layers differ by at
+    # most 1, so a representative's distance from the root is its layer
+    # and compaction needs no BFS; and a live row holds only
+    # representatives, so only `fold` calls `find`. The closed words are
+    # closed under rotation and reversal, so the short cycles through an
+    # edge (x, k) are the words that start with k walked from x, and
+    # `scan` sees each of them whole. A walk that an edge completes runs
+    # through that edge, and one that a merge completes runs through an
+    # edge the surviving node took over; the expansion queues every new
+    # edge and `fold` every edge it moves, and a node that is absorbed has
+    # its edges queued at the survivor. So each layer ends at the least
+    # fixpoint, one partition whatever the scan order (UnionFind keeps the
+    # least member). The numbering follows the expansion (module
+    # docstring); tests/cover_oracle.py holds the full rescan it is
+    # checked against.
     # Once the expansion reaches the presentation's walks, the cover is
     # B(depth) if they all close.
-    created = root  # the first node the previous expansion made
+    starts = [root]  # starts[L]: the first node of layer L
     for layer in range(expand_depth):
         if walks is not None and layer >= walk_depth \
                 and all(map(closes, walks)):
@@ -301,17 +331,16 @@ def build_truncated_cover(ball, r, depth):
             right = [[j if j < n else -1 for j in row] for row in ball.right[:n]]
             return TruncatedCover(ball, r, depth, list(range(n)), right,
                                   ball.word_length[:n], certified)
-        frontier = [x for x in range(created, len(base_of)) if parent[x] == x]
+        frontier = [x for x in range(starts[-1], len(base_of)) if parent[x] == x]
+        starts.append(len(base_of))
         if not frontier:
             break
-        created = len(base_of)
         for x in frontier:
-            bv = base_of[x]
-            for bw in ball.neighbors(bv):
-                k = ball.right[bv].index(bw)
-                if rows[x][k] < 0:
-                    child = new_node(bw)
-                    rows[x][k] = child
+            bv, row = base_of[x], rows[x]
+            for bw, k in sorted((bw, k) for k, bw in enumerate(ball.right[bv])
+                                if bw >= 0 and bw != bv):
+                if row[k] < 0:
+                    row[k] = child = new_node(bw)
                     rows[child][inv_gen[k]] = x
                     queue.append((x, k))
         for x, k in queue:  # grows while it is scanned
@@ -319,15 +348,14 @@ def build_truncated_cover(ball, r, depth):
                 scan(x, k)
         queue.clear()
 
-    # compact: keep representatives within the requested depth, by the
-    # one BFS from the root
-    d = bfs(lambda x: (find(y) for y in rows[x] if y >= 0), root)
-    kept = sorted((dx, x) for x, dx in d.items() if dx <= depth)
-    relabel = {x: i for i, (_, x) in enumerate(kept)}
-    projection = [base_of[x] for _, x in kept]
-    node_depth = [dx for dx, _ in kept]
-    right = [[relabel.get(find(y), -1) if y >= 0 else -1 for y in rows[x]]
-             for _, x in kept]
+    # compact: keep the representatives that layers 0..depth created, in
+    # creation order, each at its layer's depth
+    kept = [x for x in range(starts[min(depth + 1, len(starts) - 1)])
+            if parent[x] == x]
+    relabel = {x: i for i, x in enumerate(kept)}
+    projection = [base_of[x] for x in kept]
+    node_depth = [bisect_right(starts, x) - 1 for x in kept]
+    right = [[relabel.get(y, -1) for y in rows[x]] for x in kept]
 
     return TruncatedCover(ball, r, depth, projection, right, node_depth, certified)
 

@@ -194,6 +194,16 @@ class GraphOfGroupsGroup:
                     "pre_head": pre_head,
                     "rep": rep,
                 }
+        # per vertex u: (v, the packed path word c·d·1_v) for each edge end d
+        # from u to v and each coset representative c that the normal form
+        # keeps, in edge, sign and index order (`coset_moves`)
+        char = self._item_char.__getitem__
+        self._moves = [[] for _ in self.gog.vertices]
+        for (ei, sign), info in self._dir.items():
+            tail, head = info["tail"], info["head"]
+            step = char(("e", ei, sign)) + char(("v", head, 0))
+            for c in self.edge_coset_reps(ei, sign):
+                self._moves[tail].append((head, char(("v", tail, c)) + step))
 
     def _prepare_tree_paths(self):
         # BFS over tree edges from the base vertex; path[v] = list of
@@ -480,6 +490,15 @@ class GraphOfGroupsGroup:
         if gamma.group is not self:
             raise BackendMismatch("translating element must belong to this group")
         return self._join(gamma.data, word)
+
+    def coset_moves(self, word):
+        """The edges out of a coset in the coset tree, for the normal path
+        word of a coset of H_u (such as a `coset_word`): (v, the word of
+        the coset across the edge) for each packed move c·d·1_v out of u,
+        in edge, sign and index order. Each word is one `_join` of the move
+        onto `word`, whose last item is at u."""
+        u = self._char_item[word[-1]][1]
+        return [(v, self._join(word, move)) for v, move in self._moves[u]]
 
     def edge_coset_reps(self, edge_index, sign):
         """The lowest-index representatives, in index order, of the left

@@ -245,9 +245,12 @@ def _cover_inputs(draw):
 def _assert_coset_table(cov):
     """Edges follow the base table and come in inverse pairs, a node below
     the depth has an edge for every generator that moves its base vertex
-    within the ball (no hole), and every closed word walked from a node
-    that completes returns to it."""
+    within the ball (no hole), every closed word walked from a node
+    that completes returns to it, and each node's depth is its distance
+    from the root."""
     ball = cov.base
+    dist = bfs(cov.neighbors, 0)
+    assert cov.node_depth == list(map(dist.get, range(cov.vertex_count)))
     for x, row in enumerate(cov.right):
         v = cov.projection[x]
         for k, y in enumerate(row):
@@ -278,6 +281,9 @@ def _assert_coset_table(cov):
 @example((make_cyclic_amalgam(4, 2, 6), 3), 3, 1)
 @example((make_cyclic_amalgam(4, 2, 6), 4), 2, 2)
 @example((SL2Z, 4), 3, 1)
+# the enumeration runs on a radius-1 ball, and a fold merges nodes that
+# different layers created
+@example((make_cyclic_amalgam(2, 1, 3), 3), 1, 0)
 # no presentation (the sl3z spec has none), so the enumeration runs
 @example((load_fixture("sl3z"), 3), 1, 0)
 def test_cover_matches_full_rescan(group_r, depth, slack):
