@@ -16,12 +16,18 @@ for, and no adjacency list is stored. Every other product is formed by
 `mul`, on points: a point is a vertex, or an element that lies outside
 the ball. Two vertices walk the table; only a walk that leaves the ball,
 or a point outside it, uses group arithmetic. The table's products come from the
-map x -> x * s that every backend supplies as `right_multiplier(s)`: a
-graph-of-groups group reads it from its memo of window products, as right
-multiplication by a generator rewrites only a bounded suffix of a normal
-form; a matrix group compiles it once per generator into straight-line
-code over x's entries that forms only the generator's nonzero terms,
-from source text that holds nothing but names, indices and ints.
+map x -> x * s on element data that every backend supplies as
+`right_multiplier(s)`, as in the multiplier automata of an automatic
+group (Epstein et al., Word Processing in Groups, 1992): a
+graph-of-groups group maps a packed normal form to a packed normal form,
+read from its memo of window products, as right multiplication by a
+generator rewrites only a bounded suffix of a normal form; a matrix
+group compiles it once per generator into straight-line code from x's
+nested tuple to the product's, which forms only the generator's nonzero
+terms, from source text that holds nothing but names, indices and ints.
+A product is looked up in the ball by its data, and only a product that
+becomes a new vertex is made a `GroupElement`: most products are
+boundary ones, which only learn that they leave the ball.
 
 Vertex keys (`elements[v].key()`) are not cached: each reader keys only
 the vertices it reads.
@@ -37,7 +43,7 @@ from bisect import bisect_left, bisect_right
 
 from .cycles import enumerate_short_cycles
 from .errors import CapExceeded, VerificationFailure
-from .groups import GraphOfGroupsGroup, inverse, multiply
+from .groups import GraphOfGroupsGroup, GroupElement, inverse, multiply
 
 DEFAULT_CAP = 2 * 10**6
 
@@ -175,6 +181,17 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
     once, from its earlier end: when elements[i] * gen_k is vertex j > i,
     the reverse entry right[j][inv_gen[k]] = i is filled from it and row
     j skips that product, so most products left are boundary ones.
+    Products are formed and looked up on element data (the backends'
+    `right_multiplier`), and one element is made per new vertex.
+
+    The BFS splits at the first vertex at distance `radius`. The rows
+    before it create the vertices. The boundary rows from it on only look
+    their products up: every vertex is known by then, as each is at most
+    one step beyond a row of the first pass. An entry of a boundary row
+    that is still -1 lies outside the ball, or is an edge to a later
+    vertex of the same layer or a loop, since an earlier neighbour's
+    product has filled the reverse entry; so that pass creates nothing
+    and checks no cap.
 
     A ball is a prefix of every larger ball of the group: the same BFS
     order, words and rows, with the entries that leave it set to -1. So a
@@ -208,36 +225,49 @@ def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
         start = bisect_left(word_length, ball.radius)
         right = ball.right[:start] + [row[:] for row in ball.right[start:]]
     times = [group.right_multiplier(g) for _, g in pairs]
+    blank = [-1] * len(pairs)
     # vertices are appended in BFS order, so when vertex i is expanded every
     # vertex at distance <= word_length[i] + 1 is either known or new here;
     # only the -1 entries of its row are computed. A later row j is one
     # not yet expanded, and so never a row shared with the given ball; its
     # reverse entry holds index's int for i, so it adds no int object
     i = start
-    while i < len(elements):
-        x, row = elements[i], right[i]
-        i = index[x.data]
-        inside = word_length[i] < radius
+    while i < len(elements) and word_length[i] < radius:
+        x = elements[i].data
+        i = index[x]
+        row, length, word = right[i], word_length[i] + 1, words[i]
         for k, times_k in enumerate(times):
             if row[k] >= 0:
                 continue
             y = times_k(x)
-            j = index.get(y.data)
-            if j is None and inside:
+            j = index.get(y)
+            if j is None:
                 if len(elements) >= cap:
                     raise CapExceeded(f"ball exceeded vertex cap {cap}",
                                       reached=len(elements))
-                j = len(elements)
-                index[y.data] = j
-                elements.append(y)
-                word_length.append(word_length[i] + 1)
-                words.append(words[i] + (k,))
-                right.append([-1] * len(pairs))
-            if j is not None:
-                row[k] = j
-                if j > i:
-                    right[j][inv[k]] = i
+                j = index[y] = len(elements)
+                elements.append(GroupElement(y, group))
+                word_length.append(length)
+                words.append(word + (k,))
+                right.append(blank[:])
+            row[k] = j
+            if j > i:
+                right[j][inv[k]] = i
         i += 1
+    # the boundary rows only look products up: every vertex is known, and
+    # an entry still -1 is outside the ball, a loop or an edge to a later
+    # vertex of this layer, as each earlier neighbour filled its reverse
+    for i in range(i, len(elements)):
+        x = elements[i].data
+        i = index[x]
+        row = right[i]
+        for k, times_k in enumerate(times):
+            if row[k] < 0:
+                j = index.get(times_k(x))
+                if j is not None:
+                    row[k] = j
+                    if j > i:
+                        right[j][inv[k]] = i
     return CayleyBall(group, radius, pairs, elements, index, word_length,
                       words, right, inv)
 

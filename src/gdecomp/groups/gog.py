@@ -38,7 +38,9 @@ packing.
 
 Right multiplication by a generator g rewrites at most the last
 len(g.data) items of a normal form, so `right_multiplier` reads x * g off
-a memo of those windows.
+a memo of those windows. It maps packed data to packed data, with no
+element in between: a Cayley ball looks each product up by its data and
+makes an element only of a product that becomes a new vertex.
 """
 
 from __future__ import annotations
@@ -391,8 +393,8 @@ class GraphOfGroupsGroup:
         return self._normalize(items, len(a) - 1, len(b) - 1)
 
     def right_multiplier(self, g):
-        """The map x -> x * g on elements, read from a memo of window
-        products.
+        """The map x -> x * g on element data, a packed normal form to a
+        packed normal form, read from a memo of window products.
 
         Let g's normal form have e edge items, so n = 2e + 1 items. In the
         join x * g every pinch consumes one edge item of g and one of x,
@@ -411,12 +413,11 @@ class GraphOfGroupsGroup:
         memo = self._window_products.setdefault(g.data, {})
 
         def times(x):
-            data = x.data
-            window = data[-n:]
+            window = x[-n:]
             product = memo.get(window)
             if product is None:
                 product = memo[window] = self._join(window, g.data)
-            return GroupElement(data[:-n] + product, self)
+            return x[:-n] + product
         return times
 
     def op(self, a, b):

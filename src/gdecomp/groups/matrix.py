@@ -8,11 +8,13 @@ Right multiplication by a fixed g, the product a Cayley ball forms for
 each of its edges, is compiled once per g into straight-line code over
 x's entries: entry (i, j) of x * g is the sum of x[i][k] * g[k][j] over
 g's nonzero entries in column j, so no zero term is multiplied and no
-loop runs. The source text is built from generated names, indices and
-the ints of g and the modulus, each passed through `operator.index`:
-the spec loader accepts only JSON integers as matrix entries and
-`MatrixGroup` applies `int()` to each, so no text from a spec reaches
-`exec`.
+loop runs. The code maps element data to data, x's nested tuple to the
+product's, and makes no element: a Cayley ball looks each product up by
+its data and makes an element only of a new vertex. The source text is
+built from generated names, indices and the ints of g and the modulus,
+each passed through `operator.index`: the spec loader accepts only JSON
+integers as matrix entries and `MatrixGroup` applies `int()` to each, so
+no text from a spec reaches `exec`.
 """
 
 from __future__ import annotations
@@ -77,12 +79,13 @@ def mat_reduce(a, modulus):
     return tuple(tuple(x % modulus for x in row) for row in a)
 
 
-def _compile_right_product(g, modulus, group):
-    """The straight-line function x -> x * g on elements of `group`, for
-    the matrix g: x's entries are unpacked into names, and each entry of
-    the product is the sum of its nonzero terms, a coefficient 1 written
-    as the bare name and an all-zero column as 0, reduced mod `modulus`
-    if there is one."""
+def _compile_right_product(g, modulus):
+    """The straight-line function x -> x * g on matrix data, for the
+    matrix g: x's nested tuple is unpacked into names, and each entry of
+    the product's nested tuple is the sum of its nonzero terms, a
+    coefficient 1 written as the bare name and an all-zero column as 0,
+    reduced mod `modulus` if there is one. Its namespace is empty: the
+    code reads only its argument."""
     names = [[f"x{i}_{k}" for k in range(len(g))] for i in range(len(g))]
 
     def entry(row, col):
@@ -96,9 +99,9 @@ def _compile_right_product(g, modulus, group):
     unpack = "".join(f"({''.join(v + ', ' for v in row)}), " for row in names)
     product = "".join(f"({''.join(entry(row, c) + ', ' for c in cols)}), "
                       for row in names)
-    namespace = {"GroupElement": GroupElement, "group": group}
-    exec(f"def times(x):\n    {unpack}= x.data\n"
-         f"    return GroupElement(({product}), group)\n", namespace)
+    namespace = {}
+    exec(f"def times(x):\n    {unpack}= x\n    return ({product})\n",
+         namespace)
     return namespace["times"]
 
 
@@ -138,12 +141,12 @@ class MatrixGroup:
         return GroupElement(mat_mul(a.data, b.data, self.modulus), self)
 
     def right_multiplier(self, g):
-        """The map x -> x * g on elements, compiled on the first call for
-        g and kept in a memo on the group (see the module docstring)."""
+        """The map x -> x * g on element data, compiled on the first call
+        for g and kept in a memo on the group (see the module docstring)."""
         times = self._right_products.get(g.data)
         if times is None:
             times = self._right_products[g.data] = _compile_right_product(
-                g.data, self.modulus, self)
+                g.data, self.modulus)
         return times
 
     def inv(self, a):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cycle_oracle import simple_cycles
-from gdecomp import (build_ball, enumerate_short_cycles,
+from gdecomp import (build_ball, cayley, enumerate_short_cycles,
                      verify_short_cycle_cosets)
 from gdecomp.cayley import torsion_length_bound
 from gdecomp.cycles import Cycle
@@ -12,7 +12,7 @@ from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_free_group)
 from gdecomp.graphs import bfs
-from gdecomp.groups import MatrixGroup, inverse, multiply
+from gdecomp.groups import GroupElement, MatrixGroup, inverse, multiply
 
 
 def powers(group, g, n):
@@ -242,6 +242,12 @@ _resize_groups = st.one_of(
     st.just(load_fixture("sl2z")))
 
 
+# the outermost layers of these balls hold edges within the layer, which
+# the boundary rows' lookup-only pass fills: a^2 * a = a^-2 in C5 at
+# radius 2, and b * b = b' in C2 * C3 at radius 1
+@example(load_fixture("z5"), 1, 2)
+@example(load_fixture("z5"), 0, 2)
+@example(load_fixture("c2*c3"), 0, 1)
 @settings(max_examples=60, deadline=None)
 @given(_resize_groups, st.integers(0, 5), st.integers(0, 5))
 def test_resized_balls_match_fresh_builds(group, r1, r2):
@@ -258,7 +264,8 @@ def test_resized_balls_match_fresh_builds(group, r1, r2):
 
 # each edge's product is formed once, from its earlier end: a fresh build
 # forms exactly the products of the entries that leave the ball or point
-# to a later vertex
+# to a later vertex, and a grown one those of them that its given ball
+# had not filled
 
 class _CountingGroup:
     """A group whose right multipliers count the products they form."""
@@ -278,15 +285,59 @@ class _CountingGroup:
         return counted
 
 
+def _formed_products(ball, given=None):
+    """The products a build of `ball` forms, out of `given` if one is
+    given: the entries that leave the ball or point to a later vertex,
+    less those that `given` already fills."""
+    filled = given.right if given is not None else []
+    return sum(1 for v, row in enumerate(ball.right) for k, j in enumerate(row)
+               if (j == -1 or j >= v)
+               and not (v < len(filled) and filled[v][k] >= 0))
+
+
+# the examples' outermost layers hold edges within the layer (see
+# test_resized_balls_match_fresh_builds)
 @example(build_ball(load_fixture("sl2z"), 8))
+@example(build_ball(load_fixture("z5"), 2))
+@example(build_ball(load_fixture("c2*c3"), 1))
 @settings(max_examples=30, deadline=None)
 @given(_balls)
 def test_ball_forms_each_edge_once(ball):
     counting = _CountingGroup(ball.group)
     fresh = build_ball(counting, ball.radius)
     assert fresh.right == ball.right
-    assert counting.products == sum(1 for v, row in enumerate(fresh.right)
-                                    for j in row if j == -1 or j >= v)
+    assert counting.products == _formed_products(fresh)
+    for r in range(ball.radius):
+        small = build_ball(ball.group, r)
+        counting = _CountingGroup(ball.group)
+        grown = build_ball(counting, ball.radius, ball=small)
+        assert grown.right == ball.right
+        assert counting.products == _formed_products(grown, small)
+
+
+# a build makes one element per new vertex: products are formed and looked
+# up as element data
+
+@pytest.mark.parametrize("name, r1, r2", [("f2", 3, 5), ("sl2z", 4, 8),
+                                          ("c4*c2*c6", 3, 6), ("z5", 1, 2),
+                                          ("c2*c3", 0, 1)])
+def test_ball_makes_one_element_per_new_vertex(monkeypatch, name, r1, r2):
+    made = []
+
+    def counted(data, group):
+        made.append(data)
+        return GroupElement(data, group)
+
+    monkeypatch.setattr(cayley, "GroupElement", counted)
+    group = load_fixture(name)
+    small = build_ball(group, r1)
+    assert made == [g.data for g in small.elements[1:]]
+    del made[:]
+    large = build_ball(group, r2, ball=small)
+    assert made == [g.data for g in large.elements[small.vertex_count:]]
+    del made[:]
+    build_ball(group, r1, ball=large)
+    assert made == []
 
 
 # every table entry and inverse index against arithmetic, on matrix
