@@ -39,9 +39,9 @@ generator walks are needed: Z generated by t^2 and t^3 has no relator,
 yet its cover below r = 5 is not the ball. The walks are taken at the
 root before each layer, once the expansion reaches half the longest;
 the enumeration runs on to depth + r only while some walk stays open
-(a proper cover, Γ_r != Γ), where Γ has no presentation (a table group,
-a matrix spec without one, a graph of groups with a non-cyclic vertex
-group), or where a symbol's element lies outside the ball.
+(a proper cover, Γ_r != Γ), where Γ has no presentation (a table group
+or a matrix spec without one), or where a symbol's element lies outside
+the ball.
 
 Each node is expanded once. A node's layer is the expansion that created
 it: the root is layer 0, and expanding layer L creates layer L + 1.
@@ -368,9 +368,9 @@ def _presentation_walks(ball):
     reduced, the empty ones dropped.
 
     None where there is no presentation: `presentation_from_group` raises
-    SpecFormatError for a table group, a matrix spec without one or a
-    non-cyclic vertex group, and VerificationFailure for a matrix spec
-    whose torsion words are not torsion, which the cover does not read.
+    SpecFormatError for a table group or a matrix spec without one, and
+    VerificationFailure for a matrix spec whose torsion words are not
+    torsion, which the cover does not read.
     None also where a symbol's element lies outside the ball.
     """
     try:

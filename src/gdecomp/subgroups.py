@@ -4,8 +4,13 @@ The pipeline: extract a presentation, find a homomorphism onto a finite
 group that is injective on every finite vertex subgroup (systematic
 coset-table search, or congruence reduction for matrix groups), take
 the kernel, and attempt a freeness certificate by Schreier rewriting
-plus Tietze elimination. The hom's one enumeration of its image group
-is the kernel's prefix-closed Schreier transversal and coset table.
+plus Tietze elimination. A graph of finite groups is presented by its
+vertex tables, whatever their shape: one rule gives every vertex group
+its symbols, relators and maximal cyclic subgroup words. The hom's one
+enumeration of its image group is the kernel's prefix-closed Schreier
+transversal and coset table, stored as a `CayleyBall` stores its
+table: int rows indexed by step, with a Schreier vector beside them
+(Sims, *Computation with Finitely Presented Groups*, 1994, ch. 5).
 Since kernels are normal, torsion-freeness reduces to "no nontrivial
 torsion representative maps to the identity": no conjugate is checked,
 and `conjugates_per_representative` records the index, the number of
@@ -34,7 +39,10 @@ WORD_ORDER_CAP = 10_000
 
 class Presentation:
     """Symbols, relators, and the finite-subgroup words used for
-    injectivity and torsion checks.
+    injectivity and torsion checks: (word, order) pairs whose powers are
+    every torsion word up to conjugacy. A hom is injective on a finite
+    group exactly when it is on each of its maximal cyclic subgroups, as
+    a nontrivial kernel holds an element of prime order.
 
     `elements` maps each symbol to the group element it stands for, and
     `generator_words` maps each name in the group's `generators` to a
@@ -83,76 +91,75 @@ def presentation_from_group(group):
 
 
 def _presentation_from_gog(group):
-    """One generator per nontrivial cyclic vertex group plus one stable
-    letter per non-tree edge; relators encode orders and edge gluing.
-    The symbol x{v} stands for the based copy of its vertex generator,
-    t{i} for the based loop over edge i, and a generator's symbol word is
-    read off its normal form (`_normal_form_word`)."""
+    """The presentation of the fundamental group of a graph of finite
+    groups (Serre, *Trees*, §I.5.1): each vertex group by its table, one
+    stable letter per non-tree edge, and the edge gluing relators.
+
+    A nontrivial vertex table v gets the symbol x{v} for its first minimal
+    generator and x{v}_{j} for the j-th further one, each standing for the
+    based copy of that generator, and t{i} is the based loop over edge i.
+    Each vertex element g gets its BFS word w_g over the vertex's symbols,
+    and the relators w_g·x·w_{g·x}⁻¹, freely reduced and without
+    duplicates, present the table: they make every word equal to the BFS
+    word of its value. They are formed for the edges (g, x) off the BFS
+    tree; on it w_{g·x} = w_g·x, and the relator is empty. A cyclic table
+    of order n gives x{v} and the single relator x{v}^n. Every torsion
+    element is conjugate into a vertex group and lies in a maximal cyclic
+    subgroup of it, so the subgroup words are w_x for the least generator
+    x of each maximal cyclic subgroup. The edge relators and each
+    generator's symbol word read w: a normal form's vertex item (v, g) is
+    w_g, a traversal of a non-tree edge its stable letter, and a tree edge
+    is trivial in the fundamental group."""
     gog = group.gog
-    symbols, vgen, relators, elements = [], {}, [], {}
-    subs = []
+    symbols, relators, subs, elements, vwords = [], [], [], {}, []
     for v, table in enumerate(gog.vertices):
-        if table.order == 1:
-            continue
-        gen = table.minimal_generators()
-        if len(gen) != 1:
-            raise SpecFormatError("only cyclic vertex groups are supported here")
-        sym = f"x{v}"
-        symbols.append(sym)
-        vgen[v] = (sym, gen[0], table)
-        elements[sym] = group.based_vertex_element(v, gen[0])
-        relators.append(tuple([(sym, 1)] * table.order))
-        subs.append((((sym, 1),), table.order))
+        gens = [(f"x{v}_{j}" if j else f"x{v}", x)
+                for j, x in enumerate(table.minimal_generators())]
+        words, found, rels = [()] + [None] * (table.order - 1), [0], {}
+        for g in found:  # BFS from the identity; found grows as it runs
+            for sym, x in gens:
+                h = table.mul[g][x]
+                if words[h] is None:
+                    words[h] = words[g] + ((sym, 1),)
+                    found.append(h)
+                else:  # a dict drops repeated relators and keeps order
+                    rels[free_reduce(words[g] + ((sym, 1),)
+                                     + invert_word(words[h]))] = None
+        vwords.append(words)
+        relators += rels
+        for sym, x in gens:
+            symbols.append(sym)
+            elements[sym] = group.based_vertex_element(v, x)
+        cyclic = {}
+        for x in range(1, table.order):
+            # an x inside a listed subgroup generates no larger one
+            if not any(x in c for c in cyclic):
+                cyclic[table.closure({x})] = x
+        subs += [(words[x], len(c)) for c, x in cyclic.items()
+                 if not any(c < d for d in cyclic)]
     stable = {}
     for i, e in enumerate(gog.edges):
         if not e.tree:
-            sym = f"t{i}"
-            symbols.append(sym)
-            stable[i] = sym
-            elements[sym] = group.stable_letter(i)
+            stable[i] = f"t{i}"
+            symbols.append(stable[i])
+            elements[stable[i]] = group.stable_letter(i)
         for c in range(e.table.order):
-            wu = _power_word(vgen, e.u, e.into_u[c])
-            wv = _power_word(vgen, e.v, e.into_v[c])
+            wu, wv = vwords[e.u][e.into_u[c]], vwords[e.v][e.into_v[c]]
             if i in stable:
-                rel = ((stable[i], -1),) + wu + ((stable[i], 1),) + invert_word(wv)
-            else:
-                rel = wu + invert_word(wv)
-            rel = free_reduce(rel)
+                wu = ((stable[i], -1),) + wu + ((stable[i], 1),)
+            rel = free_reduce(wu + invert_word(wv))
             if rel:
                 relators.append(rel)
-    words = {name: _normal_form_word(vgen, stable, group.items(g.data))
-             for name, g in group.generators.items()}
-    return Presentation(symbols, relators, subs, elements, words)
-
-
-def _normal_form_word(vgen, stable, items):
-    """The symbol word of a normal form's items: each vertex item as a
-    power of its vertex's generator, each traversal of a non-tree edge as
-    its stable letter; a tree edge is trivial in the fundamental group."""
-    word = ()
-    for item in items:
-        if item[0] == "v":
-            word += _power_word(vgen, item[1], item[2])
-        elif item[1] in stable:
-            word += ((stable[item[1]], item[2]),)
-    return free_reduce(word)
-
-
-def _power_word(vgen, v, idx):
-    if idx == 0:
-        return ()
-    if v not in vgen:
-        raise SpecFormatError("edge group maps into a trivial vertex group "
-                              "with a nontrivial element")
-    sym, gen, table = vgen[v]
-    # express element idx as a power of the chosen generator
-    acc, k = 0, 0
-    while acc != idx:
-        acc = table.mul[acc][gen]
-        k += 1
-        if k > table.order:
-            raise SpecFormatError("vertex generator does not generate")
-    return tuple([(sym, 1)] * k)
+    generator_words = {}
+    for name, g in group.generators.items():
+        word = ()
+        for kind, x, y in group.items(g.data):
+            if kind == "v":
+                word += vwords[x][y]
+            elif x in stable:
+                word += ((stable[x], y),)
+        generator_words[name] = free_reduce(word)
+    return Presentation(symbols, relators, subs, elements, generator_words)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +169,25 @@ class FiniteQuotientHom:
     """Generator images in a concrete finite group (permutations of a
     coset action, or matrices mod m), with the image group enumerated.
 
-    One BFS from the identity, trying each symbol's image and then its
-    inverse, gives `elements` in BFS order, `words`, the kernel's
-    prefix-closed Schreier transversal, and `table`, its coset table:
-    table[i][(sym, e)] is the index of elements[i] times sym^e's image.
+    The steps are each symbol and then its inverse, `steps[k]` = (sym, ±1)
+    with step k ^ 1 the inverse of step k, as the generators of a
+    `CayleyBall`. One BFS from the identity, trying the steps in order,
+    gives `elements` in BFS order, `words`, the kernel's prefix-closed
+    Schreier transversal, and `table`, its coset table in the ball's row
+    layout: table[i][k] is the index of elements[i] times step k's image.
+    `last[j]`, the Schreier vector, is the step that first reached
+    elements[j] (the last letter of words[j]), -1 at the identity.
 
-    Each edge's product is formed once: when elements[i] * sym^e is
-    elements[j], the reverse entry table[j][(sym, -e)] = i is filled from
-    it, and row j skips that product. A filled entry leads to an element
+    Each edge's product is formed once: when elements[i] times step k is
+    elements[j], the reverse entry table[j][k ^ 1] = i is filled from it,
+    and row j skips that product. A filled entry leads to an element
     already found, so the BFS order and words are those of forming every
     product, and the enumeration forms |symbols| * order products.
     """
 
     __slots__ = ("kind", "symbols", "images", "inverses", "op", "identity",
-                 "order", "elements", "words", "table", "detail")
+                 "order", "steps", "elements", "words", "last", "table",
+                 "detail")
 
     def __init__(self, kind, symbols, images, op, identity, detail=None):
         self.kind = kind
@@ -186,19 +198,18 @@ class FiniteQuotientHom:
         self.detail = detail or {}
         self.inverses = {s: _generic_inverse(g, op, identity)
                          for s, g in self.images.items()}
-        # step k ^ 1 is the inverse of step k
-        steps = [(s, e) for s in self.symbols for e in (1, -1)]
+        steps = self.steps = [(s, e) for s in self.symbols for e in (1, -1)]
         imgs = [self.images[s] if e > 0 else self.inverses[s]
                 for s, e in steps]
-        elems, words, table = [identity], [()], [dict.fromkeys(steps)]
+        blank = [-1] * len(steps)
+        elems, words, last, table = [identity], [()], [-1], [blank[:]]
         index = {identity: 0}
         for x in elems:
             # index's own int, so a reverse entry adds no int object
             i = index[x]
             row = table[i]
             for k, img in enumerate(imgs):
-                step = steps[k]
-                if row[step] is not None:
+                if row[k] >= 0:
                     continue
                 y = op(x, img)
                 j = index.get(y)
@@ -209,11 +220,13 @@ class FiniteQuotientHom:
                                           "elements", reached=QUOTIENT_CAP)
                     j = index[y] = len(elems)
                     elems.append(y)
-                    words.append(words[i] + (step,))
-                    table.append(dict.fromkeys(steps))
-                row[step] = j
-                table[j][steps[k ^ 1]] = i
-        self.elements, self.words, self.table = elems, words, table
+                    words.append(words[i] + (steps[k],))
+                    last.append(k)
+                    table.append(blank[:])
+                row[k] = j
+                table[j][k ^ 1] = i
+        self.elements, self.words, self.last, self.table = \
+            elems, words, last, table
         self.order = len(elems)
 
     def image_of_word(self, word):
@@ -574,14 +587,20 @@ def congruence_hom(group, modulus):
 # kernel, transversal, Reidemeister-Schreier
 
 class SubgroupCertificate:
+    """A finite-index subgroup, given by the hom whose kernel it is, with
+    its certificate. `transversal[c]` is coset c's transversal word, and
+    `coset_table` is the hom's table: coset_table[c][k] is the coset of c
+    times step k of `hom.steps`, in int rows laid out as a `CayleyBall`'s
+    (step k ^ 1 is the inverse of step k)."""
+
     __slots__ = ("hom", "index", "transversal", "coset_table", "free_basis",
                  "rank", "torsion_free", "evidence")
 
     def __init__(self, hom, index, transversal, coset_table):
         self.hom = hom
         self.index = index
-        self.transversal = transversal  # coset id -> word
-        self.coset_table = coset_table  # coset id -> {(sym, e): coset id}
+        self.transversal = transversal
+        self.coset_table = coset_table
         self.free_basis = None
         self.rank = None
         self.torsion_free = None
@@ -603,8 +622,10 @@ class SubgroupCertificate:
 
 def kernel_subgroup(hom, pres):
     """Kernel of the hom with a prefix-closed Schreier transversal over
-    the image group's regular action: the hom's own enumeration. `pres`,
-    the presentation the hom was built for, is not read."""
+    the image group's regular action: the hom's own enumeration, whose
+    rows are the coset table and whose `last` is the transversal's
+    Schreier vector. `pres`, the presentation the hom was built for, is
+    not read."""
     return SubgroupCertificate(hom, hom.order, hom.words, hom.table)
 
 
@@ -614,31 +635,30 @@ def reidemeister_schreier(cert, pres):
 
     The Schreier generator of (coset c, symbol s) is t[c]·s·t[c·s]^-1,
     over the transversal t, the hom's BFS tree. It is trivial exactly
-    when (c, s) is a tree edge: t[c·s] ends in (s, 1), or t[c] ends in
-    (s, -1). The others are generators g = 1, 2, ... in (coset, symbol)
-    order, letters g and -g for g^-1. Transversal words are reduced, and
-    by the same rule neither junction of a free-basis word cancels, so it
-    is reduced as formed. Each step (s, e) has two columns from the coset
-    table, the coset each coset goes to and the letter read there (0 for
-    none), and each relator is rewritten from every coset at once."""
+    when (c, s) is a tree edge: c·s was first reached by s from c, or c
+    by s^-1 from c·s. The others are generators g = 1, 2, ... in (coset,
+    symbol) order, letters g and -g for g^-1. Transversal words are
+    reduced, and by the same rule neither junction of a free-basis word
+    cancels, so it is reduced as formed. Each step k has two columns: the
+    coset table's column k, the coset each coset goes to, and the letter
+    read there (0 for none); each relator is rewritten from every coset
+    at once along them."""
     n, table, t = cert.index, cert.coset_table, cert.transversal
-    pairs = _schreier_pairs(cert, pres.symbols)
-    letters = {s: [0] * n for s in pres.symbols}
-    for g, (c, s) in enumerate(pairs, 1):
-        letters[s][c] = g
-    columns = {}
-    for s, gen in letters.items():
-        back = [row[(s, -1)] for row in table]
-        columns[(s, 1)] = [row[(s, 1)] for row in table], gen
-        columns[(s, -1)] = back, [-gen[d] for d in back]
+    steps = cert.hom.steps
+    pairs = _schreier_pairs(cert)
+    cols = list(zip(*table))
+    letters = [[0] * n for _ in steps]
+    for g, (c, k) in enumerate(pairs, 1):
+        letters[k][c] = g
+        letters[k ^ 1][table[c][k]] = -g
+    step = {x: k for k, x in enumerate(steps)}
     rewrites = []
     # zip(*rewrites) would stop at an empty relator's empty list
     for rel in filter(None, pres.relators):
         cur, words = range(n), []
-        for x in rel:
-            nxt, gen = columns[x]
-            words.append(list(map(gen.__getitem__, cur)))
-            cur = list(map(nxt.__getitem__, cur))
+        for k in map(step.__getitem__, rel):
+            words.append(list(map(letters[k].__getitem__, cur)))
+            cur = list(map(cols[k].__getitem__, cur))
         if cur != list(range(n)):
             raise VerificationFailure("relator conjugate leaves the subgroup")
         rewrites.append([tuple(filter(None, w)) for w in zip(*words)])
@@ -647,8 +667,8 @@ def reidemeister_schreier(cert, pres):
     if relators:
         cert.evidence["residual_relators"] = len(relators)
         return cert
-    cert.free_basis = [t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]])
-                       for g, (c, s) in enumerate(pairs, 1)
+    cert.free_basis = [t[c] + (steps[k],) + invert_word(t[table[c][k]])
+                       for g, (c, k) in enumerate(pairs, 1)
                        if g not in eliminated]
     cert.rank = len(cert.free_basis)
     cert.evidence["schreier_generators"] = len(pairs)
@@ -656,14 +676,14 @@ def reidemeister_schreier(cert, pres):
     return cert
 
 
-def _schreier_pairs(cert, symbols):
-    """The (coset, symbol) pairs whose Schreier generator is nontrivial,
-    in (coset, symbol) order: those that are not edges of the transversal
-    tree."""
-    t, table = cert.transversal, cert.coset_table
-    return [(c, s) for c in range(cert.index) for s in symbols
-            if t[table[c][(s, 1)]][-1:] != ((s, 1),)
-            and t[c][-1:] != ((s, -1),)]
+def _schreier_pairs(cert):
+    """The (coset, step) pairs, over each symbol's step, whose Schreier
+    generator is nontrivial, in (coset, symbol) order: those that are not
+    edges of the transversal tree, read off the Schreier vector."""
+    last = cert.hom.last
+    return [(c, k) for c, row in enumerate(cert.coset_table)
+            for k in range(0, len(row), 2)
+            if last[row[k]] != k and last[c] != k ^ 1]
 
 
 def _tietze(relators):

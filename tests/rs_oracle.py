@@ -5,6 +5,8 @@ It numbers the Schreier generators that reduce to a nonempty word,
 rewrites each relator from each coset one letter at a time through a
 (coset, symbol) -> generator dict, eliminates with the full-rescan Tietze
 loop (tietze_oracle.py), and forms each free-basis word by free reduction.
+It walks the coset table one entry at a time, the entry of a letter
+(s, ±1) being the one at that letter's index in the hom's `steps`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from gdecomp.groups import free_reduce, invert_word
 def reidemeister_schreier(cert, pres):
     """Fill cert's free_basis, rank and evidence as
     gdecomp.subgroups.reidemeister_schreier does."""
-    n = cert.index
+    n, table = cert.index, cert.coset_table
+    step = {x: k for k, x in enumerate(cert.hom.steps)}
     pairs = schreier_pairs(cert, pres.symbols)
     gen_id = {pair: g for g, pair in enumerate(pairs)}
 
@@ -29,9 +32,9 @@ def reidemeister_schreier(cert, pres):
                 g = gen_id.get((c, s))
                 if g is not None:
                     out.append((g, 1))
-                c = cert.coset_table[c][(s, 1)]
+                c = table[c][step[s, 1]]
             else:
-                c = cert.coset_table[c][(s, -1)]
+                c = table[c][step[s, -1]]
                 g = gen_id.get((c, s))
                 if g is not None:
                     out.append((g, -1))
@@ -42,9 +45,9 @@ def reidemeister_schreier(cert, pres):
     relators = [rewrite(c, rel) for c in range(n) for rel in pres.relators]
     relators, eliminated = tietze(relators)
     if not relators:
-        t, table = cert.transversal, cert.coset_table
+        t = cert.transversal
         cert.free_basis = [
-            free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]]))
+            free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][step[s, 1]]]))
             for g, (c, s) in enumerate(pairs) if g not in eliminated]
         cert.rank = len(cert.free_basis)
         cert.evidence["schreier_generators"] = len(pairs)
@@ -60,5 +63,7 @@ def schreier_pairs(cert, symbols):
     """The (coset, symbol) pairs whose Schreier generator reduces to a
     nonempty word, in (coset, symbol) order."""
     t, table = cert.transversal, cert.coset_table
+    step = {x: k for k, x in enumerate(cert.hom.steps)}
     return [(c, s) for c in range(cert.index) for s in symbols
-            if free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]]))]
+            if free_reduce(t[c] + ((s, 1),)
+                           + invert_word(t[table[c][step[s, 1]]]))]

@@ -171,6 +171,38 @@ def test_rank_contradicting_chi_exits_3(capsys, monkeypatch, command):
     assert "certified rank 1 contradicts 1 + index*(-chi) = 2" in out.err
 
 
+# S3 by permutations: element 1 is a transposition, element 2 a 3-cycle
+_S3 = {"permutations": [[1, 0, 2], [1, 2, 0]], "degree": 3}
+_A, _B, _C, _D = ([["v", v, x]] for v in (0, 1) for x in (1, 2))
+_NON_CYCLIC = {
+    # S3 * C2: index 6 and rank 1 + 6 * (1 - 1/6 - 1/2) = 3
+    "s3_c2": ([_S3, {"cyclic": 2}], {"trivial": True}, [0], [0],
+              {"a": _A, "b": _B, "c": _C}, 3),
+    # S3 *_{C2} S3: index 6 and rank 1 + 6 * (1/2 - 1/6 - 1/6) = 2
+    "s3_c2_s3": ([_S3, _S3], {"cyclic": 2}, [0, 1], [0, 1],
+                 {"a": _A, "b": _B, "c": _C, "d": _D}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_CYCLIC))
+def test_report_non_cyclic_vertex_groups(tmp_path, capsys, name):
+    # the certificate reads each vertex group's presentation from its
+    # table, and its rank is the one that chi forces
+    vertices, edge_group, into_u, into_v, generators, rank = _NON_CYCLIC[name]
+    spec = {"format": "gdecomp-group/1", "kind": "graph-of-groups",
+            "name": name, "vertices": vertices,
+            "edges": [{"u": 0, "v": 1, "group": edge_group,
+                       "into_u": into_u, "into_v": into_v, "tree": True}],
+            "generators": generators}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "report", "--group", str(path))
+    assert code == 0
+    cert = json.loads(out)["stages"]["certificate"]
+    assert (cert["index"], cert["rank"]) == (6, rank)
+    assert cert["torsion_free"] and cert["evidence"]["free"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "text-table"])
 @pytest.mark.parametrize("axiom", ["h1", "h2"])
 def test_failed_axiom_exits_3(capsys, monkeypatch, axiom, fmt):

@@ -13,7 +13,8 @@ from gdecomp.cycles import closed_words
 from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam, make_free_group
 from gdecomp.graphs import bfs
-from gdecomp.groups import GraphOfGroupsGroup, MatrixGroup, multiply
+from gdecomp.groups import (GraphOfGroupsGroup, MatrixGroup, load_group,
+                            multiply)
 
 from cover_oracle import build_truncated_cover as oracle_cover
 from cover_oracle import lift_element_action as oracle_lift
@@ -145,6 +146,36 @@ def test_cover_read_from_ball_within_node_cap(group, r, depth, size,
     assert cov.projection == ball.interior(depth) == list(range(size))
     assert cov.node_depth == ball.word_length[:size]
     assert cov.certified_depth == min(depth, 10 - r)
+    _assert_coset_table(cov)
+
+
+# S3 * C2, with S3 by permutations: element 1 is a transposition and
+# element 2 a 3-cycle, so its presentation comes from a non-cyclic table
+S3_C2 = load_group({
+    "format": "gdecomp-group/1", "kind": "graph-of-groups", "name": "s3_c2",
+    "vertices": [{"permutations": [[1, 0, 2], [1, 2, 0]], "degree": 3},
+                 {"cyclic": 2}],
+    "edges": [{"u": 0, "v": 1, "group": {"trivial": True}, "into_u": [0],
+               "into_v": [0], "tree": True}],
+    "generators": {"a": [["v", 0, 1]], "b": [["v", 0, 2]],
+                   "c": [["v", 1, 1]]}})
+
+
+@pytest.mark.parametrize("r, depth", [(6, 4), (4, 3)])
+def test_non_cyclic_cover_read_from_ball(monkeypatch, r, depth):
+    # the walks of the table presentation close, so the cover is read from
+    # the ball within a node cap that the enumeration to depth + r passes,
+    # and it is the cover that the enumeration builds
+    ball = build_ball(S3_C2, 8)
+    assert cover._presentation_walks(ball)
+    monkeypatch.setattr(cover, "NODE_CAP", 50)
+    cov = build_truncated_cover(ball, r, depth)
+    size = len(ball.interior(depth))
+    assert cov.projection == ball.interior(depth) == list(range(size))
+    assert cov.node_depth == ball.word_length[:size]
+    oracle = oracle_cover(ball, r, depth)
+    assert cov.to_json() == oracle.to_json()
+    assert cov.node_depth == oracle.node_depth
     _assert_coset_table(cov)
 
 

@@ -12,6 +12,8 @@ from gdecomp.cli import canonical_json
 from gdecomp.errors import CapExceeded, GdecompError, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam
 from gdecomp.graphs import bfs
+from gdecomp.groups import (FiniteGroupTable, GogEdge, GraphOfGroups,
+                            GraphOfGroupsGroup, element_order)
 from gdecomp.subgroups import (Presentation, _tietze, congruence_hom,
                                construct_finite_quotient,
                                expected_free_rank,
@@ -54,17 +56,176 @@ def test_presentation_symbols_name_elements(name):
     group = load_fixture(name)
     pres = presentation_from_group(group)
     assert sorted(pres.elements) == sorted(pres.symbols)
+    _assert_presentation_holds(group, pres)
 
-    def value(word):
-        acc = group.identity
-        for s, e in word:
-            g = pres.elements[s]
-            acc = group.op(acc, g if e > 0 else group.inv(g))
-        return acc
-    assert all(value(r) == group.identity for r in pres.relators)
+
+def _value(group, pres, word):
+    """The element that a word over the presentation's symbols stands for."""
+    acc = group.identity
+    for s, e in word:
+        g = pres.elements[s]
+        acc = group.op(acc, g if e > 0 else group.inv(g))
+    return acc
+
+
+def _assert_presentation_holds(group, pres):
+    """Every relator is trivial on the symbols' elements, and each of the
+    group's generators equals its symbol word."""
+    assert all(_value(group, pres, r) == group.identity
+               for r in pres.relators)
     assert sorted(pres.generator_words) == sorted(group.generators)
     for gname, word in pres.generator_words.items():
-        assert value(word) == group.generators[gname]
+        assert _value(group, pres, word) == group.generators[gname]
+
+
+# (permutations, degree) of small finite groups; the C6 is generated by
+# an involution and a 3-cycle, so its element 1 does not generate it
+PERMUTATION_GROUPS = {
+    "S3": ([[1, 0, 2], [1, 2, 0]], 3),
+    "D4": ([[1, 2, 3, 0], [3, 2, 1, 0]], 4),
+    "Q8": ([[2, 3, 1, 0, 7, 6, 4, 5], [4, 5, 6, 7, 1, 0, 3, 2]], 8),
+    "C2xC2": ([[1, 0, 3, 2], [2, 3, 0, 1]], 4),
+    "C6": ([[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]], 5),
+}
+
+
+def _maximal_cyclic(table):
+    """The maximal cyclic subgroups of a table, as sets of powers."""
+    cyclic = set()
+    for x in range(1, table.order):
+        powers, acc = {0}, x
+        while acc:
+            powers.add(acc)
+            acc = table.mul[acc][x]
+        cyclic.add(frozenset(powers))
+    return {c for c in cyclic if not any(c < d for d in cyclic)}
+
+
+@st.composite
+def _finite_graphs_of_groups(draw, name, stable):
+    """A graph of groups whose vertex 0 is the named permutation group:
+    alone or joined by a tree edge to a permutation, cyclic or trivial
+    group, over a trivial or order-2 edge group; with `stable`, a loop at
+    vertex 0 over a trivial or order-2 group as well. The generators are
+    1-3 drawn sketches."""
+    vertices = [FiniteGroupTable.from_permutations(*PERMUTATION_GROUPS[name])]
+    edges = []
+
+    def involution(table):
+        found = [x for x in range(1, table.order)
+                 if table.element_order(x) == 2]
+        return draw(st.sampled_from(found)) if found else None
+
+    def edge(u, v):
+        x, y = involution(vertices[u]), involution(vertices[v])
+        if x is not None and y is not None and draw(st.booleans()):
+            return GogEdge(u, v, FiniteGroupTable.cyclic(2), [0, x], [0, y],
+                           u != v)
+        return GogEdge(u, v, FiniteGroupTable.trivial(), [0], [0], u != v)
+
+    if draw(st.booleans()):
+        other = draw(st.sampled_from(sorted(PERMUTATION_GROUPS)
+                                     + ["C2", "C3", "trivial"]))
+        vertices.append(FiniteGroupTable.from_permutations(
+            *PERMUTATION_GROUPS[other]) if other in PERMUTATION_GROUPS
+            else FiniteGroupTable.trivial() if other == "trivial"
+            else FiniteGroupTable.cyclic(int(other[1:])))
+        edges.append(edge(0, 1))
+    if stable:
+        edges.append(edge(0, 0))
+    entry = st.one_of(
+        st.integers(0, len(vertices) - 1).flatmap(lambda v: st.tuples(
+            st.just("v"), st.just(v), st.integers(0, vertices[v].order - 1))),
+        st.tuples(st.just("e"), st.integers(0, len(edges) - 1),
+                  st.sampled_from([1, -1])) if edges else st.nothing())
+    sketches = draw(st.lists(st.lists(entry, min_size=1, max_size=4),
+                             min_size=1, max_size=3))
+    return GraphOfGroupsGroup(GraphOfGroups(vertices, edges),
+                              {f"g{i}": s for i, s in enumerate(sketches)})
+
+
+@pytest.mark.parametrize("stable", [False, True])
+@pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_presentation_of_finite_vertex_groups(name, stable, data):
+    # every vertex table is presented by its own relators: they hold and
+    # present the table, the generators' words hold, and the subgroup
+    # words are the maximal cyclic subgroups with their orders; a trivial
+    # table adds nothing
+    group = data.draw(_finite_graphs_of_groups(name, stable))
+    pres = presentation_from_group(group)
+    _assert_presentation_holds(group, pres)
+    for w, n in pres.subgroup_words:
+        assert element_order(_value(group, pres, w), n) == n
+    gog = group.gog
+    assert sum(s.startswith("t") for s in pres.symbols) \
+        == sum(not e.tree for e in gog.edges) == stable
+    for v, table in enumerate(gog.vertices):
+        syms = [s for s in pres.symbols
+                if s == f"x{v}" or s.startswith(f"x{v}_")]
+        # each symbol is the based copy of one vertex element
+        at = {group.based_vertex_element(v, x): x for x in range(table.order)}
+        of = {s: at[pres.elements[s]] for s in syms}
+        assert table.closure(of.values()) == set(range(table.order))
+        assert len(syms) == len(table.minimal_generators())
+        subgroups_at = []
+        for w, n in pres.subgroup_words:
+            if {s for s, _ in w} <= set(syms):
+                x = 0
+                for s, e in w:
+                    y = of[s]
+                    x = table.mul[x][y if e > 0 else table.inv[y]]
+                subgroups_at.append(table.closure({x}))
+        assert sorted(map(sorted, subgroups_at)) \
+            == sorted(map(sorted, _maximal_cyclic(table)))
+        # the vertex relators present the table: the kernel of the map
+        # onto its right regular action is trivial, a free group of rank 0
+        if syms:
+            on_table = Presentation(syms, [r for r in pres.relators
+                                           if {s for s, _ in r} <= set(syms)],
+                                    [])
+            hom = subgroups.FiniteQuotientHom(
+                "coset-action", syms,
+                {s: tuple(row[x] for row in table.mul) for s, x in of.items()},
+                subgroups._perm_op, tuple(range(table.order)))
+            assert hom.order == table.order
+            cert = reidemeister_schreier(kernel_subgroup(hom, on_table),
+                                         on_table)
+            assert cert.evidence["free"] and cert.rank == 0
+    assert len(pres.subgroup_words) == sum(
+        len(_maximal_cyclic(t)) for t in gog.vertices)
+
+
+# (vertex tables, edges as (u, v, edge order, into_u, into_v, tree), index,
+# rank): C2xC2's elements 1-3 are involutions, and so are S3's 1 and 3.
+# S3 * C2 and S3 *_{C2} S3 certify in tests/test_cli.py, through `report`
+NON_CYCLIC_CERTIFICATES = {
+    "C2xC2*_C2_C4": (["C2xC2", 4], [(0, 1, 2, [0, 1], [0, 2], True)], 8, 1),
+    "S3*_C2": (["S3"], [(0, 0, 2, [0, 1], [0, 3], False)], 6, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CYCLIC_CERTIFICATES))
+def test_non_cyclic_vertex_groups_certify(name):
+    # the certificate takes the tables' presentations: a free kernel of
+    # the rank that the Euler characteristic forces, and no torsion
+    vertices, edges, index, rank = NON_CYCLIC_CERTIFICATES[name]
+    tables = [FiniteGroupTable.from_permutations(*PERMUTATION_GROUPS[t])
+              if isinstance(t, str) else FiniteGroupTable.cyclic(t)
+              for t in vertices]
+    gog = GraphOfGroups(tables, [
+        GogEdge(u, v, FiniteGroupTable.cyclic(n), into_u, into_v, tree)
+        for u, v, n, into_u, into_v, tree in edges])
+    sketches = {f"x{v}_{x}": [("v", v, x)] for v, t in enumerate(tables)
+                for x in t.minimal_generators()}
+    sketches.update({f"t{i}": [("e", i, 1)] for i, e in enumerate(edges)
+                     if not e[5]})
+    group = GraphOfGroupsGroup(gog, sketches)
+    pres, cert = build_cert(group)
+    assert (cert.index, cert.rank) == (index, rank)
+    assert rank == expected_free_rank(gog, index)
+    assert cert.evidence["free"] and cert.torsion_free
 
 
 def test_c2c3_certificate(c2c3):
@@ -239,14 +400,20 @@ def test_quotient_enumeration_is_coset_table(name, modulus):
            else construct_finite_quotient(group))
     index = {x: i for i, x in enumerate(hom.elements)}
     assert len(index) == hom.order == len(hom.words) == len(hom.table)
+    # one int per step, the steps laid out as a ball's generators
     steps = [(s, e) for s in hom.symbols for e in (1, -1)]
+    assert hom.steps == steps
     for i, row in enumerate(hom.table):
-        assert list(row) == steps
-        for (s, e), j in row.items():
+        assert len(row) == len(steps)
+        for (s, e), j in zip(steps, row):
             img = hom.images[s] if e > 0 else hom.inverses[s]
             assert index[hom.op(hom.elements[i], img)] == j
     for word, x in zip(hom.words, hom.elements):
         assert hom.image_of_word(word) == x
+    # the Schreier vector is the step of each word's last letter
+    assert len(hom.last) == hom.order and hom.last[0] == -1
+    for j, word in enumerate(hom.words[1:], 1):
+        assert hom.last[j] == steps.index(word[-1])
     # the enumeration this one replaced, kept as the reference
     gens = list(hom.images.values()) + list(hom.inverses.values())
     assert hom.order == len(bfs(lambda x: (hom.op(x, g) for g in gens),
@@ -276,8 +443,8 @@ def test_quotient_enumeration_forms_each_edge_once(monkeypatch, name,
     again = subgroups.FiniteQuotientHom(hom.kind, hom.symbols, hom.images,
                                         op, hom.identity)
     assert len(products) == len(hom.symbols) * hom.order
-    assert (again.elements, again.words, again.table) \
-        == (hom.elements, hom.words, hom.table)
+    assert (again.elements, again.words, again.last, again.table) \
+        == (hom.elements, hom.words, hom.last, hom.table)
 
 
 # relators over up to 6 generators, including empty and unreduced words
@@ -577,7 +744,7 @@ def test_schreier_tree_rule_matches_word_rule(case):
     hom = (congruence_hom(group, modulus) if modulus
            else construct_finite_quotient(group, pres))
     cert = kernel_subgroup(hom, pres)
-    t, table = cert.transversal, cert.coset_table
-    want = [(c, s) for c in range(cert.index) for s in pres.symbols
-            if free_reduce(t[c] + ((s, 1),) + invert_word(t[table[c][(s, 1)]]))]
-    assert subgroups._schreier_pairs(cert, pres.symbols) == want
+    t, table, steps = cert.transversal, cert.coset_table, hom.steps
+    want = [(c, k) for c in range(cert.index) for k in range(0, len(steps), 2)
+            if free_reduce(t[c] + (steps[k],) + invert_word(t[table[c][k]]))]
+    assert subgroups._schreier_pairs(cert) == want
