@@ -5,7 +5,13 @@ minimal-eccentricity representatives F of the conjugacy classes of
 maximal finite subgroups visible in the ball, with singleton bags
 elsewhere. On the virtually free examples this reproduces the
 bags-are-cosets picture exactly, and it is manifestly equivariant under
-left translation.
+left translation. A vertex in no coset lies in its singleton bag alone,
+and that bag meets no other bag. So a singleton needs no per-bag work
+beyond its vertex's key: its family is -1, it is a boundary bag when its
+vertex's word length passes the interior radius, and a ball edge at it
+joins bags with no test, since no bag at one end can meet a bag at the
+other (`_joins_bags` is asked only about edges between two vertices in
+cosets). A torsion-free group has only singleton bags.
 
 The model graph is the quotient of the bag structure by left
 translation, read off the cosets: x·F is the translate of F by x, and a
@@ -211,28 +217,24 @@ class GlobalDecomposition:
 
     def verify_axioms(self):
         """(H1) interior edge coverage, (H2) connectivity of each vertex's
-        bag family. Coverage counts whether the edge lies inside a bag or
-        joins two intersecting bags."""
-        interior = set(self.interior_vertices())
-        uncovered = []
-        for u, v in self.ball.edge_pairs():
-            if u not in interior or v not in interior:
-                continue
-            if any(v in self.bags[b] for b in self.vertex_bags[u]):
-                continue
-            if any(self.bags[bu] & self.bags[bv]
-                   for bu in self.vertex_bags[u] for bv in self.vertex_bags[v]):
-                continue
-            if any((min(bu, bv), max(bu, bv)) in self.adjacent_pairs
-                   for bu in self.vertex_bags[u] for bv in self.vertex_bags[v]):
-                continue
-            uncovered.append((u, v))
-        h2_bad = []
-        for v in interior:
-            bs = self.vertex_bags[v]
-            # bags sharing a vertex are adjacent, and all of v's bags share v
-            if len(bs) > 1 and not all(v in self.bags[b] for b in bs):
-                h2_bad.append(v)
+        bag family. An interior edge is covered when a bag at one end is
+        adjacent to a bag at the other (`adjacent_pairs`), or meets one: a
+        bag holding both ends meets itself, so an edge inside a bag is
+        covered by the second test. The tests are ORed, the recorded
+        adjacency first; the uncovered edges come in sorted order."""
+        length, limit = self.ball.word_length, self.interior_radius
+        bags, at, pairs = self.bags, self.vertex_bags, self.adjacent_pairs
+        uncovered = sorted(
+            (u, v) for u, row in enumerate(self.ball.right)
+            if length[u] <= limit for v in row
+            if v > u and length[v] <= limit
+            and not any(((a, b) if a < b else (b, a)) in pairs
+                        or not bags[a].isdisjoint(bags[b])
+                        for a in at[u] for b in at[v]))
+        # bags sharing a vertex are adjacent, and all of v's bags share v
+        h2_bad = [v for v in range(self.ball.vertex_count)
+                  if length[v] <= limit and len(at[v]) > 1
+                  and not all(v in bags[b] for b in at[v])]
         return {"h1_pass": not uncovered, "h1_uncovered_edges": uncovered,
                 "h2_pass": not h2_bad, "h2_disconnected_vertices": h2_bad}
 
@@ -335,10 +337,14 @@ def compute_global_decomposition(ball, r, families=None):
 
     Bags are sorted by size, then by their vertices' keys: the
     singletons first, in key order, as a family has at least two
-    elements. Each edge orbit is the first interior adjacent pair of its
-    `_pair_key` class, in sorted order; where `_read_at_identity` is
-    exact, its classes are those of the interior pairs, so the scan
-    stops once it has found as many."""
+    elements. A singleton is a vertex in no coset: it has family -1, is
+    flagged when its word length passes the interior radius, and joins
+    the bags at each neighbour with no `_joins_bags` test. Only the
+    cosets are sorted by rank and flagged by their longest vertex, and
+    only edges with both ends in cosets are tested. Each edge orbit is
+    the first interior adjacent pair of its `_pair_key` class, in sorted
+    order; where `_read_at_identity` is exact, its classes are those of
+    the interior pairs, so the scan stops once it has found as many."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if families is None:
@@ -347,10 +353,11 @@ def compute_global_decomposition(ball, r, families=None):
     # cosets of F partition the group, so each is formed once, from its
     # first vertex; one that leaves the ball marks the members it reached
     # done. A coset has one family, and the bags are sorted below
-    bag_set = {}
+    n, length = ball.vertex_count, ball.word_length
+    bag_set, covered = {}, bytearray(n)
     for fi, fam in enumerate(families):
         done = set()
-        for x in range(ball.vertex_count):
+        for x in range(n):
             if x in done:
                 continue
             coset = set()
@@ -361,40 +368,44 @@ def compute_global_decomposition(ball, r, families=None):
                 coset.add(i)
             else:
                 bag_set.setdefault(frozenset(coset), fi)
+                for i in coset:
+                    covered[i] = 1
             done |= coset
 
     # a family has at least two elements, so the singletons sort first,
-    # in key order; keys are injective, so the cosets sort by their
-    # vertices' ranks in that order as they would by their keys
+    # in key order, each of family -1 and flagged by its word length;
+    # keys are injective, so the cosets sort by their vertices' ranks in
+    # that order as they would by their keys
     keys = [g.key() for g in ball.elements]
-    by_key = sorted(range(ball.vertex_count), key=keys.__getitem__)
-    rank = {v: k for k, v in enumerate(by_key)}
-    covered = set().union(*bag_set)
-    bags = [frozenset((v,)) for v in by_key if v not in covered] + sorted(
-        bag_set, key=lambda b: (len(b), sorted(rank[v] for v in b)))
-    bag_family = [bag_set.get(b, -1) for b in bags]
+    by_key = sorted(range(n), key=keys.__getitem__)
+    singles = [v for v in by_key if not covered[v]]
+    rank = dict(zip(by_key, range(n))) if bag_set else None
+    cosets = sorted(bag_set,
+                    key=lambda b: (len(b), sorted(map(rank.__getitem__, b))))
+    bags = [frozenset((v,)) for v in singles] + cosets
     interior_radius = _interior_radius(ball, families)
-    boundary_flag = [_eccentricity(ball, b) > interior_radius for b in bags]
-
-    vertex_bags = [[] for _ in range(ball.vertex_count)]
+    bag_family = [-1] * len(singles) + [bag_set[b] for b in cosets]
+    boundary_flag = [length[v] > interior_radius for v in singles] + [
+        _eccentricity(ball, b) > interior_radius for b in cosets]
+    vertex_bags = [[] for _ in range(n)]
     for i, b in enumerate(bags):
         for v in b:
             vertex_bags[v].append(i)
 
-    # adjacency source 1: intersecting bag pairs
-    adjacent_pairs = set()
-    for bs in vertex_bags:
-        if len(bs) > 1:
-            adjacent_pairs.update(combinations(bs, 2))
-    # adjacency source 2: ball edges that join bags (`_joins_bags`), as
-    # in the acyclic/singleton regime
-    held = [[bags[b] for b in bs] for bs in vertex_bags]
-    for u, row in enumerate(ball.right):
-        for v in row:
-            if v > u and _joins_bags(held[u], held[v]):
-                adjacent_pairs.update((min(bu, bv), max(bu, bv))
-                                      for bu in vertex_bags[u]
-                                      for bv in vertex_bags[v])
+    # adjacency source 1: intersecting bag pairs, which meet in cosets
+    adjacent_pairs = {p for bs, c in zip(vertex_bags, covered) if c
+                      for p in combinations(bs, 2)}
+    # adjacency source 2: ball edges that join bags (`_joins_bags`). A
+    # vertex in no coset lies only in its singleton, which meets no other
+    # bag, so an edge at one joins bags untested
+    held = [[bags[b] for b in bs] if c else None
+            for bs, c in zip(vertex_bags, covered)]
+    adjacent_pairs.update([
+        (a, b) if a < b else (b, a)
+        for u, row in enumerate(ball.right) for v in row
+        if v > u and (not (covered[u] and covered[v])
+                      or _joins_bags(held[u], held[v]))
+        for a in vertex_bags[u] for b in vertex_bags[v]])
 
     # a bag's orbit is its family, numbered by the family's first
     # interior bag; boundary bags belong to no orbit

@@ -639,10 +639,13 @@ def reidemeister_schreier(cert, pres):
     by s^-1 from c·s. The others are generators g = 1, 2, ... in (coset,
     symbol) order, letters g and -g for g^-1. Transversal words are
     reduced, and by the same rule neither junction of a free-basis word
-    cancels, so it is reduced as formed. Each step k has two columns: the
-    coset table's column k, the coset each coset goes to, and the letter
-    read there (0 for none); each relator is rewritten from every coset
-    at once along them."""
+    cancels, so it is reduced as formed. The inverse words t[d]^-1 come
+    from the Schreier vector `last`, once each in index order (BFS
+    order): t[d] is t[e] then step last[d], for e = table[d][last[d] ^ 1]
+    found before d, so t[d]^-1 is step last[d] ^ 1 then t[e]^-1. Each
+    step k has two columns: the coset table's column k, the coset each
+    coset goes to, and the letter read there (0 for none); each relator
+    is rewritten from every coset at once along them."""
     n, table, t = cert.index, cert.coset_table, cert.transversal
     steps = cert.hom.steps
     pairs = _schreier_pairs(cert)
@@ -667,7 +670,10 @@ def reidemeister_schreier(cert, pres):
     if relators:
         cert.evidence["residual_relators"] = len(relators)
         return cert
-    cert.free_basis = [t[c] + (steps[k],) + invert_word(t[table[c][k]])
+    inv = [()]
+    for d, k in enumerate(cert.hom.last[1:], 1):
+        inv.append((steps[k ^ 1],) + inv[table[d][k ^ 1]])
+    cert.free_basis = [t[c] + (steps[k],) + inv[table[c][k]]
                        for g, (c, k) in enumerate(pairs, 1)
                        if g not in eliminated]
     cert.rank = len(cert.free_basis)

@@ -8,13 +8,20 @@ one of its vertices by group arithmetic, a bag's orbit is found by
 trying a translation onto each orbit representative so far, conjugacy
 is tested on every member of a subgroup, and a stabilizer is filtered
 by translating the bag, and two bag pairs are compared by trying every
-translation of one bag onto another. Their results must equal what
-`compute_global_decomposition` and `compute_stabilizers` read off the
-cosets: the families, the bags, `bag_orbit`, `orbit_rep_bag`,
-`model_edges`, the pair keys and the stabilizers.
+translation of one bag onto another. Bag adjacency is found from the
+bags alone: per-vertex bag lists, pairs of bags sharing a vertex, and
+the meeting test on the bags at both ends of every ball edge, singletons
+included; the covering report tests every interior edge in `edge_pairs`
+order for a bag holding both ends, two meeting bags or a recorded pair.
+Their results must equal what `compute_global_decomposition` and
+`compute_stabilizers` read off the cosets: the families, the bags,
+`vertex_bags`, `adjacent_pairs`, `bag_orbit`, `orbit_rep_bag`,
+`model_edges`, the covering report, the pair keys and the stabilizers.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from gdecomp.decomp import (_eccentricity, _subgroup_key, _translators,
                             translate_bag)
@@ -122,6 +129,55 @@ def coset_bags(ball, families):
     keys = [g.key() for g in ball.elements]
     bags = sorted(family_of, key=lambda b: (len(b), sorted(keys[v] for v in b)))
     return bags, [family_of[b] for b in bags]
+
+
+def vertex_bags(ball, bags):
+    """The indices of the bags holding each vertex, in index order."""
+    out = [[] for _ in range(ball.vertex_count)]
+    for i, b in enumerate(bags):
+        for v in b:
+            out[v].append(i)
+    return out
+
+
+def adjacent_pairs(ball, bags):
+    """Bag pairs (i, j), i < j, that share a vertex, or that hold the two
+    ends of a ball edge lying in no bag and joining no two meeting bags
+    (a bag holding both ends meets itself)."""
+    at = vertex_bags(ball, bags)
+    pairs = set()
+    for bs in at:
+        pairs.update(combinations(bs, 2))
+    for u, v in ball.edge_pairs():
+        if all(not bags[a] & bags[b] for a in at[u] for b in at[v]):
+            pairs.update((min(a, b), max(a, b)) for a in at[u] for b in at[v])
+    return pairs
+
+
+def covering_report(ball, interior_radius, bags, at, pairs):
+    """H1 and H2 over the interior vertices, with `at` the bags at each
+    vertex and `pairs` the adjacent bag pairs: an interior edge is covered
+    when a bag holds both ends, a bag at one end meets one at the other,
+    or a pair of them is adjacent; a vertex fails H2 when it has several
+    bags and one of them does not hold it."""
+    interior = [v for v in range(ball.vertex_count)
+                if ball.word_length[v] <= interior_radius]
+    inside = set(interior)
+    uncovered = []
+    for u, v in ball.edge_pairs():
+        if u not in inside or v not in inside:
+            continue
+        if any(v in bags[b] for b in at[u]):
+            continue
+        if any(bags[a] & bags[b] for a in at[u] for b in at[v]):
+            continue
+        if any((min(a, b), max(a, b)) in pairs for a in at[u] for b in at[v]):
+            continue
+        uncovered.append((u, v))
+    bad = [v for v in interior
+           if len(at[v]) > 1 and not all(v in bags[b] for b in at[v])]
+    return {"h1_pass": not uncovered, "h1_uncovered_edges": uncovered,
+            "h2_pass": not bad, "h2_disconnected_vertices": bad}
 
 
 def bags_equivalent(ball, b1, b2):

@@ -10,8 +10,9 @@ import decomp_oracle as oracle
 from gdecomp import (build_ball, build_nerve_complex, check_periodicity,
                      check_vtf_conditions, compute_global_decomposition,
                      compute_stabilizers, discover_graph_of_groups)
-from gdecomp.decomp import (GlobalDecomposition, _pair_key,
-                            _read_at_identity, _translators, bag_size_bound,
+from gdecomp.decomp import (GlobalDecomposition, _eccentricity,
+                            _joins_bags, _pair_key, _read_at_identity,
+                            _translators, bag_size_bound,
                             edge_incidence_bound, maximal_finite_subgroups)
 from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
@@ -51,7 +52,11 @@ def test_verify_axioms_failures(sl2z_decomp, f2):
     these facts. H1 is broken on F2, whose singleton bags make every ball
     edge a source-2 edge; the sl2z decomposition has no interior one,
     since each of its interior edges lies in a bag or joins two meeting
-    bags."""
+    bags. Two controls pin the other H1 branches: with no adjacency
+    recorded, sl2z's meeting bags still cover every interior edge; and
+    with singleton bags, no adjacency and so nothing to cover an edge,
+    the uncovered edges are the interior edges, each once and in sorted
+    order, which sl2z's rows are not."""
     dec = compute_global_decomposition(build_ball(f2, 5), 3)
     interior = set(dec.interior_vertices())
     u, v = next((u, v) for u, v in dec.ball.edge_pairs()
@@ -65,13 +70,30 @@ def test_verify_axioms_failures(sl2z_decomp, f2):
     assert report["h2_pass"]
 
     dec = sl2z_decomp
-    v = dec.interior_vertices()[-1]
-    foreign = next(i for i, b in enumerate(dec.bags) if v not in b)
+    # w, on the boundary, is not checked
+    v, w = dec.interior_vertices()[-1], dec.ball.vertex_count - 1
+    foreign = next(i for i, b in enumerate(dec.bags)
+                   if v not in b and w not in b)
     vertex_bags = list(dec.vertex_bags)
-    vertex_bags[v] = vertex_bags[v] + [foreign]
+    for x in (v, w):
+        vertex_bags[x] = vertex_bags[x] + [foreign]
     report = _with(dec, vertex_bags=vertex_bags).verify_axioms()
     assert not report["h2_pass"] and report["h2_disconnected_vertices"] == [v]
     assert report["h1_pass"]
+
+    report = _with(dec, adjacent_pairs=set()).verify_axioms()
+    assert report["h1_pass"] and report["h2_pass"]
+    n = dec.ball.vertex_count
+    report = _with(dec, bags=[frozenset((v,)) for v in range(n)],
+                   vertex_bags=[[v] for v in range(n)],
+                   adjacent_pairs=set()).verify_axioms()
+    interior = set(dec.interior_vertices())
+    edges = [(u, v) for u, v in dec.ball.edge_pairs()
+             if u in interior and v in interior]
+    assert report["h1_uncovered_edges"] == edges and report["h2_pass"]
+    in_rows = [(u, v) for u, row in enumerate(dec.ball.right) for v in row
+               if (u, v) in set(edges)]
+    assert sorted(in_rows) == edges != in_rows
 
 
 def test_sl2z_stabilizers(sl2z_decomp):
@@ -285,6 +307,16 @@ def test_decomposition_matches_searches(case):
     assert dec.families == oracle.maximal_finite_subgroups(ball, r)
     assert (dec.bags, dec.bag_family) \
         == oracle.coset_bags(ball, dec.families)
+    # the singleton fast path: flags, bag lists, adjacency and the
+    # covering report as the per-bag rule finds them from the bags alone
+    assert dec.boundary_flag == [_eccentricity(ball, b) > dec.interior_radius
+                                 for b in dec.bags]
+    vertex_bags = oracle.vertex_bags(ball, dec.bags)
+    adjacent_pairs = oracle.adjacent_pairs(ball, dec.bags)
+    assert dec.vertex_bags == vertex_bags
+    assert dec.adjacent_pairs == adjacent_pairs
+    assert dec.covering_report == oracle.covering_report(
+        ball, dec.interior_radius, dec.bags, vertex_bags, adjacent_pairs)
     bag_orbit, orbit_rep_bag = oracle.bag_orbits(ball, dec.bags,
                                                  dec.boundary_flag)
     assert dec.bag_orbit == bag_orbit
@@ -418,3 +450,33 @@ def test_class_scan_stops_early(monkeypatch):
                 and dec.bag_orbit[j] is not None]
     assert len(dec.model_edges) == 2 and len(interior) == 1456
     assert 0 < len(calls) <= 10
+
+
+def test_singleton_edges_join_untested(monkeypatch, sl2z_ball10):
+    # a vertex in no coset lies in its singleton alone, which meets no
+    # other bag, so only edges between two vertices in cosets are asked
+    # whether they join bags: F2's bags are all singletons, and its
+    # decomposition asks nothing beyond the identity reading's questions
+    calls = []
+
+    def counting(at_u, at_v):
+        calls.append((list(at_u), list(at_v)))
+        return _joins_bags(at_u, at_v)
+
+    monkeypatch.setattr("gdecomp.decomp._joins_bags", counting)
+    ball = build_ball(load_fixture("f2"), 7)
+    dec = compute_global_decomposition(ball, 3)
+    made = len(calls)
+    calls.clear()
+    _read_at_identity(ball, dec.families)
+    assert made == len(calls) > 0
+    assert len(dec.adjacent_pairs) == ball.edge_count
+
+    # sl2z's boundary singletons have edges, none of them asked about
+    calls.clear()
+    dec = compute_global_decomposition(sl2z_ball10, 6)
+    singles = {b for b, fi in zip(dec.bags, dec.bag_family) if fi < 0}
+    assert any(frozenset((u,)) in singles or frozenset((v,)) in singles
+               for u, v in sl2z_ball10.edge_pairs())
+    assert calls and all(any(len(b) > 1 for b in at)
+                         for pair in calls for at in pair)
