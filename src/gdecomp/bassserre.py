@@ -95,17 +95,6 @@ class BassSerreTreePortion:
         return [x for x in range(self.vertex_count)
                 if self.depth(x) < self.radius]
 
-    def to_dot(self):
-        lines = ["graph tree {", "  node [shape=circle];"]
-        for x in range(self.vertex_count):
-            lines.append(f'  t{x} [label="{self.label(x)}"];')
-        for x in range(self.vertex_count):
-            for y in self.adj[x]:
-                if x < y:
-                    lines.append(f"  t{x} -- t{y};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def build_tree_portion(group, radius):
     """BFS the coset tree out to `radius` from the base vertex's coset,

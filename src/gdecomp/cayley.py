@@ -165,15 +165,6 @@ class CayleyBall:
                       for u, v, labels in self.edges()],
         }
 
-    def to_dot(self):
-        lines = ["graph ball {", "  node [shape=circle];"]
-        for i, g in enumerate(self.elements):
-            lines.append(f'  n{i} [label="{g.key()}"];')
-        for u, v, labels in self.edges():
-            lines.append(f'  n{u} -- n{v} [label="{",".join(labels)}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def build_ball(group, radius, cap=DEFAULT_CAP, ball=None):
     """BFS out to word distance `radius` over `group.gen_symbols()`,

@@ -84,6 +84,18 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _dot(name, prefix, labels, edges):
+    """An undirected graph as DOT text: one node per label, node i named
+    prefix + i, and one line per (u, v, label), bare where label is None."""
+    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines += [f'  {prefix}{i} [label="{s}"];' for i, s in enumerate(labels)]
+    for u, v, label in edges:
+        tail = "" if label is None else f' [label="{label}"]'
+        lines.append(f"  {prefix}{u} -- {prefix}{v}{tail};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _log(msg, t0):
     print(f"[{time.perf_counter() - t0:7.2f}s] {msg}", file=sys.stderr)
 
@@ -95,7 +107,11 @@ def cmd_ball(args):
     t0 = time.perf_counter()
     ball = build_ball(args.group, args.radius, cap=args.cap)
     _log(f"ball: {ball.vertex_count} vertices", t0)
-    text = ball.to_dot() if args.format == "dot" else canonical_json(ball.to_json())
+    if args.format == "dot":
+        text = _dot("ball", "n", [g.key() for g in ball.elements],
+                    ((u, v, ",".join(labels)) for u, v, labels in ball.edges()))
+    else:
+        text = canonical_json(ball.to_json())
     _emit(text, args.out)
     return 0
 
@@ -125,7 +141,9 @@ def cmd_decompose(args):
     dec = decomp.compute_global_decomposition(ball, args.r)
     _log(f"decompose: {dec.bag_count} bags", t0)
     if args.format == "dot":
-        _emit(dec.to_dot(), args.out)
+        _emit(_dot("model", "h", dec.model_vertex_sizes,
+                   ((e["u"], e["v"], e["adhesion_size"]) for e in dec.model_edges)),
+              args.out)
         return 0
     report = dec.to_json()
     report["axioms"] = dec.covering_report
@@ -151,13 +169,8 @@ def cmd_discover(args):
         return 2
     _log(f"discover: stabilized at r={trace['R']}", t0)
     if args.format == "dot":
-        lines = ["graph splitting {", "  node [shape=circle];"]
-        for i, tbl in enumerate(gog.vertices):
-            lines.append(f'  v{i} [label="{tbl.order}"];')
-        for e in gog.edges:
-            lines.append(f'  v{e.u} -- v{e.v} [label="{e.table.order}"];')
-        lines.append("}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_dot("splitting", "v", [tbl.order for tbl in gog.vertices],
+                   ((e.u, e.v, e.table.order) for e in gog.edges)), args.out)
         return 0
     report = gog.to_json()
     report["trace"] = trace
@@ -183,7 +196,10 @@ def cmd_classify(args):
     }
     _log(f"classify: tree portion {tree.vertex_count} vertices", t0)
     if args.format == "dot":
-        _emit(tree.to_dot(), args.out)
+        nodes = range(tree.vertex_count)
+        _emit(_dot("tree", "t", [tree.label(x) for x in nodes],
+                   ((x, y, None) for x in nodes for y in tree.adj[x] if x < y)),
+              args.out)
         return 0
     _emit(canonical_json(report), args.out)
     return 0

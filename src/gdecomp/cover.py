@@ -86,7 +86,9 @@ in generator order; artifacts depend on this numbering. A deck
 transformation acts on the left and labels on the right, gamma * (x * s)
 = (gamma * x) * s, so it maps the edge labelled k at x to the edge
 labelled k at x's image (`lift_element_action`), with no product in the
-ball.
+ball. A lift is that partial map of nodes, a dict, and its order
+(`order_on_region`) composes the map with itself on nodes: gamma's
+powers are never formed.
 """
 
 from __future__ import annotations
@@ -100,12 +102,12 @@ from .cycles import closed_words
 from .errors import (CapExceeded, SpecFormatError, UncertifiedRegion,
                      VerificationFailure)
 from .graphs import UnionFind, bfs
-from .groups import invert_word, multiply
+from .groups import invert_word
 from .subgroups import presentation_from_group
 
 # the most nodes the enumeration creates before it raises CapExceeded
 NODE_CAP = 500_000
-# the most iterations DeckLift.order_on_region composes
+# the most powers order_on_region forms
 DECK_ORDER_CAP = 64
 
 
@@ -149,45 +151,6 @@ class TruncatedCover:
                 for v in self.right[u] if u < v
             ),
         }
-
-
-class DeckLift:
-    """Partial deck transformation over the certified region."""
-
-    __slots__ = ("cover", "gamma", "mapping")
-
-    def __init__(self, cover, gamma, mapping):
-        self.cover = cover
-        self.gamma = gamma
-        self.mapping = mapping  # cover vertex -> cover vertex
-
-    def __call__(self, node):
-        if node not in self.mapping:
-            raise UncertifiedRegion(f"deck lift undefined at cover vertex {node}")
-        return self.mapping[node]
-
-    def compose(self, other):
-        """self after other, on the overlap where both are defined."""
-        gamma = multiply(self.gamma, other.gamma)
-        mapping = {}
-        for x, y in other.mapping.items():
-            z = self.mapping.get(y)
-            if z is not None:
-                mapping[x] = z
-        return DeckLift(self.cover, gamma, mapping)
-
-    def order_on_region(self):
-        """Iterate until the lift acts as the identity on its whole domain;
-        None past DECK_ORDER_CAP iterations."""
-        current = self
-        for k in range(1, DECK_ORDER_CAP + 1):
-            if all(current.mapping.get(x) == x for x in current.mapping) \
-                    and current.mapping:
-                return k
-            current = self.compose(current)
-            if not current.mapping:
-                return None
-        return None
 
 
 def build_truncated_cover(ball, r, depth):
@@ -412,6 +375,13 @@ def _is_closed(ball):
 def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
     """Projection restricted to small balls should be a graph isomorphism.
 
+    Each certified vertex x whose radius-ball lies inside the cover (or
+    a seeded sample of `samples` of them) is checked: the ball about x
+    is read off the cover's rows and the one about x's base vertex off
+    the ball's rows, both as BFS vertex sets, and the projection must be
+    one-to-one on the first and onto the second. Edges are counted only
+    for a failing vertex's witness.
+
     radius defaults to floor(r/2), the guaranteed regime; passing a larger
     radius is allowed and is expected to fail on wrapped covers. The check
     fails when no certified vertex has its radius-ball inside the cover,
@@ -426,29 +396,32 @@ def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
     if samples is not None and samples < len(pool):
         rng = random.Random(seed)
         pool = sorted(rng.sample(pool, samples))
+    right, projection = cover.base.right, cover.projection
+
+    def base_neighbors(v):
+        return [w for w in right[v] if w >= 0]
+
     witnesses = []
     for x in pool:
-        cov_verts, cov_edges = _ball_subgraph(cover.neighbors, x, radius)
-        base_verts, base_edges = _ball_subgraph(cover.base.neighbors,
-                                                cover.projection[x], radius)
-        image = {cover.projection[y] for y in cov_verts}
+        cov_verts = bfs(cover.neighbors, x, radius)
+        base_verts = bfs(base_neighbors, projection[x], radius)
+        image = {projection[y] for y in cov_verts}
         # injective on the cover ball, onto the base ball's vertex set
-        if len(image) != len(cov_verts) or image != base_verts:
+        if len(image) != len(cov_verts) or image != base_verts.keys():
             witnesses.append({
                 "vertex": x,
                 "cover_vertices": len(cov_verts),
-                "cover_edges": cov_edges,
+                "cover_edges": _edge_count(cover.neighbors, cov_verts),
                 "base_vertices": len(base_verts),
-                "base_edges": base_edges,
+                "base_edges": _edge_count(base_neighbors, base_verts),
             })
     return {"pass": bool(pool) and not witnesses, "radius": radius,
             "checked": len(pool), "witnesses": witnesses}
 
 
-def _ball_subgraph(neighbors, start, radius):
-    verts = set(bfs(neighbors, start, radius))
-    edges = sum(1 for x in verts for y in neighbors(x) if y in verts and y > x)
-    return verts, edges
+def _edge_count(neighbors, verts):
+    """The number of edges with both ends in verts."""
+    return sum(1 for x in verts for y in neighbors(x) if y in verts and y > x)
 
 
 def classify_cycle_lift(cover, cycle):
@@ -472,9 +445,9 @@ def classify_cycle_lift(cover, cycle):
 
 
 def lift_element_action(cover, gamma):
-    """Extend gamma's deck transformation label by label from the root's
-    image, the end of gamma's stored word walked from the root; a node
-    reached twice must get one image."""
+    """gamma's deck transformation as a dict {node: image}, extended label
+    by label from the root's image, the end of gamma's stored word walked
+    from the root; a node reached twice must get one image."""
     ball = cover.base
     gi = ball.locate(gamma)
     if gi is None:
@@ -499,7 +472,23 @@ def lift_element_action(cover, gamma):
                 continue
             mapping[xc] = yc
             queue.append(xc)
-    return DeckLift(cover, gamma, mapping)
+    return mapping
+
+
+def order_on_region(mapping):
+    """The least k <= DECK_ORDER_CAP whose k-th power of the partial map
+    `mapping` (a deck lift) is the identity on its whole domain, which is
+    nonempty; None past the cap or once a power's domain is empty. Each
+    power is composed with `mapping` where both are defined, following
+    the cover's nodes alone: no group product is formed."""
+    current = mapping
+    for k in range(1, DECK_ORDER_CAP + 1):
+        if current and all(x == y for x, y in current.items()):
+            return k
+        current = {x: mapping[y] for x, y in current.items() if y in mapping}
+        if not current:
+            return None
+    return None
 
 
 def estimate_displacement(cover):

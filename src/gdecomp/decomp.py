@@ -263,15 +263,6 @@ class GlobalDecomposition:
             "covering": self.covering_report,
         }
 
-    def to_dot(self):
-        lines = ["graph model {", "  node [shape=circle];"]
-        for i, s in enumerate(self.model_vertex_sizes):
-            lines.append(f'  h{i} [label="{s}"];')
-        for e in self.model_edges:
-            lines.append(f'  h{e["u"]} -- h{e["v"]} [label="{e["adhesion_size"]}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def translate_bag(ball, gamma, bag):
     """Left-translate a bag of vertex indices by a group element; None if

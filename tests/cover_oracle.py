@@ -11,13 +11,21 @@ byte for byte in `to_json()`.
 `lift_element_action` maps cover edges by base vertex, forming the ball
 product gamma * v for each base vertex v, and must agree with
 `gdecomp.cover.lift_element_action`, which maps them by label.
+
+`order_on_region` is the deck-lift order loop as it ran on a lift object
+that carried gamma: each power is the lift composed after the last one
+through an explicit `compose`. `verify_ball_preservation` builds both
+balls as subgraphs through the `neighbors` methods, the base's sorted,
+and counts their edges for every vertex it checks. Both must agree with
+`gdecomp.cover`'s, which compose dicts and compare row-BFS vertex sets.
 """
 
 from __future__ import annotations
 
 from collections import deque
+import random
 
-from gdecomp.cover import DeckLift, TruncatedCover, _is_closed
+from gdecomp.cover import DECK_ORDER_CAP, TruncatedCover, _is_closed
 from gdecomp.cycles import closed_words
 from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from gdecomp.graphs import UnionFind, bfs
@@ -179,4 +187,61 @@ def lift_element_action(cover, gamma):
                 continue
             mapping[xc] = yc
             queue.append(xc)
-    return DeckLift(cover, gamma, mapping)
+    return mapping
+
+
+def compose(outer, inner):
+    """outer after inner, on the overlap where both are defined."""
+    mapping = {}
+    for x, y in inner.items():
+        z = outer.get(y)
+        if z is not None:
+            mapping[x] = z
+    return mapping
+
+
+def order_on_region(mapping):
+    """Iterate until the lift acts as the identity on its whole domain;
+    None past DECK_ORDER_CAP iterations."""
+    current = mapping
+    for k in range(1, DECK_ORDER_CAP + 1):
+        if all(current.get(x) == x for x in current) and current:
+            return k
+        current = compose(mapping, current)
+        if not current:
+            return None
+    return None
+
+
+def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
+    if samples is not None and samples < 0:
+        raise ValueError("samples must be >= 0")
+    if radius is None:
+        radius = cover.r // 2
+    certified = cover.certified_vertices()
+    pool = [x for x in certified if cover.node_depth[x] + radius <= cover.depth]
+    if samples is not None and samples < len(pool):
+        rng = random.Random(seed)
+        pool = sorted(rng.sample(pool, samples))
+    witnesses = []
+    for x in pool:
+        cov_verts, cov_edges = _ball_subgraph(cover.neighbors, x, radius)
+        base_verts, base_edges = _ball_subgraph(cover.base.neighbors,
+                                                cover.projection[x], radius)
+        image = {cover.projection[y] for y in cov_verts}
+        if len(image) != len(cov_verts) or image != base_verts:
+            witnesses.append({
+                "vertex": x,
+                "cover_vertices": len(cov_verts),
+                "cover_edges": cov_edges,
+                "base_vertices": len(base_verts),
+                "base_edges": base_edges,
+            })
+    return {"pass": bool(pool) and not witnesses, "radius": radius,
+            "checked": len(pool), "witnesses": witnesses}
+
+
+def _ball_subgraph(neighbors, start, radius):
+    verts = set(bfs(neighbors, start, radius))
+    edges = sum(1 for x in verts for y in neighbors(x) if y in verts and y > x)
+    return verts, edges

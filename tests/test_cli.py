@@ -727,3 +727,36 @@ def test_amalgam_digest_pinned(capsys, command):
     code, out = run(capsys, command, "--group", "amalgam")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == AMALGAM_DIGESTS[command]
+
+
+# sha256 of `gdecomp decompose|discover|classify ... --format dot`: the
+# model graph, the splitting and the tree portion as DOT text. The ball's
+# DOT is pinned in BALL_DIGESTS
+DOT_DIGESTS = {
+    ("decompose", "c2*c3", "--radius", "7", "--r", "3"):
+        "f416d0e2df650b8e934852f0a37e66a8389eaae60a3265c8008bb081b2ec3e71",
+    ("decompose", "sl2z", "--radius", "10", "--r", "6"):
+        "9ad675ff7fba646de32892ddf7ff69ddffe69180e97aec4867cd11f21bbd1239",
+    ("decompose", "amalgam", "--radius", "12", "--r", "8"):
+        "c570b50f1e8425425bf9a38f6acff8541ac9cc482039760ed41af9c53393a2e0",
+    ("discover", "c2*c3"):
+        "549becc5b630a673957802d51794c512d82832815673efb3c2d97bb4bc276638",
+    ("discover", "f2"):
+        "84dc2d31fa9b94096fa78f0964f46e4dafbbffab04c4b29ef52293b787cccb18",
+    ("discover", "c4*c2*c6"):
+        "feaf83fa9384cc78222c7eef015bc22528a174864e93652818408d360afbc7e9",
+    ("classify", "c2*c3", "--element", "a*b", "--radius", "5"):
+        "2a6fa43c2a1e2a8f72e71c163dbff324ab04ce0eee9a00c8117d769cabfe1dc3",
+    ("classify", "c4*c2*c6", "--element", "S*T", "--radius", "4"):
+        "48d317e4556751097346de12696bacce520cd7b82e4ba8f64169e06c5cc480e1",
+    ("classify", "amalgam", "--element", "x*y", "--radius", "3"):
+        "bb6defcf4b603d8c1e7367787aca5c77b7121397c6a6fdca471bcef1dc27b048",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOT_DIGESTS))
+def test_dot_digest_pinned(capsys, case):
+    command, group, *rest = case
+    code, out = run(capsys, command, "--group", group, *rest, "--format", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS[case]

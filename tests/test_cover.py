@@ -8,7 +8,7 @@ from gdecomp import (build_ball, build_truncated_cover, classify_cycle_lift,
                      enumerate_short_cycles, estimate_displacement,
                      lift_element_action, order_threshold,
                      verify_ball_preservation)
-from gdecomp.cover import TruncatedCover
+from gdecomp.cover import TruncatedCover, order_on_region
 from gdecomp.cycles import closed_words
 from gdecomp.errors import CapExceeded, UncertifiedRegion, VerificationFailure
 from gdecomp.fixtures import load_fixture, make_cyclic_amalgam, make_free_group
@@ -18,6 +18,8 @@ from gdecomp.groups import (GraphOfGroupsGroup, MatrixGroup, load_group,
 
 from cover_oracle import build_truncated_cover as oracle_cover
 from cover_oracle import lift_element_action as oracle_lift
+from cover_oracle import order_on_region as oracle_order
+from cover_oracle import verify_ball_preservation as oracle_preservation
 
 SL2Z = load_fixture("sl2z")
 
@@ -101,8 +103,8 @@ def test_sl2z_deck_lift_order(sl2z, sl2z_ball10):
     cov = build_truncated_cover(sl2z_ball10, 6, 3)
     S = sl2z.generators["S"]
     lift = lift_element_action(cov, S)
-    assert len(lift.mapping) == 24
-    assert lift.order_on_region() == 4
+    assert len(lift) == 24
+    assert order_on_region(lift) == 4
 
 
 def test_depth_guard(z5):
@@ -353,7 +355,7 @@ def _full_search_displacement(cov):
 
 def _lift_or_error(lift, cov, gamma):
     try:
-        return lift(cov, gamma).mapping
+        return lift(cov, gamma)
     except (UncertifiedRegion, VerificationFailure) as exc:
         return type(exc), str(exc)
 
@@ -372,3 +374,75 @@ def test_deck_lift_matches_base_vertex_lift(group_r, depth, slack, data):
     gamma = ball.elements[data.draw(st.integers(0, ball.vertex_count - 1))]
     assert _lift_or_error(lift_element_action, cov, gamma) \
         == _lift_or_error(oracle_lift, cov, gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cover_inputs(), st.integers(1, 4), st.integers(0, 3), st.integers(0, 2),
+       st.none() | st.integers(0, 6), st.integers(0, 3), st.integers(0, 1499))
+# proper covers whose balls about the root fold onto the base past r // 2,
+# so witnesses are compared, sampled and not
+@example((make_cyclic_amalgam(4, 2, 6), 3), 3, 1, 1, None, 0, 5)
+@example((make_cyclic_amalgam(4, 2, 6), 3), 4, 1, 2, 3, 1, 7)
+@example((SL2Z, 4), 4, 1, 1, None, 0, 3)
+def test_cover_checks_match_references(group_r, depth, slack, extra, samples,
+                                       seed, index):
+    # row-BFS vertex sets give the report, witnesses and their edge counts
+    # included, that the subgraphs built through `neighbors` give; composing
+    # dicts gives the order that the lift-object loop gives
+    group, r = group_r
+    try:
+        ball = build_ball(group, max(depth, r // 2) + slack, cap=1500)
+    except CapExceeded:
+        assume(False)
+    cov = build_truncated_cover(ball, r, depth)
+    radius = r // 2 + extra
+    assert verify_ball_preservation(cov, radius, samples, seed) \
+        == oracle_preservation(cov, radius, samples, seed)
+    gamma = ball.elements[index % ball.vertex_count]
+    try:
+        lift = lift_element_action(cov, gamma)
+    except (UncertifiedRegion, VerificationFailure):
+        assume(False)
+    assert order_on_region(lift) == oracle_order(lift)
+
+
+def test_cover_checks_form_no_product(sl2z_ball10, monkeypatch):
+    # a deck lift, its order and ball preservation follow the cover's rows:
+    # with group products disabled they still run, and give the orders and
+    # reports that they give with them
+    covers = [build_truncated_cover(sl2z_ball10, 6, 3),
+              build_truncated_cover(build_ball(load_fixture("amalgam"), 12), 8, 5)]
+
+    def checks():
+        out = []
+        for cov in covers:
+            ball = cov.base
+            out.append([order_on_region(lift_element_action(cov, ball.elements[v]))
+                        for v in ball.interior(cov.depth)])
+            out += [verify_ball_preservation(cov, radius)
+                    for radius in (cov.r // 2, cov.r // 2 + 1)]
+        return out
+
+    expected = checks()
+
+    def no_product(self, a, b):
+        raise AssertionError("a group product was formed")
+
+    monkeypatch.setattr(MatrixGroup, "op", no_product)
+    monkeypatch.setattr(GraphOfGroupsGroup, "op", no_product)
+    assert checks() == expected
+    with pytest.raises(AssertionError, match="group product"):
+        multiply(SL2Z.generators["S"], SL2Z.generators["T"])
+
+
+def test_order_on_region_controls(z5):
+    # the identity lift is its own first power; a lift along a path, whose
+    # powers shift the domain off its end, has no order
+    ball = build_ball(z5, 8)
+    cov = build_truncated_cover(ball, 4, 8)
+    identity = lift_element_action(cov, ball.elements[0])
+    assert identity == {x: x for x in range(cov.vertex_count)}
+    assert order_on_region(identity) == 1
+    shift = lift_element_action(cov, ball.elements[1])
+    assert len(shift) < cov.vertex_count
+    assert order_on_region(shift) is None
