@@ -24,7 +24,7 @@ from .cover import (
     order_threshold,
     verify_ball_preservation,
 )
-from .cycles import BACKEND, Cycle, enumerate_short_cycles
+from .cycles import BACKEND, enumerate_short_cycles
 from .decomp import (
     GlobalDecomposition,
     build_nerve_complex,
@@ -64,7 +64,6 @@ __all__ = [
     "BassSerreTreePortion",
     "CapExceeded",
     "CayleyBall",
-    "Cycle",
     "DecompositionTree",
     "FiniteGroupTable",
     "GdecompError",

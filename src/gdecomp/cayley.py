@@ -40,6 +40,7 @@ a larger one out of it by continuing its BFS.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from .cycles import enumerate_short_cycles
 from .errors import CapExceeded, VerificationFailure
@@ -286,19 +287,21 @@ def verify_short_cycle_cosets(ball, r, candidate_subgroups):
     candidate_subgroups: list of element lists, each closed under the
     operation. A cycle passes if its vertex set lies in g*H for some
     candidate H and some g (equivalently: for H fixed, all quotients
-    x0^-1 y from its first vertex x0 land in H). Quotients are compared
-    inside the ball, where they all lie once its radius is >= r/2.
-    Returns a report dict with the offending cycles.
+    x^-1 v from its least vertex x land in H). Those quotients are the
+    prefix vertices of the cycle's closed word walked from 0, which stay
+    in the ball, so each word is decided once, for all its translates.
+    Returns a report dict with the offending (vertices, word) cycles.
     """
     subs = [frozenset(i for i in map(ball.locate, hs) if i is not None)
             for hs in candidate_subgroups]
+    right = ball.right
     cycles = enumerate_short_cycles(ball, r)
-    violations = []
-    for cyc in cycles:
-        base_inv = ball.inverse(cyc.vertices[0])
-        quotients = {ball.mul(base_inv, y) for y in cyc.vertices}
-        if not any(quotients <= h for h in subs):
-            violations.append(cyc)
+    passes = {}
+    for _, word in cycles:
+        if word not in passes:
+            prefixes = set(accumulate(word, lambda v, k: right[v][k], initial=0))
+            passes[word] = any(prefixes <= h for h in subs)
+    violations = [cyc for cyc in cycles if not passes[cyc[1]]]
     return {
         "pass": not violations,
         "cycles_checked": len(cycles),

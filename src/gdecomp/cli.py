@@ -208,19 +208,13 @@ def cmd_classify(args):
 def cmd_subgroup(args):
     t0 = time.perf_counter()
     group = args.group
-    pres = subgroups.presentation_from_group(group)
-    hom = subgroups.construct_finite_quotient(group, pres,
-                                              modulus=args.modulus)
-    cert = subgroups.kernel_subgroup(hom, pres)
-    subgroups.reidemeister_schreier(cert, pres)
-    tf, witnesses = subgroups.verify_torsion_free(cert, pres)
+    hom, cert, tf = _certify(group, args.modulus)
     _log(f"subgroup: index {cert.index}", t0)
     report = cert.to_json()
     report["quotient_detail"] = hom.detail
     if isinstance(group, GraphOfGroupsGroup):
         report["euler_characteristic"] = str(group.gog.euler_characteristic())
         if cert.rank is not None:
-            _check_rank(group, cert)
             report["rank_chi_consistent"] = True
     _emit(canonical_json(report), args.out)
     if not tf or cert.rank is None:
@@ -228,13 +222,23 @@ def cmd_subgroup(args):
     return 0
 
 
-def _check_rank(group, cert):
-    """Raise unless a free kernel of a graph-of-groups group has the rank
-    1 + index·(-χ) that the Euler characteristic forces."""
-    want = subgroups.expected_free_rank(group.gog, cert.index)
-    if cert.rank != want:
-        raise VerificationFailure(f"certified rank {cert.rank} contradicts "
-                                  f"1 + index*(-chi) = {want}")
+def _certify(group, modulus=None):
+    """The certificate chain: presentation, finite quotient, kernel,
+    Reidemeister-Schreier and the torsion check. A free kernel of a
+    graph-of-groups group must have the rank 1 + index·(-χ) that the
+    Euler characteristic forces, or VerificationFailure is raised.
+    Returns (hom, cert, torsion_free)."""
+    pres = subgroups.presentation_from_group(group)
+    hom = subgroups.construct_finite_quotient(group, pres, modulus=modulus)
+    cert = subgroups.kernel_subgroup(hom, pres)
+    subgroups.reidemeister_schreier(cert, pres)
+    tf, _ = subgroups.verify_torsion_free(cert, pres)
+    if isinstance(group, GraphOfGroupsGroup) and cert.rank is not None:
+        want = subgroups.expected_free_rank(group.gog, cert.index)
+        if cert.rank != want:
+            raise VerificationFailure(f"certified rank {cert.rank} contradicts "
+                                      f"1 + index*(-chi) = {want}")
+    return hom, cert, tf
 
 
 def cmd_bounds(args):
@@ -350,14 +354,7 @@ def run_pipeline(group, config):
 
     if gog is not None or (isinstance(group, MatrixGroup)
                            and group.presentation):
-        pres = subgroups.presentation_from_group(group)
-        hom = subgroups.construct_finite_quotient(group, pres)
-        cert = subgroups.kernel_subgroup(hom, pres)
-        subgroups.reidemeister_schreier(cert, pres)
-        subgroups.verify_torsion_free(cert, pres)
-        if gog is not None and cert.rank is not None:
-            _check_rank(group, cert)
-        save("certificate", cert.to_json())
+        save("certificate", _certify(group)[1].to_json())
 
     bundle["summary"] = _summary_row(group.name, gog, dec_json)
     if config.out_dir:
@@ -366,17 +363,18 @@ def run_pipeline(group, config):
 
 
 def _summary_row(name, gog, dec_json):
+    """The model graph's shape and bag sizes, from the discovered
+    splitting when there is one, else from the decomposition's model."""
     if gog is not None:
-        n = len(gog.vertices)
-        loops = sum(1 for e in gog.edges if e.u == e.v)
-        plain = len(gog.edges) - loops
-        sizes = sorted(t.order for t in gog.vertices)
+        sizes = [t.order for t in gog.vertices]
+        ends = [(e.u, e.v) for e in gog.edges]
     else:
         model = dec_json["model"]
-        n = len(model["vertices"])
-        loops = sum(1 for e in model["edges"] if e["u"] == e["v"])
-        plain = len(model["edges"]) - loops
-        sizes = sorted(v["bag_size"] for v in model["vertices"])
+        sizes = [v["bag_size"] for v in model["vertices"]]
+        ends = [(e["u"], e["v"]) for e in model["edges"]]
+    n = len(sizes)
+    loops = sum(1 for u, v in ends if u == v)
+    plain = len(ends) - loops
     if n == 1 and plain == 0 and loops > 0:
         shape = f"rose with {loops} loops" if loops > 1 else "single loop"
     elif n == 1 and loops == 0:
@@ -385,10 +383,8 @@ def _summary_row(name, gog, dec_json):
         shape = "single edge"
     else:
         shape = f"{n} vertices, {plain + loops} edges"
-    if all(s == 1 for s in sizes):
-        bag_str = "1"
-    else:
-        bag_str = " and ".join(str(s) for s in sizes)
+    bag_str = ("1" if all(s == 1 for s in sizes)
+               else " and ".join(map(str, sorted(sizes))))
     return {"group": name, "model_graph": shape, "bag_sizes": bag_str,
             "source": "discovery" if gog is not None else "decomposition"}
 

@@ -373,19 +373,22 @@ def _is_closed(ball):
 
 
 def verify_ball_preservation(cover, radius=None, samples=None, seed=0):
-    """Projection restricted to small balls should be a graph isomorphism.
+    """Projection restricted to small balls is a bijection of vertex sets.
 
     Each certified vertex x whose radius-ball lies inside the cover (or
     a seeded sample of `samples` of them) is checked: the ball about x
     is read off the cover's rows and the one about x's base vertex off
     the ball's rows, both as BFS vertex sets, and the projection must be
-    one-to-one on the first and onto the second. Edges are counted only
-    for a failing vertex's witness.
+    one-to-one on the first and onto the second. Edges are not compared,
+    so this is not a graph isomorphism check: they are counted only for
+    a failing vertex's witness.
 
     radius defaults to floor(r/2), the guaranteed regime; passing a larger
-    radius is allowed and is expected to fail on wrapped covers. The check
-    fails when no certified vertex has its radius-ball inside the cover,
-    since it then checks nothing.
+    radius is allowed and is expected to fail on wrapped covers. For even
+    r that default lets an (r + 1)-cycle into the base ball: z5 with r 4
+    passes at radius 2, each cover ball a 5-vertex path against the whole
+    5-cycle. The check fails when no certified vertex has its radius-ball
+    inside the cover, since it then checks nothing.
     """
     if samples is not None and samples < 0:
         raise ValueError("samples must be >= 0")
@@ -425,20 +428,18 @@ def _edge_count(neighbors, verts):
 
 
 def classify_cycle_lift(cover, cycle):
-    """"lifts-closed" iff the cycle's labels, walked from a lift of its
-    first vertex, return there. A label names one generator column:
-    `gen_symbols` labels each element once, so no two labels of a row
-    reach one neighbour."""
-    start_base = cycle.vertices[0]
+    """"lifts-closed" iff the word of the (vertices, word) cycle, walked
+    by its generator columns from a lift of its first vertex, returns
+    there."""
+    vertices, word = cycle
     candidates = [x for x in cover.certified_vertices()
-                  if cover.projection[x] == start_base]
+                  if cover.projection[x] == vertices[0]]
     if not candidates:
         raise UncertifiedRegion("cycle basepoint has no certified lift")
     start = min(candidates, key=lambda x: cover.node_depth[x])
-    column = {sym: k for k, (sym, _) in enumerate(cover.base.generators)}
     end = start
-    for label in cycle.labels:
-        end = cover.right[end][column[label]]
+    for k in word:
+        end = cover.right[end][k]
         if end < 0:
             raise UncertifiedRegion("cycle lift exits the truncated region")
     return "lifts-closed" if end == start else "lifts-open"

@@ -5,60 +5,21 @@ ball is the left translate of a simple closed walk at vertex 0. Those
 walks are found once (`closed_words`), as words of generator indices,
 by DFS over the ball's right-multiplication table; a cycle of the ball
 is then one of the words walked from one of its vertices (`_kernel`).
-A word's edge labels are its generators' symbols: `gen_symbols` labels
-each element once, so one generator joins two vertices. The truncated
-cover folds along the same words.
+So a short cycle is the pair (vertices, word): `word` is its closed word
+at the identity, and `vertices` is that word's walk from the cycle's
+least vertex x, the vertices of x.w. The translate's quotients x^-1 v are
+the word's prefix vertices from 0, so whatever holds of a word at the
+identity holds of each of its translates. Each generator index is a
+column of the table; `gen_symbols` labels each element once, so one
+generator joins two vertices. The truncated cover folds along the same
+words, the relators of the r-local cover's group.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from .groups.element import invert_word, parse_word, render_letter
-
 BACKEND = "python"  # the kernel in use, recorded with benchmark results
-
-
-class Cycle:
-    """A simple cycle: vertex indices (min-first) and edge labels."""
-
-    __slots__ = ("vertices", "labels", "canonical")
-
-    def __init__(self, vertices, labels, canonical=None):
-        self.vertices = tuple(vertices)
-        self.labels = tuple(labels)
-        # translates of one word share their labels, hence their canonical word
-        self.canonical = (canonical if canonical is not None
-                          else _canonical_word(self.labels))
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __repr__(self):
-        return f"Cycle({'.'.join(self.canonical)})"
-
-    def __eq__(self, other):
-        return isinstance(other, Cycle) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def to_json(self):
-        return {"vertices": list(self.vertices),
-                "labels": list(self.labels),
-                "canonical": list(self.canonical)}
-
-
-def _least_rotation(word):
-    n = len(word)
-    doubled = word + word
-    return min(tuple(doubled[i:i + n]) for i in range(n))
-
-
-def _canonical_word(labels):
-    """Least rotation of the smaller of the word and its reversed inverse."""
-    rev_inv = tuple(map(render_letter, invert_word(parse_word(labels))))
-    return min(_least_rotation(tuple(labels)), _least_rotation(rev_inv))
 
 
 def closed_words(ball, r):
@@ -115,8 +76,9 @@ def _kernel(ball, words):
 
 
 def enumerate_short_cycles(ball, r):
-    """All simple cycles of edge length <= r inside the ball, deduplicated
-    up to rotation and reversal, sorted by (length, canonical word)."""
+    """All simple cycles of edge length <= r inside the ball, each once up
+    to rotation and reversal, as (vertices, word) pairs: per closed word,
+    in `closed_words` order, its translates by least vertex."""
     if r < 3:
         raise ValueError("cycles need length >= 3")
     words = closed_words(ball, r)
@@ -124,11 +86,5 @@ def enumerate_short_cycles(ball, r):
         warnings.warn(
             f"ball radius {ball.radius} < r={r}: cycles near the boundary may be clipped",
             stacklevel=2)
-    syms = [sym for sym, _ in ball.generators]
-    cycles = []
-    for word, translates in zip(words, _kernel(ball, words)):
-        labels = [syms[k] for k in word]
-        canonical = _canonical_word(labels)
-        cycles.extend(Cycle(verts, labels, canonical) for verts in translates)
-    cycles.sort(key=lambda c: (len(c), c.canonical, c.vertices))
-    return cycles
+    return [(verts, word) for word, translates in zip(words, _kernel(ball, words))
+            for verts in translates]

@@ -175,9 +175,9 @@ def test_criterion_07_cover_invariants(z5, sl2z_ball10, c2c3, c4c2c6):
              (build_ball(c4c2c6, 8), 6), (ball, 5)]
     for b, r in cases:
         c = build_truncated_cover(b, r, 2)
-        for cyc in enumerate_short_cycles(b, r):
-            if all(b.word_length[v] <= 2 for v in cyc.vertices):
-                if classify_cycle_lift(c, cyc) != "lifts-closed":
+        for verts, word in enumerate_short_cycles(b, r):
+            if all(b.word_length[v] <= 2 for v in verts):
+                if classify_cycle_lift(c, (verts, word)) != "lifts-closed":
                     lifts_ok = False
     ok = (is_path and disp["delta"] == 5 and disp["exact"]
           and order_threshold(disp["delta"], 4) == Fraction(9, 4)

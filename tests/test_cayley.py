@@ -1,13 +1,14 @@
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cycle_oracle import simple_cycles
+from cycle_oracle import coset_report, labelled_cycles
 from gdecomp import (build_ball, cayley, enumerate_short_cycles,
                      verify_short_cycle_cosets)
 from gdecomp.cayley import torsion_length_bound
-from gdecomp.cycles import Cycle
+from gdecomp.cycles import closed_words
 from gdecomp.errors import CapExceeded
 from gdecomp.fixtures import (load_fixture, make_cyclic_amalgam,
                               make_free_group)
@@ -105,9 +106,11 @@ def test_short_cycle_cosets_r6_violations(sl2z, sl2z_ball10):
     assert not report["pass"]
     assert report["cycles_checked"] == 2707
     assert len(report["violations"]) == 2424
-    labels = {v.canonical for v in report["violations"]}
-    # the central square commutator is among the violating words
-    assert any("T" in "".join(lab) for lab in labels)
+    # the central square commutator is among the violating words, so
+    # some violating word uses T or T'
+    t_cols = {k for k, (sym, _) in enumerate(sl2z_ball10.generators)
+              if sym in ("T", "T'")}
+    assert any(t_cols & set(word) for _, word in report["violations"])
 
 
 def test_torsion_length_bound(c2c3, c4c2c6):
@@ -220,12 +223,50 @@ def test_cycles_match_vertex_dfs(ball, data):
     # vertex of the ball, labelled edge by edge
     assume(ball.radius >= 1)
     r = data.draw(st.integers(3, 2 * ball.radius + 1))
-    expected = [Cycle(vs, [ball.edge_label(u, v)
-                           for u, v in zip(vs, vs[1:] + vs[:1])])
-                for vs in simple_cycles(_neighbor_lists(ball), r)]
-    expected.sort(key=lambda c: (len(c), c.canonical, c.vertices))
-    assert [c.to_json() for c in enumerate_short_cycles(ball, r)] \
-        == [c.to_json() for c in expected]
+    cycles = enumerate_short_cycles(ball, r)
+    assert sorted(cycles) == sorted(labelled_cycles(ball, r))
+    # per word in closed_words order, its translates by least vertex
+    words = closed_words(ball, r)
+    assert cycles == sorted(cycles, key=lambda c: (words.index(c[1]), c[0][0]))
+
+
+@pytest.mark.filterwarnings("ignore:ball radius")
+@settings(max_examples=100, deadline=None)
+@given(_balls, st.data())
+def test_coset_verdicts_per_word_match_per_cycle(ball, data):
+    # one verdict per word, from its prefix vertices at 0, against the
+    # quotients of each cycle's first vertex. Any vertex sets will do as
+    # candidates, as both rules test the same quotient set against them;
+    # drawing some as a closed word's walk at 0 lets a ball's verdicts mix
+    assume(ball.radius >= 1)
+    r = data.draw(st.integers(3, 2 * ball.radius + 1))
+    right, words = ball.right, closed_words(ball, r)
+    walks = [set(accumulate(w, lambda v, k: right[v][k], initial=0))
+             for w in words]
+    vertex_sets = st.sets(st.sampled_from(ball.interior(r // 2)))
+    subs = data.draw(st.lists(
+        st.one_of(vertex_sets, st.sampled_from(walks)) if walks
+        else vertex_sets, max_size=3))
+    _assert_coset_report(ball, r, subs)
+
+
+def test_coset_verdicts_match_per_cycle_sl2z(sl2z, sl2z_ball8):
+    S = sl2z.generators["S"]
+    ST = multiply(S, sl2z.generators["T"])
+    candidates = [powers(sl2z, S, 4), powers(sl2z, ST, 6),
+                  powers(sl2z, multiply(S, S), 2)]
+    subs = [{sl2z_ball8.locate(g) for g in hs} - {None} for hs in candidates]
+    for r in (4, 5, 6):
+        _assert_coset_report(sl2z_ball8, r, subs)
+
+
+def _assert_coset_report(ball, r, subs):
+    report = verify_short_cycle_cosets(
+        ball, r, [[ball.elements[v] for v in h] for h in subs])
+    expected = coset_report(ball, r, subs)
+    assert report["cycles_checked"] == expected["cycles_checked"]
+    assert sorted(report["violations"]) == expected["violations"]
+    assert report["pass"] == (not expected["violations"])
 
 
 # a ball cut from a larger one, or grown out of a smaller one, against a

@@ -43,7 +43,7 @@ def test_z5_cover_closes_at_r5(z5):
 
 def test_z5_cycle_lift(z5):
     ball = build_ball(z5, 8)
-    cyc = enumerate_short_cycles(ball, 5)[0]
+    [cyc] = enumerate_short_cycles(ball, 5)  # (vertices, word) of the 5-cycle
     open_cov = build_truncated_cover(ball, 4, 8)
     closed_cov = build_truncated_cover(ball, 5, 5)
     assert classify_cycle_lift(open_cov, cyc) == "lifts-open"
@@ -222,9 +222,9 @@ def test_every_short_cycle_lifts_closed_all_fixtures(sl2z_ball10, c2c3, c4c2c6):
              (build_ball(c4c2c6, 8), 6), (build_ball(agl, 8), 5)]
     for ball, r in cases:
         cov = build_truncated_cover(ball, r, 2)
-        for cyc in enumerate_short_cycles(ball, r):
-            if all(ball.word_length[v] <= 2 for v in cyc.vertices):
-                assert classify_cycle_lift(cov, cyc) == "lifts-closed"
+        for verts, word in enumerate_short_cycles(ball, r):
+            if all(ball.word_length[v] <= 2 for v in verts):
+                assert classify_cycle_lift(cov, (verts, word)) == "lifts-closed"
 
 
 @st.composite

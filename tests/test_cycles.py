@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,12 +17,17 @@ def test_counts_frozen(sl2z_ball8, sl2z_ball10):
 
 def test_cycle_shape(sl2z_ball8):
     cycles = enumerate_short_cycles(sl2z_ball8, 4)
-    first = cycles[0]
-    assert first.vertices == (0, 1, 5, 3)
-    assert first.labels == ("S", "S", "S", "S")
-    for c in cycles:
-        assert 3 <= len(c.vertices) <= 4
-        assert len(c.labels) == len(c.vertices)
+    syms = [sym for sym, _ in sl2z_ball8.generators]
+    verts, word = cycles[0]
+    assert verts == (0, 1, 5, 3)
+    assert [syms[k] for k in word] == ["S", "S", "S", "S"]
+    for verts, word in cycles:
+        assert 3 <= len(verts) <= 4 and len(word) == len(verts)
+        # the word walks the vertices from the least one and closes there
+        assert verts[0] == min(verts)
+        walk = list(accumulate(word, lambda v, k: sl2z_ball8.right[v][k],
+                               initial=verts[0]))
+        assert tuple(walk) == verts + verts[:1]
 
 
 def test_z5_single_cycle(z5):
@@ -29,7 +36,9 @@ def test_z5_single_cycle(z5):
     with pytest.warns(UserWarning, match="ball radius"):
         cycles = enumerate_short_cycles(ball, 5)
     assert len(cycles) == 1
-    assert len(cycles[0].vertices) == 5
+    verts, word = cycles[0]
+    assert len(verts) == len(word) == 5
+    assert len(set(word)) == 1  # one generator, five times
 
 
 def test_f2_no_cycles(f2):
@@ -44,17 +53,24 @@ def test_r_minimum(sl2z_ball8):
 
 
 def test_invert_symbol():
-    # the inverse rule cycle labels share with every other word reader
+    # the inverse rule every word reader shares
     assert render_word(invert_word(parse_word(["S"]))) == "S'"
     assert render_word(invert_word(parse_word(["S'"]))) == "S"
 
 
-def test_canonical_rotation_invariant(sl2z_ball8):
-    # the canonical form dedups rotations and the reversed traversal, so
-    # the 105 cycles have 105 distinct (canonical, vertex-set) pairs
-    cycles = enumerate_short_cycles(sl2z_ball8, 4)
-    seen = {(c.canonical, frozenset(c.vertices)) for c in cycles}
-    assert len(seen) == len(cycles)
+def _up_to_rotation_and_reversal(verts):
+    n = len(verts)
+    return min(min(seq[i:] + seq[:i] for i in range(n))
+               for seq in (verts, verts[::-1]))
+
+
+def test_each_cycle_once_up_to_rotation_and_reversal(sl2z_ball8, sl2z_ball10):
+    # the 105 cycles at r = 4 (and the 2,707 at r = 6) are 105 distinct
+    # vertex cycles once rotations and the reversed traversal are identified
+    for ball, r in ((sl2z_ball8, 4), (sl2z_ball10, 6)):
+        cycles = enumerate_short_cycles(ball, r)
+        keys = {_up_to_rotation_and_reversal(verts) for verts, _ in cycles}
+        assert len(keys) == len(cycles)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
